@@ -57,6 +57,7 @@ from .hattori import (
     todd_quartic,
 )
 from .search import (
+    CheckpointMismatch,
     ClassificationResult,
     FamilyReport,
     NonIntegralSum,

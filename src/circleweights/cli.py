@@ -17,14 +17,10 @@ Exit codes: 0 success, 2 schema error, 3 infeasible profile / failed verify.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
-import tempfile
-from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from .core import (
     FixedPointProfile,
@@ -36,20 +32,18 @@ from .core import (
     weight_system_checks,
 )
 from .fixtures import FIXTURES, IneffectiveParameters
-from .graphs import Multigraph, enumerate_multigraphs
+from .graphs import enumerate_multigraphs
 from .hattori import available_levels, derive_levels, dim8_solver, r_values_at_one
 from .laurent import NotLaurent
-from .localization import chern_battery, minimal_chern_constants
+from .localization import chern_battery
 from .search import (
+    CheckpointMismatch,
     ClassificationResult,
     NonIntegralSum,
     SearchOptions,
-    WeightFamily,
     classify,
     magnitude_sum,
-    minimal_divisors,
-    search_graph,
-    solve_weights,
+    run_fingerprint,
     vet_instance,
 )
 
@@ -79,106 +73,6 @@ def _write_out(payload: str, out: Optional[str]) -> None:
         sys.stdout.write(payload)
         if not payload.endswith("\n"):
             sys.stdout.write("\n")
-
-
-def _code_hash() -> str:
-    here = os.path.dirname(__file__)
-    digest = hashlib.sha256()
-    for name in sorted(os.listdir(here)):
-        if name.endswith(".py"):
-            with open(os.path.join(here, name), "rb") as fh:
-                digest.update(name.encode())
-                digest.update(fh.read())
-    return digest.hexdigest()[:16]
-
-
-# ---------------------------------------------------------------------------
-# classify plumbing: blocks, checkpoints, worker pool, cache
-# ---------------------------------------------------------------------------
-
-def _blocks(profile, opts, graphs) -> List[Tuple[int, Optional[int]]]:
-    if opts.mode == "nonnegative" and profile.is_minimal and opts.use_divisors:
-        divisors = [opts.divisor_c] if opts.divisor_c else minimal_divisors(profile.n)
-        if opts.dim8_strict and profile.n == 4:
-            divisors = [c for c in divisors if c in (1, 5)]
-    else:
-        divisors = [opts.divisor_c] if opts.mode != "bounded" and opts.divisor_c else [None]
-    return [(gi, c) for gi in range(len(graphs)) for c in divisors]
-
-
-def _block_key(gi: int, c: Optional[int]) -> str:
-    return "%d:%s" % (gi, c if c is not None else "-")
-
-
-def _search_block_worker(payload):
-    profile, opts, graph, divisor = payload
-    fams, counts = search_graph(graph, profile, opts, divisor=divisor)
-    return [(fam.graph.edges, fam.magnitudes) for fam in fams], counts
-
-
-def _load_checkpoint(path: str) -> Dict:
-    if path and os.path.exists(path):
-        with open(path) as fh:
-            return json.load(fh)
-    return {"blocks": {}}
-
-
-def _save_checkpoint(path: str, data: Dict) -> None:
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
-    with os.fdopen(fd, "w") as fh:
-        json.dump(data, fh)
-    os.replace(tmp, path)
-
-
-def run_classify(profile: FixedPointProfile, opts: SearchOptions,
-                 jobs: int = 1, resume: Optional[str] = None) -> ClassificationResult:
-    """classify with optional checkpoint file and worker pool.
-
-    The search stage is split into (graph, divisor) blocks; finished blocks
-    are recorded in the checkpoint with their surviving (edges, magnitudes)
-    pairs, so an interrupted run restarts where it stopped.
-    """
-    mode = "nonneg" if opts.mode == "nonnegative" else "all"
-    graphs = enumerate_multigraphs(profile, mode=mode, dedup="reversal")
-    blocks = _blocks(profile, opts, graphs)
-    ckpt = _load_checkpoint(resume) if resume else {"blocks": {}}
-    todo = [(gi, c) for gi, c in blocks if _block_key(gi, c) not in ckpt["blocks"]]
-    if jobs > 1 and todo:
-        payloads = [(profile, opts, graphs[gi], c) for gi, c in todo]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for (gi, c), (fams, counts) in zip(todo, pool.map(_search_block_worker, payloads)):
-                ckpt["blocks"][_block_key(gi, c)] = {
-                    "families": [[list(map(list, e)), list(m)] for e, m in fams],
-                    "counts": counts,
-                }
-                if resume:
-                    _save_checkpoint(resume, ckpt)
-    else:
-        for gi, c in todo:
-            fams, counts = _search_block_worker((profile, opts, graphs[gi], c))
-            ckpt["blocks"][_block_key(gi, c)] = {
-                "families": [[list(map(list, e)), list(m)] for e, m in fams],
-                "counts": counts,
-            }
-            if resume:
-                _save_checkpoint(resume, ckpt)
-    precomputed = []
-    for gi, c in blocks:
-        rec = ckpt["blocks"][_block_key(gi, c)]
-        fams = []
-        for e, m in rec["families"]:
-            fam = solve_weights(Multigraph(profile.n, profile.lambdas,
-                                           tuple((a, b) for a, b in e)), tuple(m))
-            if fam is not None:
-                fams.append(fam)
-        precomputed.append((gi, c, fams))
-    result = classify(profile, opts, graphs=graphs, precomputed=precomputed)
-    for gi, c in blocks:
-        counts = ckpt["blocks"][_block_key(gi, c)].get("counts", {})
-        gaudit = result.audit["graphs"].setdefault(gi, {"labelings": 0, "families": 0})
-        gaudit["labelings"] += counts.get("labelings", 0)
-        gaudit["families"] += counts.get("families", 0)
-    return result
 
 
 def _result_json(result: ClassificationResult) -> dict:
@@ -246,18 +140,19 @@ def cmd_classify(args) -> int:
         return EXIT_INFEASIBLE
     cache_file = None
     if args.cache:
-        key_src = json.dumps([profile.n, list(profile.lambdas), opts.to_json(), _code_hash()],
-                             sort_keys=True)
-        key = hashlib.sha256(key_src.encode()).hexdigest()[:24]
         os.makedirs(args.cache, exist_ok=True)
-        cache_file = os.path.join(args.cache, "classify-%s.json" % key)
+        cache_file = os.path.join(args.cache, "classify-%s.json" % run_fingerprint(profile, opts))
         if os.path.exists(cache_file):
             with open(cache_file) as fh:
                 payload = fh.read()
             _write_out(payload, args.out)
             print("(cached)", file=sys.stderr)
             return EXIT_OK
-    result = run_classify(profile, opts, jobs=args.jobs, resume=args.resume)
+    try:
+        result = classify(profile, opts, jobs=args.jobs, checkpoint=args.resume)
+    except CheckpointMismatch as exc:
+        print("schema error: %s" % exc, file=sys.stderr)
+        return EXIT_SCHEMA
     payload = json.dumps(_result_json(result), indent=1, sort_keys=True)
     if cache_file:
         _write_out(payload, cache_file)

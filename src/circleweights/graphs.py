@@ -54,9 +54,6 @@ class Multigraph:
     def cycles(self) -> Tuple[Edge, ...]:
         return tuple(e for e in self.edges if e[0] == e[1])
 
-    def noncycle_edges(self) -> Tuple[Edge, ...]:
-        return tuple(e for e in self.edges if e[0] != e[1])
-
     def reversed(self) -> "Multigraph":
         """Reverse every edge and relabel vertex i as N - i, which carries
         index lambda to n - lambda on a (sorted, palindromic) profile."""

@@ -33,14 +33,6 @@ class RationalMatrix:
             if len(row) != self.ncols:
                 raise ValueError("ragged matrix")
 
-    def copy(self) -> "RationalMatrix":
-        return RationalMatrix(self.rows)
-
-    def mul_vector(self, vec: Sequence) -> List[Fraction]:
-        if len(vec) != self.ncols:
-            raise ValueError("dimension mismatch")
-        return [sum((r[j] * Fraction(vec[j]) for j in range(self.ncols)), Fraction(0)) for r in self.rows]
-
     def rref(self) -> Tuple["RationalMatrix", List[int]]:
         """Reduced row echelon form and the list of pivot columns.
 
@@ -71,9 +63,6 @@ class RationalMatrix:
                 break
         out = RationalMatrix(m)
         return out, pivots
-
-    def rank(self) -> int:
-        return len(self.rref()[1])
 
 
 def int_determinant(rows: Sequence[Sequence[int]]) -> int:
@@ -214,13 +203,20 @@ def _fm_feasible(ineqs: List[List[Fraction]], nvars: int):
     return c
 
 
+def positive_combination(ns: NullspaceDescription) -> Optional[List[Fraction]]:
+    """Exact decision on a computed kernel: rational coefficients c with
+    sum_j c_j basis_j strictly positive, or None when the kernel misses the
+    open positive orthant (a zero kernel always does)."""
+    if ns.dim == 0:
+        return None
+    # inequality for coordinate i of the candidate vector sum_j c_j basis_j
+    ineqs = [[Fraction(ns.basis[j][i]) for j in range(ns.dim)] for i in range(ns.ncols)]
+    return _fm_feasible(ineqs, ns.dim)
+
+
 def positive_kernel_exists(matrix: RationalMatrix) -> bool:
     """Exact decision: does the kernel meet the open positive orthant?"""
-    ns = nullspace(matrix)
-    if ns.dim == 0:
-        return False
-    ineqs = [[Fraction(ns.basis[j][i]) for j in range(ns.dim)] for i in range(ns.ncols)]
-    return _fm_feasible(ineqs, ns.dim) is not None
+    return positive_combination(nullspace(matrix)) is not None
 
 
 def positive_integer_nullvector(matrix: RationalMatrix,
@@ -234,15 +230,11 @@ def positive_integer_nullvector(matrix: RationalMatrix,
     failing that, the Fourier-Motzkin point is cleared of denominators.
     """
     ns = nullspace(matrix)
-    if ns.dim == 0:
+    c = positive_combination(ns)
+    if c is None:
         return None
     k = ns.dim
     ncols = ns.ncols
-    # inequality for coordinate i of the candidate vector sum_j c_j basis_j
-    ineqs = [[Fraction(ns.basis[j][i]) for j in range(k)] for i in range(ncols)]
-    c = _fm_feasible(ineqs, k)
-    if c is None:
-        return None
 
     def from_coeffs(coeffs) -> Tuple[Fraction, ...]:
         return tuple(

@@ -18,7 +18,9 @@ Pipeline, per fixed-point profile:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+import json
+import os
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
@@ -38,7 +40,7 @@ from .linalg import (
     int_determinant,
     kernel_lattice_points,
     nullspace,
-    positive_integer_nullvector,
+    positive_combination,
     positive_kernel_exists,
 )
 from .localization import chern_battery, expected_c1cn1, minimal_chern_constants
@@ -48,6 +50,11 @@ from .laurent import NotLaurent
 
 class NonIntegralSum(ValueError):
     """The magnitude-sum formula gave a non-integer: unrealizable profile."""
+
+
+class CheckpointMismatch(Exception):
+    """A checkpoint file was not written for this profile, these options and
+    this package source, or is not a checkpoint file at all."""
 
 
 def magnitude_sum(profile: FixedPointProfile) -> int:
@@ -123,7 +130,6 @@ class WeightFamily:
     magnitudes: Tuple[int, ...]
     components: List[List[int]]
     comp_kernels: List[NullspaceDescription]
-    comp_witnesses: List[Tuple[int, ...]]
 
     def witness_weight_vectors(self, bound: int, cycle_bound: int) -> Iterator[Tuple[int, ...]]:
         """All edge-weight vectors with component weights from kernel lattice
@@ -315,22 +321,31 @@ def stream_labelings(graph: Multigraph, profile: FixedPointProfile, opts: Search
     yield from rec(0, total)
 
 
+def divisor_branches(profile: FixedPointProfile, opts: SearchOptions) -> List[Optional[int]]:
+    """The divisor branches a search runs, in order.  Minimal nonnegative
+    searches with use_divisors take ``opts.divisor_c`` or every admissible
+    divisor (only 1 and 5 under dim8_strict when n = 4); other nonnegative
+    searches take ``opts.divisor_c``, possibly None; bounded ones take None."""
+    if opts.mode == "bounded":
+        return [None]
+    if profile.is_minimal and opts.use_divisors:
+        divisors = [opts.divisor_c] if opts.divisor_c else minimal_divisors(profile.n)
+        if opts.dim8_strict and profile.n == 4:
+            divisors = [c for c in divisors if c in (1, 5)]
+        return divisors
+    return [opts.divisor_c]
+
+
 def enumerate_magnitude_labelings(graph: Multigraph, profile: FixedPointProfile,
                                   opts: SearchOptions) -> Iterator[Tuple[int, ...]]:
-    """Public labeling stream: all labelings with the invariant sum; in
-    divisor mode (minimal nonnegative with use_divisors), the union over the
-    admissible divisor branches, deduplicated."""
-    if opts.mode == "nonnegative" and profile.is_minimal and opts.use_divisors:
-        seen: Set[Tuple[int, ...]] = set()
-        divisors = [opts.divisor_c] if opts.divisor_c else minimal_divisors(profile.n)
-        for c in divisors:
-            for lab in stream_labelings(graph, profile, opts, divisor=c):
-                if lab not in seen:
-                    seen.add(lab)
-                    yield lab
-    else:
-        yield from stream_labelings(graph, profile, opts,
-                                    divisor=opts.divisor_c if opts.mode != "bounded" else None)
+    """Public labeling stream: all labelings with the invariant sum, over
+    the divisor branches of the search, deduplicated."""
+    seen: Set[Tuple[int, ...]] = set()
+    for c in divisor_branches(profile, opts):
+        for lab in stream_labelings(graph, profile, opts, divisor=c):
+            if lab not in seen:
+                seen.add(lab)
+                yield lab
 
 
 # ---------------------------------------------------------------------------
@@ -346,18 +361,15 @@ def solve_weights(graph: Multigraph, magnitudes: Sequence[int]) -> Optional[Weig
     amat = [[int(x) for x in row] for row in graph_matrix(edges).rows]
     comps = graph.components()
     kernels: List[NullspaceDescription] = []
-    witnesses: List[Tuple[int, ...]] = []
     for comp in comps:
         sub = [[amat[h][k] - (int(magnitudes[h]) if h == k else 0) for k in comp] for h in comp]
-        if int_determinant(sub) != 0:
+        # the component matrix is square, so it is singular exactly when its
+        # kernel is nonzero, and a zero kernel misses the positive orthant
+        kernel = nullspace(RationalMatrix(sub))
+        if positive_combination(kernel) is None:
             return None
-        mat = RationalMatrix(sub)
-        if not positive_kernel_exists(mat):
-            return None
-        wit = positive_integer_nullvector(mat, search_bound=3)
-        kernels.append(nullspace(mat))
-        witnesses.append(wit)
-    return WeightFamily(graph, tuple(int(x) for x in magnitudes), comps, kernels, witnesses)
+        kernels.append(kernel)
+    return WeightFamily(graph, tuple(int(x) for x in magnitudes), comps, kernels)
 
 
 def _component_checker(graph: Multigraph):
@@ -605,52 +617,142 @@ def _signatures(ws: WeightSystem, pair_mode: str = "nonneg") -> List[Tuple[Tuple
     return sorted(set(s for s in sigs if ncycles(s) == least))
 
 
-def classify(profile: FixedPointProfile, opts: SearchOptions,
-             graphs: Optional[List[Multigraph]] = None,
-             block_done: Optional[Callable[[int, Optional[int], List[WeightFamily], Dict], None]] = None,
-             is_block_done: Optional[Callable[[int, Optional[int]], bool]] = None,
-             precomputed: Optional[List[Tuple[int, Optional[int], List[WeightFamily]]]] = None,
-             ) -> ClassificationResult:
-    """Full pipeline.  ``block_done``/``is_block_done`` hook checkpointing at
-    the (graph index, divisor) block granularity; ``precomputed`` feeds back
-    families restored from a checkpoint."""
+def run_fingerprint(profile: FixedPointProfile, opts: SearchOptions) -> str:
+    """Key of a classify run: profile, options and the names and contents of
+    this package's modules.  Result caches are named by it and checkpoint
+    files record it."""
+    import hashlib  # imported where used: keeps `import circleweights` light
+
+    here = os.path.dirname(__file__)
+    source = hashlib.sha256()
+    for name in sorted(os.listdir(here)):
+        if name.endswith(".py"):
+            with open(os.path.join(here, name), "rb") as fh:
+                source.update(name.encode())
+                source.update(fh.read())
+    key_src = json.dumps([profile.n, list(profile.lambdas), opts.to_json(),
+                          source.hexdigest()[:16]], sort_keys=True)
+    return hashlib.sha256(key_src.encode()).hexdigest()[:24]
+
+
+Block = Tuple[int, Optional[int]]  # (graph index, divisor branch)
+BlockResult = Tuple[List[WeightFamily], Dict[str, int]]  # search_graph's output
+
+
+def _block_key(block: Block) -> str:
+    gi, c = block
+    return "%d:%s" % (gi, "-" if c is None else c)
+
+
+def _load_checkpoint(path: str, fingerprint: str, graphs: List[Multigraph],
+                     blocks: List[Block]) -> Dict[Block, BlockResult]:
+    """The blocks recorded in checkpoint file ``path`` (none when it does not
+    exist), re-solved from their stored magnitudes."""
+    if not os.path.exists(path):
+        return {}
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except ValueError as exc:
+        raise CheckpointMismatch("%s is not a checkpoint file: %s" % (path, exc)) from exc
+    found = data.get("fingerprint") if isinstance(data, dict) else None
+    if found != fingerprint:
+        raise CheckpointMismatch(
+            "checkpoint %s has fingerprint %s, this run %s: it was written for other "
+            "inputs or other source" % (path, found, fingerprint))
+    done = {}
+    for block in blocks:
+        rec = data["blocks"].get(_block_key(block))
+        if rec is not None:
+            graph = graphs[block[0]]
+            done[block] = ([solve_weights(graph, m) for m in rec["families"]], rec["counts"])
+    return done
+
+
+def _save_checkpoint(path: str, fingerprint: str, done: Dict[Block, BlockResult]) -> None:
+    """Atomically replace ``path`` with the finished blocks: the magnitudes
+    of each block's families and its search counts."""
+    import tempfile  # imported where used: keeps `import circleweights` light
+
+    blocks = {_block_key(block): {"families": [list(f.magnitudes) for f in fams],
+                                  "counts": counts}
+              for block, (fams, counts) in done.items()}
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump({"fingerprint": fingerprint, "blocks": blocks}, fh)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    os.replace(tmp, path)
+
+
+def _search_block(payload) -> BlockResult:
+    """One block; at module level so that a spawned worker can unpickle it."""
+    graph, profile, opts, divisor = payload
+    return search_graph(graph, profile, opts, divisor=divisor)
+
+
+def _search_blocks(profile: FixedPointProfile, opts: SearchOptions, graphs: List[Multigraph],
+                   blocks: List[Block], jobs: int,
+                   checkpoint: Optional[str]) -> Dict[Block, BlockResult]:
+    """search_graph's output for every block: restored from ``checkpoint``
+    when recorded there, otherwise searched (in a pool of ``jobs`` processes
+    when jobs > 1) and recorded."""
+    done: Dict[Block, BlockResult] = {}
+    if checkpoint:
+        fingerprint = run_fingerprint(profile, opts)
+        done = _load_checkpoint(checkpoint, fingerprint, graphs, blocks)
+    todo = [block for block in blocks if block not in done]
+    payloads = [(graphs[gi], profile, opts, c) for gi, c in todo]
+    pool = None
+    if jobs > 1 and len(todo) > 1:
+        # imported here: at module level they double the cost of `import circleweights`
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=min(jobs, len(todo)),
+                                   mp_context=multiprocessing.get_context("spawn"))
+    try:
+        outputs = pool.map(_search_block, payloads) if pool else map(_search_block, payloads)
+        for block, out in zip(todo, outputs):
+            done[block] = out
+            if checkpoint:
+                _save_checkpoint(checkpoint, fingerprint, done)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    return done
+
+
+def classify(profile: FixedPointProfile, opts: SearchOptions, jobs: int = 1,
+             checkpoint: Optional[str] = None) -> ClassificationResult:
+    """Full pipeline.  Stages 2 and 3 run in (graph index, divisor) blocks,
+    merged in one fixed order, so the result is the same whether a block is
+    searched here, in a pool of ``jobs`` worker processes, or restored from
+    the JSON file ``checkpoint``.  That file records every finished block and
+    is resumed from when it exists; CheckpointMismatch is raised, and the file
+    left as it is, when it was written for another profile, other options or
+    other package source."""
     validate_profile(profile)
     mode = "nonneg" if opts.mode == "nonnegative" else "all"
-    if graphs is None:
-        graphs = enumerate_multigraphs(profile, mode=mode, dedup="reversal")
-    minimal = profile.is_minimal
-    if opts.mode == "nonnegative" and minimal and opts.use_divisors:
-        divisors = [opts.divisor_c] if opts.divisor_c else minimal_divisors(profile.n)
-        if opts.dim8_strict and profile.n == 4:
-            divisors = [c for c in divisors if c in (1, 5)]
-    else:
-        divisors = [opts.divisor_c] if opts.mode != "bounded" and opts.divisor_c else [None]
-    audit: Dict = {"graphs": {}, "rejections": {}, "instances": 0, "passing": 0}
+    graphs = enumerate_multigraphs(profile, mode=mode, dedup="reversal")
+    blocks = [(gi, c) for gi in range(len(graphs)) for c in divisor_branches(profile, opts)]
+    done = _search_blocks(profile, opts, graphs, blocks, jobs, checkpoint)
+    audit: Dict = {"graphs": {gi: {"labelings": 0, "families": 0} for gi in range(len(graphs))},
+                   "rejections": {}, "instances": 0, "passing": 0}
     candidates: Dict[Tuple[Tuple, Tuple[int, ...]], WeightFamily] = {}
-    restored = {(gi, c) for gi, c, _ in (precomputed or [])}
-    for gi, c, fams in (precomputed or []):
+    for gi, c in blocks:
+        fams, counts = done[gi, c]
+        gaudit = audit["graphs"][gi]
+        gaudit["labelings"] += counts["labelings"]
+        if counts.get("truncated"):
+            gaudit["truncated"] = True
         for fam in fams:
-            candidates.setdefault((fam.graph.edges, fam.magnitudes), fam)
-    for gi, graph in enumerate(graphs):
-        gaudit = audit["graphs"].setdefault(gi, {"labelings": 0, "families": 0})
-        for c in divisors:
-            if (gi, c) in restored:
-                continue
-            if is_block_done and is_block_done(gi, c):
-                continue
-            fams, counts = search_graph(graph, profile, opts, divisor=c)
-            gaudit["labelings"] += counts["labelings"]
-            if counts.get("truncated"):
-                gaudit["truncated"] = True
-            new = []
-            for fam in fams:
-                key = (fam.graph.edges, fam.magnitudes)
-                if key not in candidates:
-                    candidates[key] = fam
-                    new.append(fam)
-            gaudit["families"] += len(new)
-            if block_done:
-                block_done(gi, c, new, counts)
+            key = (fam.graph.edges, fam.magnitudes)
+            if key not in candidates:
+                candidates[key] = fam
+                gaudit["families"] += 1
     # stage 4: instantiate and vet
     passing: Dict[WeightSystem, List[Tuple[Tuple, Tuple[int, ...]]]] = {}
     for key in sorted(candidates):

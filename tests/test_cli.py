@@ -3,7 +3,9 @@ import os
 
 import pytest
 
-from circleweights.cli import main
+from circleweights.cli import _result_json, main
+from circleweights.core import minimal_profile
+from circleweights.search import SearchOptions, classify
 
 
 def run(argv, capsys):
@@ -138,3 +140,64 @@ def test_classify_jobs(tmp_path, capsys):
     code, _, _ = run(["classify", "--n", "2", "--minimal", "--jobs", "2", "--out", str(out)], capsys)
     assert code == 0
     assert len(json.loads(out.read_text())["families"]) == 1
+
+
+def test_classify_budget_marks_every_graph_truncated(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code, _, _ = run(["classify", "--n", "3", "--max-labelings", "20", "--out", str(out)], capsys)
+    assert code == 0
+    graphs = json.loads(out.read_text())["audit"]["graphs"]
+    assert len(graphs) == 7 and all(g.get("truncated") for g in graphs.values())
+
+
+def test_classify_json_is_the_library_result(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code, _, _ = run(["classify", "--n", "2", "--out", str(out)], capsys)
+    assert code == 0
+    got = json.loads(out.read_text())
+    want = _result_json(classify(minimal_profile(2), SearchOptions()))
+    assert got == json.loads(json.dumps(want))
+    # families count only candidates new to the run, not every block's
+    assert got["audit"]["graphs"]["1"] == {"labelings": 4, "families": 2}
+
+
+@pytest.mark.parametrize("first, second", [
+    (["--n", "2"], ["--n", "3"]),
+    (["--n", "2", "--bound-D", "1"], ["--n", "2", "--bound-D", "2"]),
+    (["--n", "2", "--max-labelings", "20"], ["--n", "2", "--max-labelings", "30"]),
+    (None, ["--n", "2"]),
+])
+def test_classify_refuses_foreign_checkpoint(tmp_path, capsys, first, second):
+    ck = tmp_path / "ck.json"
+    if first is None:  # a checkpoint in the format without a fingerprint
+        ck.write_text(json.dumps({"blocks": {"0:3": {"families": [], "counts": {}}}}))
+    else:
+        code, _, _ = run(["classify", *first, "--resume", str(ck)], capsys)
+        assert code == 0
+    before = ck.read_bytes()
+    code, out, err = run(["classify", *second, "--resume", str(ck)], capsys)
+    assert code == 2
+    assert "schema error" in err and "fingerprint" in err and out == ""
+    assert ck.read_bytes() == before
+
+
+def test_classify_resume_is_identical_to_a_fresh_run(tmp_path, capsys):
+    fresh, ck = tmp_path / "fresh.json", tmp_path / "ck.json"
+    run(["classify", "--n", "2", "--out", str(fresh)], capsys)
+
+    def resumed(*flags):
+        out = tmp_path / "out.json"
+        code, _, _ = run(["classify", "--n", "2", "--resume", str(ck), *flags, "--out", str(out)],
+                         capsys)
+        assert code == 0
+        return out.read_text()
+
+    assert resumed("--jobs", "2") == fresh.read_text()
+    assert resumed("--jobs", "1") == fresh.read_text()
+    data = json.loads(ck.read_text())
+    keys = sorted(data["blocks"])
+    for key in keys[::2]:
+        del data["blocks"][key]
+    ck.write_text(json.dumps(data))
+    assert resumed() == fresh.read_text()
+    assert sorted(json.loads(ck.read_text())["blocks"]) == keys

@@ -1,19 +1,33 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
+import circleweights
 from circleweights.core import FixedPointProfile, minimal_profile
 from circleweights.fixtures import cp, grassmannian, s2xs2, v5, v22
 from circleweights.graphs import Multigraph, enumerate_multigraphs, integral_multigraphs
+from circleweights.linalg import (
+    RationalMatrix,
+    graph_matrix,
+    int_determinant,
+    positive_integer_nullvector,
+    positive_kernel_exists,
+)
 from circleweights.search import (
     SearchOptions,
+    _component_checker,
     classify,
+    divisor_branches,
     enumerate_magnitude_labelings,
     lemma_filters,
     magnitude_sum,
     minimal_divisors,
     search_graph,
     solve_weights,
+    stream_labelings,
     vet_instance,
 )
 
@@ -61,6 +75,16 @@ def test_labelings_unique_for_k5_divisor5():
     assert labs == [tuple([5] * 10)]
 
 
+def test_labelings_follow_dim8_strict():
+    # dimension 8 under the strict restriction searches only the branches 5 and 1
+    strict = SearchOptions(dim8_strict=True)
+    assert divisor_branches(minimal_profile(4), strict) == [5, 1]
+    k5 = Multigraph(4, tuple(range(5)), tuple((i, j) for i in range(5) for j in range(i + 1, 5)))
+    labs = enumerate_magnitude_labelings(k5, minimal_profile(4), SearchOptions(dim8_strict=True,
+                                                                                divisor_c=2))
+    assert list(labs) == []
+
+
 def test_labelings_respect_cycles():
     g = Multigraph(2, (0, 1, 1, 2), ((0, 2), (0, 2), (1, 1)))
     opts = SearchOptions(use_divisors=False, force_unit_edges=False)
@@ -69,10 +93,17 @@ def test_labelings_respect_cycles():
         assert lab[0] + lab[1] == 8
 
 
+def component_matrix(graph, magnitudes, comp):
+    """A(Gamma) - diag(m) restricted to one connected component."""
+    amat = graph_matrix(graph.edges).rows
+    return [[int(amat[h][k]) - (magnitudes[h] if h == k else 0) for k in comp] for h in comp]
+
+
 def test_solve_triangle():
     fam = solve_weights(TRIANGLE, (3, 3, 3))
     assert fam is not None
-    assert fam.comp_witnesses == [(1, 2, 1)]
+    sub = RationalMatrix(component_matrix(TRIANGLE, (3, 3, 3), fam.components[0]))
+    assert positive_integer_nullvector(sub, search_bound=3) == (1, 2, 1)
     for v in fam.comp_kernels[0].basis:
         assert v[1] == v[0] + v[2]  # w(e02) = w(e01) + w(e12)
 
@@ -82,13 +113,49 @@ def test_solve_square():
     # opposite sides of the square
     fam = solve_weights(SQUARE, (2, 2, 2, 2))
     assert fam is not None
-    assert fam.comp_witnesses == [(1, 1, 1, 1)]
+    sub = RationalMatrix(component_matrix(SQUARE, (2, 2, 2, 2), fam.components[0]))
+    assert positive_integer_nullvector(sub, search_bound=3) == (1, 1, 1, 1)
     for v in fam.comp_kernels[0].basis:
         assert v[0] == v[3] and v[1] == v[2]
 
 
 def test_solve_rejects_nonsingular():
     assert solve_weights(TRIANGLE, (4, 4, 1)) is None
+
+
+def singular_with_positive_kernel(graph, labeling):
+    """The decision solve_weights makes, by determinant and a separate
+    positivity test on every component."""
+    for comp in graph.components():
+        sub = component_matrix(graph, labeling, comp)
+        if int_determinant(sub) != 0 or not positive_kernel_exists(RationalMatrix(sub)):
+            return False
+    return True
+
+
+def test_solve_weights_matches_determinant_and_positivity():
+    # every labeling of the dimension-4 graphs, without pruning ...
+    cases = []
+    for profile, opts in ((minimal_profile(2), SearchOptions()),
+                          (minimal_profile(2), SearchOptions(use_divisors=False)),
+                          (S2XS2, SearchOptions(use_divisors=False, force_unit_edges=False))):
+        for graph in enumerate_multigraphs(profile, mode="nonneg", dedup="reversal"):
+            for c in divisor_branches(profile, opts):
+                cases += [(graph, lab) for lab in stream_labelings(graph, profile, opts, divisor=c)]
+    # ... and the labelings the dimension-6 search streams
+    d6 = []
+    profile, opts = minimal_profile(3), SearchOptions()
+    for graph in enumerate_multigraphs(profile, mode="nonneg", dedup="reversal"):
+        for c in divisor_branches(profile, opts):
+            d6 += [(graph, lab) for lab in stream_labelings(
+                graph, profile, opts, divisor=c, component_check=_component_checker(graph))]
+    assert len(d6) == 92
+    verdicts = set()
+    for graph, lab in cases + d6:
+        want = singular_with_positive_kernel(graph, lab)
+        assert (solve_weights(graph, lab) is not None) == want, (graph.edges, lab)
+        verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_witness_instances_reproduce_magnitudes():
@@ -182,6 +249,15 @@ def test_search_graph_audit_counts():
     fams, counts = search_graph(TRIANGLE, minimal_profile(2), SearchOptions(), divisor=3)
     assert counts["labelings"] >= 1
     assert len(fams) == counts["families"]
+
+
+def test_import_loads_no_pool_machinery():
+    src = os.path.dirname(os.path.dirname(circleweights.__file__))
+    code = ("import sys; sys.path.insert(0, %r); import circleweights; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))" % src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_classify_deterministic():
