@@ -1,18 +1,47 @@
 """Exact Laurent polynomial arithmetic in one variable t.
 
-Coefficients are Fractions; exponents arbitrary (possibly negative) integers.
-Division is exact: dividing by a polynomial that does not divide the numerator
-in Q[t, 1/t] raises :class:`NotLaurent`.
+Coefficients are integers, and a ``Fraction`` appears only after a division
+by a polynomial whose leading coefficient is not +-1 (or when a caller puts
+one in); integral ``Fraction`` inputs are stored as ``int``.  Exponents are
+arbitrary (possibly negative) integers.  Every factor the index battery
+builds is 1 - t^w or a product of such, with leading coefficient +-1, so its
+divisions stay in Z[t, 1/t].  Division is exact: dividing by a polynomial
+that does not divide the numerator in Q[t, 1/t] raises :class:`NotLaurent`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Union
+
+Coeff = Union[int, Fraction]
 
 
 class NotLaurent(ArithmeticError):
     """An expression expected to be a Laurent polynomial is not one."""
+
+
+def _coeff(c) -> Coeff:
+    """c as an int when it is integral, otherwise as a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _make(coeffs: Dict[int, Coeff]) -> "LaurentPolynomial":
+    """A polynomial from a dict of int exponents and int/Fraction values,
+    dropping zeros and storing integral Fractions as ints."""
+    p = LaurentPolynomial.__new__(LaurentPolynomial)
+    p.coeffs = {e: c if type(c) is int else _coeff(c) for e, c in coeffs.items() if c}
+    return p
+
+
+def _wrap(coeffs: Dict[int, Coeff]) -> "LaurentPolynomial":
+    """A polynomial taking ``coeffs`` as it is: nonzero and normalized."""
+    p = LaurentPolynomial.__new__(LaurentPolynomial)
+    p.coeffs = coeffs
+    return p
 
 
 class LaurentPolynomial:
@@ -20,25 +49,25 @@ class LaurentPolynomial:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Dict[int, Fraction] = None):
-        self.coeffs: Dict[int, Fraction] = {}
+    def __init__(self, coeffs: Dict[int, Coeff] = None):
+        self.coeffs: Dict[int, Coeff] = {}
         if coeffs:
             for e, c in coeffs.items():
-                c = Fraction(c)
+                c = _coeff(c)
                 if c != 0:
                     self.coeffs[int(e)] = c
 
     @classmethod
     def term(cls, coeff, exp: int = 0) -> "LaurentPolynomial":
-        return cls({int(exp): Fraction(coeff)})
+        return cls({int(exp): coeff})
 
     @classmethod
     def one(cls) -> "LaurentPolynomial":
-        return cls.term(1, 0)
+        return _wrap({0: 1})
 
     @classmethod
     def zero(cls) -> "LaurentPolynomial":
-        return cls()
+        return _wrap({})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -56,11 +85,11 @@ class LaurentPolynomial:
             other = LaurentPolynomial.term(other, 0)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return LaurentPolynomial(out)
+            out[e] = out.get(e, 0) + c
+        return _make(out)
 
     def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial({e: -c for e, c in self.coeffs.items()})
+        return _wrap({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other) -> "LaurentPolynomial":
         if isinstance(other, int):
@@ -70,31 +99,20 @@ class LaurentPolynomial:
     def __mul__(self, other) -> "LaurentPolynomial":
         if isinstance(other, int):
             other = LaurentPolynomial.term(other, 0)
-        out: Dict[int, Fraction] = {}
+        out: Dict[int, Coeff] = {}
+        get = out.get
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return LaurentPolynomial(out)
+                out[e] = get(e, 0) + c1 * c2
+        return _make(out)
 
     __radd__ = __add__
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "LaurentPolynomial":
-        if k < 0:
-            raise ValueError("negative power")
-        out = LaurentPolynomial.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def shift(self, e: int) -> "LaurentPolynomial":
         """Multiply by t^e."""
-        return LaurentPolynomial({k + e: c for k, c in self.coeffs.items()})
+        return _wrap({k + e: c for k, c in self.coeffs.items()})
 
     def min_exp(self) -> int:
         return min(self.coeffs)
@@ -104,39 +122,41 @@ class LaurentPolynomial:
 
     def eval_one(self) -> Fraction:
         """Value at t = 1 (sum of coefficients)."""
-        return sum(self.coeffs.values(), Fraction(0))
+        return Fraction(sum(self.coeffs.values()))
 
     def divexact(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         """Exact quotient self / other in Q[t, 1/t]; raises NotLaurent if the
-        division leaves a remainder."""
+        division leaves a remainder.  Integer arithmetic throughout when the
+        leading coefficient of ``other`` is +-1."""
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
             return LaurentPolynomial.zero()
-        # normalize both to ordinary polynomials with nonzero constant term
-        num = self.shift(-self.min_exp())
-        den = other.shift(-other.min_exp())
-        shift_back = self.min_exp() - other.min_exp()
-        # long division by descending degree
-        rem = dict(num.coeffs)
-        quot: Dict[int, Fraction] = {}
-        dmax = den.max_exp()
-        dlead = den.coeffs[dmax]
-        while rem:
-            rmax = max(rem)
-            if rmax < dmax:
-                raise NotLaurent("nonzero remainder in exact division")
-            q = rem[rmax] / dlead
-            e = rmax - dmax
-            quot[e] = q
-            for de, dc in den.coeffs.items():
-                k = de + e
-                v = rem.get(k, Fraction(0)) - q * dc
-                if v == 0:
-                    rem.pop(k, None)
-                else:
-                    rem[k] = v
-        return LaurentPolynomial(quot).shift(shift_back)
+        # both as ordinary polynomials with nonzero constant term; long
+        # division by descending degree on a dense remainder
+        nmin, dmin = self.min_exp(), other.min_exp()
+        top = self.max_exp() - nmin
+        rem = [0] * (top + 1)
+        for e, c in self.coeffs.items():
+            rem[e - nmin] = c
+        dmax = other.max_exp() - dmin
+        dlead = other.coeffs[dmax + dmin]
+        tail = [(e - dmin, c) for e, c in other.coeffs.items() if e - dmin != dmax]
+        unit = dlead == 1 or dlead == -1
+        quot: Dict[int, Coeff] = {}
+        shift_back = nmin - dmin
+        for k in range(top, dmax - 1, -1):
+            c = rem[k]
+            if not c:
+                continue
+            q = c * dlead if unit else _coeff(Fraction(c) / dlead)
+            e = k - dmax
+            quot[e + shift_back] = q
+            for de, dc in tail:
+                rem[de + e] -= q * dc
+        if any(rem[:dmax]):
+            raise NotLaurent("nonzero remainder in exact division")
+        return _make(quot)
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -157,4 +177,4 @@ def one_minus_t(exp: int) -> LaurentPolynomial:
     """The factor 1 - t^exp (exp must be nonzero)."""
     if exp == 0:
         raise ValueError("1 - t^0 is identically zero")
-    return LaurentPolynomial({0: Fraction(1), exp: Fraction(-1)})
+    return _wrap({0: 1, int(exp): -1})

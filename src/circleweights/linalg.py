@@ -261,44 +261,43 @@ def positive_integer_nullvector(matrix: RationalMatrix,
 
 def kernel_lattice_points(ns: NullspaceDescription, bound: int,
                           limit: int = 2_000_000) -> List[Tuple[int, ...]]:
-    """All integer kernel vectors with every entry in [1, bound].
+    """All integer kernel vectors with every entry in [1, bound], sorted.
 
-    Enumeration runs over the free coordinates of the echelon parametrization
-    (each of which is itself an entry of the vector, hence confined to
-    [1, bound]); pivot entries are then determined and checked.
+    Basis vector j of ``ns`` holds d_j != 0 at free column j and 0 at the
+    other free columns, so a kernel vector with free entries v_j is
+    sum_j (v_j / d_j) basis_j.  Over L = lcm(d_j) that is an integer
+    combination; the scan runs over free entries in [1, bound] and keeps a
+    vector when every pivot entry, divided by L, is an integer in range.
     """
     if ns.dim == 0:
         return []
     if bound ** ns.dim > limit:
         raise ValueError("lattice enumeration too large: %d^%d" % (bound, ns.dim))
-    # express every coordinate as a rational combination of the free ones
-    # using the basis vectors (basis j has a known value at each free column)
     free = ns.free
     k = ns.dim
-    # Solve for combination coefficients from the free-coordinate values:
-    # basis vectors are integer multiples of the unit-free-coordinate scheme,
-    # so invert the k x k matrix of basis values at the free columns.
-    bmat = RationalMatrix([[Fraction(ns.basis[j][fc]) for j in range(k)] for fc in free])
-    red, piv = bmat.rref()
-    if len(piv) != k:
+    if len(free) != k or any((ns.basis[j][fc] != 0) != (i == j)
+                             for j in range(k) for i, fc in enumerate(free)):
         raise ValueError("degenerate kernel parametrization")
+    diag = [ns.basis[j][free[j]] for j in range(k)]
+    lcm_d = 1
+    for d in diag:
+        lcm_d = lcm_d * abs(d) // gcd(lcm_d, d)
+    scale = [lcm_d // d for d in diag]
+    # lcm_d times pivot entry i is sum_j v_j * row[j]
+    pivot_rows = [(i, [scale[j] * ns.basis[j][i] for j in range(k)])
+                  for i in range(ns.ncols) if i not in free]
     out: List[Tuple[int, ...]] = []
     for vals in product(range(1, bound + 1), repeat=k):
-        # solve bmat . c = vals exactly (small k; Cramer via rref of augmented)
-        aug = RationalMatrix(
-            [[Fraction(ns.basis[j][fc]) for j in range(k)] + [Fraction(vals[t])]
-             for t, fc in enumerate(free)]
-        )
-        raug, paug = aug.rref()
-        if paug != list(range(k)):
-            continue
-        c = [raug.rows[r][k] for r in range(k)]
-        vec = [
-            sum((c[j] * ns.basis[j][i] for j in range(k)), Fraction(0))
-            for i in range(ns.ncols)
-        ]
-        if all(x.denominator == 1 and 1 <= x <= bound for x in vec):
-            out.append(tuple(int(x) for x in vec))
+        vec = [0] * ns.ncols
+        for j, fc in enumerate(free):
+            vec[fc] = vals[j]
+        for i, row in pivot_rows:
+            x, r = divmod(sum(v * c for v, c in zip(vals, row)), lcm_d)
+            if r or not 1 <= x <= bound:
+                break
+            vec[i] = x
+        else:
+            out.append(tuple(vec))
     out.sort()
     return out
 

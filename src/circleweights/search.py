@@ -54,7 +54,8 @@ class NonIntegralSum(ValueError):
 
 class CheckpointMismatch(Exception):
     """A checkpoint file was not written for this profile, these options and
-    this package source, or is not a checkpoint file at all."""
+    this package source, is not a checkpoint file at all, or sits in a
+    directory that does not exist."""
 
 
 def magnitude_sum(profile: FixedPointProfile) -> int:
@@ -648,6 +649,9 @@ def _load_checkpoint(path: str, fingerprint: str, graphs: List[Multigraph],
                      blocks: List[Block]) -> Dict[Block, BlockResult]:
     """The blocks recorded in checkpoint file ``path`` (none when it does not
     exist), re-solved from their stored magnitudes."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        raise CheckpointMismatch("checkpoint %s: directory %s does not exist" % (path, folder))
     if not os.path.exists(path):
         return {}
     try:

@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+from circleweights import search
 from circleweights.cli import _result_json, main
 from circleweights.core import minimal_profile
 from circleweights.search import SearchOptions, classify
@@ -201,3 +204,24 @@ def test_classify_resume_is_identical_to_a_fresh_run(tmp_path, capsys):
     ck.write_text(json.dumps(data))
     assert resumed() == fresh.read_text()
     assert sorted(json.loads(ck.read_text())["blocks"]) == keys
+
+
+def test_classify_refuses_checkpoint_in_missing_directory(tmp_path, monkeypatch):
+    ck, out = tmp_path / "no" / "such" / "ck.json", tmp_path / "out.json"
+    argv = ["classify", "--n", "2", "--minimal", "--resume", str(ck), "--out", str(out)]
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "circleweights.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert proc.stderr.startswith("schema error:") and proc.stderr.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+    # refused before any block is searched
+    def searched(payload):
+        raise AssertionError("a block was searched")
+
+    monkeypatch.setattr(search, "_search_block", searched)
+    with pytest.raises(search.CheckpointMismatch, match="does not exist"):
+        classify(minimal_profile(2), SearchOptions(), checkpoint=str(ck))

@@ -155,6 +155,32 @@ def test_r_sequence_reconstructs_phi():
             assert recon.coeffs == phi(ws, lv, i).coeffs
 
 
+def test_r_sequence_stays_in_integers():
+    # every factor of the index battery has leading coefficient +-1, so the
+    # r_s come out with int coefficients; a Fraction here means the slow
+    # rational path is back.  The values at 1 are those of the Fraction code.
+    cases = [
+        (cp((2, 1, 0)), 3, [1, 0, 0]),
+        (cp((2, 1, 0)), 1, [1, 7, 1]),
+        (cp((3, 2, 1, 0)), 4, [1, 0, 0, 0]),
+        (cp((3, 2, 1, 0)), 2, [1, 6, 1, 0]),
+        (cp((3, 2, 1, 0)), 1, [1, 31, 31, 1]),
+        (cp((4, 3, 2, 1, 0)), 5, [1, 0, 0, 0, 0]),
+        (cp((4, 3, 2, 1, 0)), 1, [1, 121, 381, 121, 1]),
+        (grassmannian((2, 1)), 3, [1, 1, 0, 0]),
+        (grassmannian((2, 1)), 1, [1, 26, 26, 1]),
+        (v5(), 2, [1, 3, 1, 0]),
+        (v5(), 1, [1, 19, 19, 1]),
+        (v22(), 1, [1, 10, 10, 1]),
+    ]
+    for ws, k0, values in cases:
+        lv = derive_levels(ws, k0)
+        rs = r_sequence(ws, lv)
+        assert all(type(c) is int for r in rs for c in r.coeffs.values()), (ws.points, k0)
+        got = r_values_at_one(ws, lv)
+        assert got == values and all(type(x) is F for x in got), (ws.points, k0)
+
+
 def test_dim8_solver():
     assert dim8_solver(5) == [(1, F(10))]
     assert dim8_solver(2) == []

@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from circleweights.linalg import (
@@ -186,3 +187,32 @@ def test_kernel_lattice_points():
     assert all(1 <= x <= 3 for v in pts for x in v)
     # w2 = w1 + w3 with all three in [1,3]: (1,1), (1,2), (2,1)
     assert len(pts) == 3
+
+
+@st.composite
+def kernel_cases(draw):
+    """A small integer matrix, often with a planted positive kernel vector
+    (last entry 1, so fixing each row's last entry keeps it integral)."""
+    ncols = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=3))
+    if draw(st.booleans()):
+        v = draw(st.lists(st.integers(1, 4), min_size=ncols - 1, max_size=ncols - 1)) + [1]
+        rows = [row[:-1] + [-sum(a * x for a, x in zip(row[:-1], v))] for row in rows]
+    return rows, draw(st.integers(1, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases())
+def test_kernel_lattice_points_matches_brute_force(case):
+    rows, bound = case
+    brute = [v for v in itertools.product(range(1, bound + 1), repeat=len(rows[0]))
+             if all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)]
+    assert kernel_lattice_points(nullspace(RationalMatrix(rows)), bound) == brute
+
+
+def test_kernel_lattice_points_refuses_non_diagonal_basis():
+    ns = nullspace(RationalMatrix([[1, 1, -1]]))
+    ns.basis = [ns.basis[0], tuple(x + y for x, y in zip(ns.basis[0], ns.basis[1]))]
+    with pytest.raises(ValueError, match="degenerate kernel parametrization"):
+        kernel_lattice_points(ns, 3)
