@@ -25,7 +25,6 @@ from .graphs import (
 )
 from .linalg import (
     NullspaceDescription,
-    RationalMatrix,
     graph_matrix,
     int_determinant,
     nullspace,

@@ -52,14 +52,16 @@ EXIT_SCHEMA = 2
 EXIT_INFEASIBLE = 3
 
 
+class UsageError(Exception):
+    """Arguments that do not describe a run; reported as a schema error."""
+
+
 def _profile_from_args(args) -> FixedPointProfile:
-    if args.lambdas:
-        lams = tuple(int(x) for x in args.lambdas.split(","))
-        if args.n is None:
-            raise SystemExit("--lambdas requires --n")
-        return FixedPointProfile(args.n, lams)
     if args.n is None:
-        raise SystemExit("need --n (with --minimal) or --lambdas")
+        raise UsageError("--lambdas requires --n" if args.lambdas
+                         else "need --n (with --minimal) or --lambdas")
+    if args.lambdas:
+        return FixedPointProfile(args.n, tuple(int(x) for x in args.lambdas.split(",")))
     return minimal_profile(args.n)
 
 
@@ -148,11 +150,7 @@ def cmd_classify(args) -> int:
             _write_out(payload, args.out)
             print("(cached)", file=sys.stderr)
             return EXIT_OK
-    try:
-        result = classify(profile, opts, jobs=args.jobs, checkpoint=args.resume)
-    except CheckpointMismatch as exc:
-        print("schema error: %s" % exc, file=sys.stderr)
-        return EXIT_SCHEMA
+    result = classify(profile, opts, jobs=args.jobs, checkpoint=args.resume)
     payload = json.dumps(_result_json(result), indent=1, sort_keys=True)
     if cache_file:
         _write_out(payload, cache_file)
@@ -306,7 +304,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (UsageError, CheckpointMismatch) as exc:
+        print("schema error: %s" % exc, file=sys.stderr)
+        return EXIT_SCHEMA
 
 
 if __name__ == "__main__":

@@ -1,11 +1,13 @@
-"""Exact rational linear algebra: nullspaces and strict-positivity decisions.
+"""Exact linear algebra: determinants, nullspaces and strict-positivity
+decisions.
 
-Everything here is over ``fractions.Fraction`` / python ints; no floating
-point is used anywhere.  The two nontrivial services are
+Matrices are lists of integer rows.  Determinants and kernels come from one
+integer (fraction-free) elimination, :func:`echelon`; ``Fraction`` is used
+only in the Fourier-Motzkin elimination, whose back-substitution divides.
+No floating point is used anywhere.  The services are
 
-* :func:`nullspace` -- a primitive integer basis of the kernel of a rational
-  matrix, produced by a fixed Gauss-Jordan echelon convention so that output
-  is deterministic;
+* :func:`nullspace` -- a primitive integer basis of the kernel, one vector
+  per free column of the echelon form, so that output is deterministic;
 * :func:`positive_integer_nullvector` -- an exact decision whether the kernel
   meets the open positive orthant, via Fourier-Motzkin elimination on strict
   homogeneous inequalities, together with a small integer witness when it
@@ -16,112 +18,86 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
+from operator import index
 from typing import List, Optional, Sequence, Tuple
 
-Row = Tuple[Fraction, ...]
 
+def echelon(rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[int], int]:
+    """Fraction-free (Bareiss) row echelon form of an integer matrix.
 
-class RationalMatrix:
-    """A dense matrix over Fraction with just the operations we need."""
-
-    def __init__(self, rows: Sequence[Sequence]):
-        self.rows: List[List[Fraction]] = [[Fraction(x) for x in row] for row in rows]
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        for row in self.rows:
-            if len(row) != self.ncols:
-                raise ValueError("ragged matrix")
-
-    def rref(self) -> Tuple["RationalMatrix", List[int]]:
-        """Reduced row echelon form and the list of pivot columns.
-
-        Pivot choice is fixed (first nonzero entry scanning rows top-down in
-        the current column) so results are reproducible.
-        """
-        m = [row[:] for row in self.rows]
-        pivots: List[int] = []
-        r = 0
-        for c in range(self.ncols):
-            pivot_row = None
-            for i in range(r, len(m)):
-                if m[i][c] != 0:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            pv = m[r][c]
-            m[r] = [x / pv for x in m[r]]
-            for i in range(len(m)):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == len(m):
+    Returns the reduced rows, the pivot columns and the sign of the row
+    permutation.  The pivot row is the first row, top-down, with a nonzero
+    entry in the current column; a column without one is skipped.  Every
+    division is exact: the entry of row r at column j >= ``pivots[r]`` is
+    the minor of the row-permuted matrix on its first r+1 rows and on the
+    columns ``pivots[:r] + [j]``.  Entries must be ints (``operator.index``):
+    a Fraction or a float raises TypeError.
+    """
+    m = [list(map(index, row)) for row in rows]
+    ncols = len(m[0]) if m else 0
+    if any(len(row) != ncols for row in m):
+        raise ValueError("ragged matrix")
+    nrows = len(m)
+    pivots: List[int] = []
+    sign = 1
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        for p in range(r, nrows):
+            if m[p][c]:
                 break
-        out = RationalMatrix(m)
-        return out, pivots
+        else:
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            sign = -sign
+        top = m[r]
+        pv = top[c]
+        cols = range(c + 1, ncols)
+        for row in m[r + 1:]:
+            f = row[c]
+            if f:
+                row[c] = 0
+                for j in cols:
+                    row[j] = (pv * row[j] - f * top[j]) // prev
+            elif pv != prev:  # the elimination only rescales this row
+                for j in cols:
+                    row[j] = pv * row[j] // prev
+        prev = pv
+        pivots.append(c)
+    return m, pivots, sign
 
 
 def int_determinant(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix (fraction-free Bareiss)."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(map(int, r)) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = None
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    swap = i
-                    break
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    """Exact determinant of a square integer matrix: 0 when the echelon form
+    has fewer pivots than rows, else the signed last pivot."""
+    ech, pivots, sign = echelon(rows)
+    if len(pivots) < len(ech):
+        return 0
+    return sign * ech[-1][-1] if ech else 1
 
 
-def _primitive(vec: Sequence[Fraction]) -> Tuple[int, ...]:
-    """Scale a rational vector to a coprime integer vector whose first nonzero
-    entry is positive."""
-    denom = 1
-    for x in vec:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    for v in ints:
-        if v != 0:
-            if v < 0:
-                ints = [-w for w in ints]
-            break
-    return tuple(ints)
+def _primitive(vec: Sequence[int]) -> Tuple[int, ...]:
+    """Scale an integer vector to a coprime one whose first nonzero entry is
+    positive."""
+    g = gcd(*vec)
+    if g and next(v for v in vec if v) < 0:
+        g = -g
+    return tuple(v // g for v in vec) if g else tuple(vec)
 
 
 class NullspaceDescription:
-    """Kernel of a rational matrix: rank, a primitive integer basis, and the
-    pivot/free column split of the echelon form used to build it."""
+    """Kernel of an integer matrix: rank, a primitive integer basis, and the
+    free columns of the echelon form used to build it (basis vector j is
+    nonzero at free column j and zero at the others)."""
 
-    def __init__(self, ncols: int, rank: int, basis: List[Tuple[int, ...]],
-                 pivots: List[int], free: List[int]):
+    def __init__(self, ncols: int, rank: int, basis: List[Tuple[int, ...]], free: List[int]):
         self.ncols = ncols
         self.rank = rank
         self.basis = basis
-        self.pivots = pivots
         self.free = free
 
     @property
@@ -129,19 +105,26 @@ class NullspaceDescription:
         return len(self.basis)
 
 
-def nullspace(matrix: RationalMatrix) -> NullspaceDescription:
-    """Primitive integer kernel basis via the standard free-variable scheme:
-    one basis vector per free column (free column set to 1, other frees 0)."""
-    red, pivots = matrix.rref()
-    free = [c for c in range(matrix.ncols) if c not in pivots]
+def nullspace(rows: Sequence[Sequence[int]]) -> NullspaceDescription:
+    """Primitive integer kernel basis via the free-variable scheme: one basis
+    vector per free column (other free entries 0), back-substituted through
+    the echelon form.  The free entry is the last pivot D, the determinant of
+    the pivot block, so by Cramer's rule every pivot entry is an integer and
+    each division in the back-substitution is exact."""
+    ech, pivots, _ = echelon(rows)
+    ncols = len(ech[0]) if ech else 0
+    rank = len(pivots)
+    free = [c for c in range(ncols) if c not in pivots]
+    scale = ech[rank - 1][pivots[-1]] if pivots else 1
     basis: List[Tuple[int, ...]] = []
     for fc in free:
-        vec = [Fraction(0)] * matrix.ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red.rows[r][fc]
+        vec = [0] * ncols
+        vec[fc] = scale
+        for r in range(rank - 1, -1, -1):
+            row, pc = ech[r], pivots[r]
+            vec[pc] = -sum(row[j] * vec[j] for j in range(pc + 1, ncols)) // row[pc]
         basis.append(_primitive(vec))
-    return NullspaceDescription(matrix.ncols, len(pivots), basis, pivots, free)
+    return NullspaceDescription(ncols, rank, basis, free)
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +197,15 @@ def positive_combination(ns: NullspaceDescription) -> Optional[List[Fraction]]:
     return _fm_feasible(ineqs, ns.dim)
 
 
-def positive_kernel_exists(matrix: RationalMatrix) -> bool:
+def positive_kernel_exists(rows: Sequence[Sequence[int]]) -> bool:
     """Exact decision: does the kernel meet the open positive orthant?"""
-    return positive_combination(nullspace(matrix)) is not None
+    return positive_combination(nullspace(rows)) is not None
 
 
-def positive_integer_nullvector(matrix: RationalMatrix,
+def positive_integer_nullvector(rows: Sequence[Sequence[int]],
                                 search_bound: int = 6) -> Optional[Tuple[int, ...]]:
-    """A strictly positive integer kernel vector of ``matrix``, or None.
+    """A strictly positive integer kernel vector of the integer matrix
+    ``rows``, or None.
 
     The feasibility decision (kernel meets the open positive orthant) is
     exact, by Fourier-Motzkin elimination on the coordinates of a kernel
@@ -229,20 +213,17 @@ def positive_integer_nullvector(matrix: RationalMatrix,
     up to ``search_bound``) are scanned for a lexicographically small witness;
     failing that, the Fourier-Motzkin point is cleared of denominators.
     """
-    ns = nullspace(matrix)
+    ns = nullspace(rows)
     c = positive_combination(ns)
     if c is None:
         return None
     k = ns.dim
-    ncols = ns.ncols
 
-    def from_coeffs(coeffs) -> Tuple[Fraction, ...]:
-        return tuple(
-            sum((Fraction(coeffs[j]) * ns.basis[j][i] for j in range(k)), Fraction(0))
-            for i in range(ncols)
-        )
+    def from_coeffs(coeffs: Sequence[int]) -> Tuple[int, ...]:
+        return tuple(sum(coeffs[j] * ns.basis[j][i] for j in range(k)) for i in range(ns.ncols))
 
-    witness = _primitive(from_coeffs(c))
+    denom = lcm(*(x.denominator for x in c))
+    witness = _primitive(from_coeffs([int(x * denom) for x in c]))
     if any(x <= 0 for x in witness):  # primitive scaling cannot flip an all-positive vector
         witness = tuple(-x for x in witness)
     best = witness
@@ -251,11 +232,9 @@ def positive_integer_nullvector(matrix: RationalMatrix,
         for coeffs in product(span, repeat=k):
             if all(x == 0 for x in coeffs):
                 continue
-            vec = from_coeffs(coeffs)
-            if all(x >= 1 and x == int(x) for x in vec):
-                cand = tuple(int(x) for x in vec)
-                if cand < best:
-                    best = cand
+            cand = from_coeffs(coeffs)
+            if all(x >= 1 for x in cand) and cand < best:
+                best = cand
     return best
 
 
@@ -279,9 +258,7 @@ def kernel_lattice_points(ns: NullspaceDescription, bound: int,
                              for j in range(k) for i, fc in enumerate(free)):
         raise ValueError("degenerate kernel parametrization")
     diag = [ns.basis[j][free[j]] for j in range(k)]
-    lcm_d = 1
-    for d in diag:
-        lcm_d = lcm_d * abs(d) // gcd(lcm_d, d)
+    lcm_d = lcm(*diag)
     scale = [lcm_d // d for d in diag]
     # lcm_d times pivot entry i is sum_j v_j * row[j]
     pivot_rows = [(i, [scale[j] * ns.basis[j][i] for j in range(k)])
@@ -302,7 +279,7 @@ def kernel_lattice_points(ns: NullspaceDescription, bound: int,
     return out
 
 
-def graph_matrix(edges: Sequence[Tuple[int, int]]) -> RationalMatrix:
+def graph_matrix(edges: Sequence[Tuple[int, int]]) -> List[List[int]]:
     """The pairing matrix of a directed multigraph.
 
     ``edges`` lists directed edges (i, j); an entry with i == j is a cycle.
@@ -330,4 +307,4 @@ def graph_matrix(edges: Sequence[Tuple[int, int]]) -> RationalMatrix:
             rows.append([0] * len(edges))
         else:
             rows.append([delta(i, e) - delta(j, e) for e in edges])
-    return RationalMatrix(rows)
+    return rows

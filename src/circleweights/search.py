@@ -35,7 +35,6 @@ from .graphs import (
 )
 from .linalg import (
     NullspaceDescription,
-    RationalMatrix,
     graph_matrix,
     int_determinant,
     kernel_lattice_points,
@@ -263,7 +262,7 @@ def stream_labelings(graph: Multigraph, profile: FixedPointProfile, opts: Search
     for comp in comps:
         pos += len(comp)
         boundaries[pos - 1] = comp
-    amat = [[int(x) for x in row] for row in graph_matrix(edges).rows]
+    amat = graph_matrix(edges)
 
     if opts.mode == "bounded":
         lows = {k: -2 * opts.bound_d for k in noncycle}
@@ -359,14 +358,14 @@ def solve_weights(graph: Multigraph, magnitudes: Sequence[int]) -> Optional[Weig
     edges = graph.edges
     if len(magnitudes) != len(edges):
         raise ValueError("labeling length does not match edge count")
-    amat = [[int(x) for x in row] for row in graph_matrix(edges).rows]
+    amat = graph_matrix(edges)
     comps = graph.components()
     kernels: List[NullspaceDescription] = []
     for comp in comps:
         sub = [[amat[h][k] - (int(magnitudes[h]) if h == k else 0) for k in comp] for h in comp]
         # the component matrix is square, so it is singular exactly when its
         # kernel is nonzero, and a zero kernel misses the positive orthant
-        kernel = nullspace(RationalMatrix(sub))
+        kernel = nullspace(sub)
         if positive_combination(kernel) is None:
             return None
         kernels.append(kernel)
@@ -376,13 +375,13 @@ def solve_weights(graph: Multigraph, magnitudes: Sequence[int]) -> Optional[Weig
 def _component_checker(graph: Multigraph):
     """Pruning predicate for stream_labelings: component must be singular
     with a positive kernel."""
-    amat = [[int(x) for x in row] for row in graph_matrix(graph.edges).rows]
+    amat = graph_matrix(graph.edges)
 
     def check(comp: List[int], labels: Dict[int, int]) -> bool:
         sub = [[amat[h][k] - (labels[h] if h == k else 0) for k in comp] for h in comp]
         if int_determinant(sub) != 0:
             return False
-        return positive_kernel_exists(RationalMatrix(sub))
+        return positive_kernel_exists(sub)
 
     return check
 
@@ -546,7 +545,6 @@ class FamilyReport:
 
     family: WeightFamily
     instances: List[WeightSystem]
-    signature_count: int
 
     @property
     def graph(self) -> Multigraph:
@@ -804,15 +802,15 @@ def classify(profile: FixedPointProfile, opts: SearchOptions, jobs: int = 1,
         best = sorted(data["sig_votes"].items(), key=sig_rank)[0][0]
         edges, mags = best
         rep_graph = Multigraph(profile.n, profile.lambdas, edges)
+        # w > 0 solves (A w)_h = m_h w_h for every integral pairing, so every
+        # component of a signature has a positive kernel vector
         fam = candidates.get((edges, mags)) or solve_weights(rep_graph, mags)
         if fam is None:
-            # signature not solvable as a family (should not happen); fall
-            # back to any candidate signature of the group
-            continue
+            raise RuntimeError("signature %s %s of passing instances has no weight family"
+                               % (edges, mags))
         reports.append(FamilyReport(
             family=fam,
             instances=sorted(data["instances"], key=lambda w: w.points),
-            signature_count=len(data["sig_votes"]),
         ))
     reports.sort(key=lambda r: (r.graph.edges, r.magnitudes))
     return ClassificationResult(

@@ -31,6 +31,13 @@ def test_enumerate_infeasible_profile(capsys):
     assert "infeasible" in err
 
 
+@pytest.mark.parametrize("argv", [["classify", "--lambdas", "0,1,1,2"], ["enumerate"]])
+def test_profile_without_n_is_a_schema_error(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == "" and err.startswith("schema error:") and err.count("\n") == 1
+
+
 def test_fixture_roundtrip(tmp_path, capsys):
     out = tmp_path / "ws.json"
     code, _, _ = run(["fixture", "v22", "--out", str(out)], capsys)

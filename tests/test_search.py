@@ -6,16 +6,11 @@ import sys
 import pytest
 
 import circleweights
+from circleweights import search
 from circleweights.core import FixedPointProfile, minimal_profile
 from circleweights.fixtures import cp, grassmannian, s2xs2, v5, v22
 from circleweights.graphs import Multigraph, enumerate_multigraphs, integral_multigraphs
-from circleweights.linalg import (
-    RationalMatrix,
-    graph_matrix,
-    int_determinant,
-    positive_integer_nullvector,
-    positive_kernel_exists,
-)
+from circleweights.linalg import graph_matrix, positive_combination, positive_integer_nullvector
 from circleweights.search import (
     SearchOptions,
     _component_checker,
@@ -30,6 +25,7 @@ from circleweights.search import (
     stream_labelings,
     vet_instance,
 )
+from test_linalg import reference_determinant, reference_nullspace
 
 S2XS2 = FixedPointProfile(2, (0, 1, 1, 2))
 TRIANGLE = Multigraph(2, (0, 1, 2), ((0, 1), (0, 2), (1, 2)))
@@ -95,14 +91,14 @@ def test_labelings_respect_cycles():
 
 def component_matrix(graph, magnitudes, comp):
     """A(Gamma) - diag(m) restricted to one connected component."""
-    amat = graph_matrix(graph.edges).rows
-    return [[int(amat[h][k]) - (magnitudes[h] if h == k else 0) for k in comp] for h in comp]
+    amat = graph_matrix(graph.edges)
+    return [[amat[h][k] - (magnitudes[h] if h == k else 0) for k in comp] for h in comp]
 
 
 def test_solve_triangle():
     fam = solve_weights(TRIANGLE, (3, 3, 3))
     assert fam is not None
-    sub = RationalMatrix(component_matrix(TRIANGLE, (3, 3, 3), fam.components[0]))
+    sub = component_matrix(TRIANGLE, (3, 3, 3), fam.components[0])
     assert positive_integer_nullvector(sub, search_bound=3) == (1, 2, 1)
     for v in fam.comp_kernels[0].basis:
         assert v[1] == v[0] + v[2]  # w(e02) = w(e01) + w(e12)
@@ -113,7 +109,7 @@ def test_solve_square():
     # opposite sides of the square
     fam = solve_weights(SQUARE, (2, 2, 2, 2))
     assert fam is not None
-    sub = RationalMatrix(component_matrix(SQUARE, (2, 2, 2, 2), fam.components[0]))
+    sub = component_matrix(SQUARE, (2, 2, 2, 2), fam.components[0])
     assert positive_integer_nullvector(sub, search_bound=3) == (1, 1, 1, 1)
     for v in fam.comp_kernels[0].basis:
         assert v[0] == v[3] and v[1] == v[2]
@@ -124,11 +120,14 @@ def test_solve_rejects_nonsingular():
 
 
 def singular_with_positive_kernel(graph, labeling):
-    """The decision solve_weights makes, by determinant and a separate
-    positivity test on every component."""
+    """The decision solve_weights makes, by the Fraction Gauss-Jordan
+    reference: determinant and a separate positivity test on every
+    component."""
     for comp in graph.components():
         sub = component_matrix(graph, labeling, comp)
-        if int_determinant(sub) != 0 or not positive_kernel_exists(RationalMatrix(sub)):
+        if reference_determinant(sub) != 0:
+            return False
+        if positive_combination(reference_nullspace(sub)) is None:
             return False
     return True
 
@@ -156,6 +155,14 @@ def test_solve_weights_matches_determinant_and_positivity():
         assert (solve_weights(graph, lab) is not None) == want, (graph.edges, lab)
         verdicts.add(want)
     assert verdicts == {True, False}
+
+
+def test_classify_fails_on_a_group_without_family(monkeypatch):
+    # every signature of a passing instance has a weight family; were one
+    # missing, classify must fail instead of dropping the group
+    monkeypatch.setattr(search, "_signatures", lambda ws, mode: [(TRIANGLE.edges, (4, 4, 1))])
+    with pytest.raises(RuntimeError, match="no weight family"):
+        classify(minimal_profile(2), SearchOptions())
 
 
 def test_witness_instances_reproduce_magnitudes():
