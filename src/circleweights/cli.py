@@ -60,9 +60,12 @@ def _profile_from_args(args) -> FixedPointProfile:
     if args.n is None:
         raise UsageError("--lambdas requires --n" if args.lambdas
                          else "need --n (with --minimal) or --lambdas")
-    if args.lambdas:
+    if not args.lambdas:
+        return minimal_profile(args.n)
+    try:
         return FixedPointProfile(args.n, tuple(int(x) for x in args.lambdas.split(",")))
-    return minimal_profile(args.n)
+    except ValueError as exc:
+        raise UsageError("--lambdas must be comma-separated integers: %s" % exc) from exc
 
 
 def _write_out(payload: str, out: Optional[str]) -> None:
@@ -122,18 +125,21 @@ def cmd_enumerate(args) -> int:
 
 def cmd_classify(args) -> int:
     try:
-        profile = _profile_from_args(args)
-        validate_profile(profile)
         opts = SearchOptions(
-            mode="bounded" if args.bound_D else "nonnegative",
-            bound_d=args.bound_D or 1,
+            mode="nonnegative" if args.bound_D is None else "bounded",
+            bound_d=1 if args.bound_D is None else args.bound_D,
             divisor_c=args.C,
             dim8_strict=args.dim8_strict,
             witness_bound=args.witness_bound,
             max_labelings=args.max_labelings,
         )
+    except ValueError as exc:
+        raise UsageError(exc) from exc
+    try:
+        profile = _profile_from_args(args)
+        validate_profile(profile)
         total = magnitude_sum(profile)
-    except (ProfileError, NonIntegralSum, ValueError) as exc:
+    except (ProfileError, NonIntegralSum) as exc:
         print("infeasible profile: %s" % exc, file=sys.stderr)
         return EXIT_INFEASIBLE
     if opts.mode == "nonnegative" and not profile.is_minimal and total < 0:

@@ -20,8 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import asdict, dataclass
 from math import gcd
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -74,6 +73,10 @@ def minimal_divisors(n: int) -> List[int]:
     return [c for c in range(n + 1, 0, -1) if total % c == 0]
 
 
+# first-Chern constants allowed in dimension 8 under dim8_strict
+DIM8_CONSTANTS = (1, 5)
+
+
 @dataclass(frozen=True)
 class SearchOptions:
     """Knobs for the labeling search.
@@ -82,43 +85,38 @@ class SearchOptions:
                     profiles, >= 0 otherwise) or 'bounded' (|m| <= 2D).
     bound_d         the D of bounded mode.
     divisor_c       force a single divisor branch C; None = loop over all.
-    use_divisors    use the divisor decomposition m = C l at all (minimal
-                    nonnegative searches only).
-    force_unit_edges pin the unique (P0,P1) and (P_{N-1},P_N) edges to C.
-    dim8_strict     restrict C (and the vetted first Chern constant) to {1,5}
-                    when n = 4.
+    dim8_strict     restrict C (and the vetted first Chern constant) to
+                    DIM8_CONSTANTS when n = 4.
     witness_bound   max entry of kernel lattice points instantiated.
     cycle_bound     max weight tried on cycle edges when instantiating.
+    max_labelings   node budget for the labeling search tree; None = none.
     """
 
     mode: str = "nonnegative"
     bound_d: int = 1
     divisor_c: Optional[int] = None
-    use_divisors: bool = True
-    force_unit_edges: bool = True
     dim8_strict: bool = False
     witness_bound: int = 12
     cycle_bound: int = 4
-    max_labelings: Optional[int] = None  # node budget for the labeling search tree
+    max_labelings: Optional[int] = None
 
     def __post_init__(self):
         if self.mode not in ("nonnegative", "bounded"):
             raise ValueError("mode must be 'nonnegative' or 'bounded'")
         if self.mode == "bounded" and self.bound_d < 1:
             raise ValueError("bounded mode needs D >= 1")
+        for name in ("divisor_c", "max_labelings", "witness_bound", "cycle_bound"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError("%s must be at least 1, got %s" % (name, value))
+
+    @property
+    def pair_mode(self) -> str:
+        """Orientation filter for the graphs and pairings of this mode."""
+        return "nonneg" if self.mode == "nonnegative" else "all"
 
     def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "bound_d": self.bound_d,
-            "divisor_c": self.divisor_c,
-            "use_divisors": self.use_divisors,
-            "force_unit_edges": self.force_unit_edges,
-            "dim8_strict": self.dim8_strict,
-            "witness_bound": self.witness_bound,
-            "cycle_bound": self.cycle_bound,
-            "max_labelings": self.max_labelings,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -131,38 +129,34 @@ class WeightFamily:
     components: List[List[int]]
     comp_kernels: List[NullspaceDescription]
 
-    def witness_weight_vectors(self, bound: int, cycle_bound: int) -> Iterator[Tuple[int, ...]]:
-        """All edge-weight vectors with component weights from kernel lattice
-        points (entries in [1, bound]) and cycle weights in [1, cycle_bound]."""
-        edges = self.graph.edges
-        cycle_positions = [k for k, e in enumerate(edges) if e[0] == e[1]]
+    def witness_instances(self, bound: int = 12, cycle_bound: int = 4) -> List[WeightSystem]:
+        """Every weight system whose component weights are kernel lattice
+        points (entries in [1, bound], shrunk while the box of a kernel
+        exceeds 2,000,000 points) and whose cycle weights lie in
+        [1, cycle_bound], in itertools.product order over the components,
+        then the cycles."""
         comp_choices = []
-        for comp, ker in zip(self.components, self.comp_kernels):
+        for ker in self.comp_kernels:
             eb = bound
             while eb > 2 and eb ** ker.dim > 2_000_000:
                 eb -= 1
             pts = kernel_lattice_points(ker, eb)
             if not pts:
-                return
+                return []
             comp_choices.append(pts)
-        cycle_choices = [range(1, cycle_bound + 1)] * len(cycle_positions)
-        for combo in itertools.product(*comp_choices, *cycle_choices):
-            vec = [0] * len(edges)
-            for ci, comp in enumerate(self.components):
-                for pos, k in enumerate(comp):
-                    vec[k] = combo[ci][pos]
-            for t, k in enumerate(cycle_positions):
-                vec[k] = combo[len(self.components) + t]
-            yield tuple(vec)
-
-    def instance_from_vector(self, vec: Sequence[int]) -> WeightedMultigraph:
-        wedges = tuple((i, j, w) for (i, j), w in zip(self.graph.edges, vec))
-        return WeightedMultigraph(self.graph.n, self.graph.lambdas, wedges)
-
-    def witness_instances(self, bound: int = 12, cycle_bound: int = 4) -> List[WeightSystem]:
+        edges = self.graph.edges
+        cycles = [e for e in edges if e[0] == e[1]]
+        cycle_choices = [[(w,) for w in range(1, cycle_bound + 1)]] * len(cycles)
+        # (source, target) of each weight of a flattened product entry
+        ends = [edges[k] for comp in self.components for k in comp] + cycles
+        npts = self.graph.num_points
         out = []
-        for vec in self.witness_weight_vectors(bound, cycle_bound):
-            out.append(self.instance_from_vector(vec).weight_system())
+        for combo in itertools.product(*comp_choices, *cycle_choices):
+            pts: List[List[int]] = [[] for _ in range(npts)]
+            for (i, j), w in zip(ends, itertools.chain.from_iterable(combo)):
+                pts[i].append(w)
+                pts[j].append(-w)
+            out.append(WeightSystem(self.graph.n, pts))
         return out
 
     def parametric_weights(self) -> List[List[str]]:
@@ -245,7 +239,7 @@ def stream_labelings(graph: Multigraph, profile: FixedPointProfile, opts: Search
     canonical edge order, smallest label first).
 
     With ``divisor=C`` only labelings that are C times positive integers are
-    produced, and unit edges are pinned to C when ``opts.force_unit_edges``.
+    produced, and the unit edges (see _unit_edge_positions) are pinned to C.
     When ``component_check`` is given it is consulted each time all labels of
     a connected component are fixed; a False verdict prunes the subtree.
     ``budget`` is a one-element mutable cell bounding the number of explored
@@ -271,10 +265,10 @@ def stream_labelings(graph: Multigraph, profile: FixedPointProfile, opts: Search
     else:
         minimal = profile.is_minimal
         lows, highs, step = {}, {}, {}
-        pinned = set(_unit_edge_positions(graph)) if (divisor and opts.force_unit_edges) else set()
+        pinned = set(_unit_edge_positions(graph)) if divisor is not None else set()
         for k in noncycle:
             base = _row_sign_minimum(amat, k) if minimal else 0
-            if divisor:
+            if divisor is not None:
                 if k in pinned:
                     lows[k] = highs[k] = divisor
                     step[k] = 1
@@ -323,15 +317,15 @@ def stream_labelings(graph: Multigraph, profile: FixedPointProfile, opts: Search
 
 def divisor_branches(profile: FixedPointProfile, opts: SearchOptions) -> List[Optional[int]]:
     """The divisor branches a search runs, in order.  Minimal nonnegative
-    searches with use_divisors take ``opts.divisor_c`` or every admissible
-    divisor (only 1 and 5 under dim8_strict when n = 4); other nonnegative
-    searches take ``opts.divisor_c``, possibly None; bounded ones take None."""
+    searches take ``opts.divisor_c`` or every admissible divisor (only
+    DIM8_CONSTANTS under dim8_strict when n = 4); other nonnegative searches
+    take ``opts.divisor_c``, possibly None; bounded ones take None."""
     if opts.mode == "bounded":
         return [None]
-    if profile.is_minimal and opts.use_divisors:
-        divisors = [opts.divisor_c] if opts.divisor_c else minimal_divisors(profile.n)
+    if profile.is_minimal:
+        divisors = [opts.divisor_c] if opts.divisor_c is not None else minimal_divisors(profile.n)
         if opts.dim8_strict and profile.n == 4:
-            divisors = [c for c in divisors if c in (1, 5)]
+            divisors = [c for c in divisors if c in DIM8_CONSTANTS]
         return divisors
     return [opts.divisor_c]
 
@@ -352,24 +346,30 @@ def enumerate_magnitude_labelings(graph: Multigraph, profile: FixedPointProfile,
 # Solving (A(Gamma) - diag(m)) w = 0 componentwise
 # ---------------------------------------------------------------------------
 
+def _component_matrix(amat: List[List[int]], labels, comp: List[int]) -> List[List[int]]:
+    """A(Gamma) - diag(m) restricted to the edges of one component; ``labels``
+    maps an edge index to its magnitude."""
+    return [[amat[h][k] - (labels[h] if h == k else 0) for k in comp] for h in comp]
+
+
 def solve_weights(graph: Multigraph, magnitudes: Sequence[int]) -> Optional[WeightFamily]:
     """The weight family of (graph, m), or None when some component matrix is
     nonsingular or its kernel misses the open positive orthant."""
     edges = graph.edges
     if len(magnitudes) != len(edges):
         raise ValueError("labeling length does not match edge count")
+    mags = tuple(int(x) for x in magnitudes)
     amat = graph_matrix(edges)
     comps = graph.components()
     kernels: List[NullspaceDescription] = []
     for comp in comps:
-        sub = [[amat[h][k] - (int(magnitudes[h]) if h == k else 0) for k in comp] for h in comp]
         # the component matrix is square, so it is singular exactly when its
         # kernel is nonzero, and a zero kernel misses the positive orthant
-        kernel = nullspace(sub)
+        kernel = nullspace(_component_matrix(amat, mags, comp))
         if positive_combination(kernel) is None:
             return None
         kernels.append(kernel)
-    return WeightFamily(graph, tuple(int(x) for x in magnitudes), comps, kernels)
+    return WeightFamily(graph, mags, comps, kernels)
 
 
 def _component_checker(graph: Multigraph):
@@ -378,7 +378,7 @@ def _component_checker(graph: Multigraph):
     amat = graph_matrix(graph.edges)
 
     def check(comp: List[int], labels: Dict[int, int]) -> bool:
-        sub = [[amat[h][k] - (labels[h] if h == k else 0) for k in comp] for h in comp]
+        sub = _component_matrix(amat, labels, comp)
         if int_determinant(sub) != 0:
             return False
         return positive_kernel_exists(sub)
@@ -390,8 +390,7 @@ def _component_checker(graph: Multigraph):
 # Instance vetting
 # ---------------------------------------------------------------------------
 
-def lemma_filters(ws: WeightSystem, g: WeightedMultigraph,
-                  dim8_strict: bool = False) -> Dict[str, Optional[str]]:
+def lemma_filters(ws: WeightSystem, g: WeightedMultigraph) -> Dict[str, Optional[str]]:
     """Arithmetic rejection rules for an instance with a chosen pairing.
 
     Keys map to None (pass) or a failure description:
@@ -400,27 +399,19 @@ def lemma_filters(ws: WeightSystem, g: WeightedMultigraph,
                           have coprime weights;
       divisor_propagation for every sub-bundle of parallel edges with gcd
                           g > 1, both endpoints must carry another weight
-                          divisible by g;
-      chern_constant      the two first-Chern-constant expressions must agree
-                          and be a positive divisor of n(n+1)^2/2, at most
-                          n+1 (minimal profiles only);
-      dim8_strict         in dimension 8 the constant must be 1 or 5.
+                          divisible by g.
+    The first-Chern-constant rules do not depend on the pairing; vet_instance
+    checks them once, before it tries any pairing.
     """
     n = ws.n
     report: Dict[str, Optional[str]] = {
         "multiple_edge_gcd": None,
         "divisor_propagation": None,
-        "chern_constant": None,
-        "dim8_strict": None,
     }
     bundles: Dict[Tuple[int, int], List[int]] = {}
     for (i, j, w) in g.wedges:
         if i != j:
             bundles.setdefault((i, j), []).append(w)
-    incident_cycles_only: Dict[int, bool] = {}
-    for v in range(ws.num_points):
-        others = [e for e in g.wedges if v in (e[0], e[1])]
-        incident_cycles_only[v] = all(e[0] == e[1] for e in others)
     for (i, j), wsb in bundles.items():
         if len(wsb) < 2:
             continue
@@ -456,22 +447,6 @@ def lemma_filters(ws: WeightSystem, g: WeightedMultigraph,
                         "sub-bundle %s of %s->%s (gcd %d) has no companion multiple"
                         % (taken, i, j, gs)
                     )
-    profile = ws.profile
-    if profile.is_minimal and list(profile.lambdas) == list(range(n + 1)):
-        sums = ws.weight_sums()
-        neg1 = [w for w in ws.points[1] if w < 0]
-        posn1 = [w for w in ws.points[n - 1] if w > 0]
-        if len(neg1) == 1 and len(posn1) == 1:
-            v1 = Fraction(sums[1] - sums[0], neg1[0])
-            v2 = Fraction(sums[n - 1] - sums[n], posn1[0])
-            half = n * (n + 1) ** 2 // 2
-            if v1 != v2:
-                report["chern_constant"] = "endpoint constants differ: %s vs %s" % (v1, v2)
-            elif v1.denominator != 1 or not 1 <= v1 <= n + 1 or half % int(v1) != 0:
-                report["chern_constant"] = "constant %s not a divisor of %d in [1, %d]" % (
-                    v1, half, n + 1)
-            elif dim8_strict and n == 4 and int(v1) not in (1, 5):
-                report["dim8_strict"] = "constant %s not in {1, 5}" % (v1,)
     return report
 
 
@@ -490,21 +465,19 @@ def vet_instance(ws: WeightSystem, opts: SearchOptions) -> Optional[str]:
         if any(a <= b for a, b in zip(sums, sums[1:])):
             return "monotone_sums"
         consts = minimal_chern_constants(ws)
-        half = n * (n + 1) ** 2 // 2
         if any(c.denominator != 1 or c <= 0 for c in consts):
             return "chern_constants"
         if minimal_chern_constants(ws.reversed()) != consts:
             return "chern_constants"
         c1 = int(consts[1])
-        if not 1 <= c1 <= n + 1 or half % c1 != 0:
+        if c1 not in minimal_divisors(n):
             return "chern_constants"
-        if opts.dim8_strict and n == 4 and c1 not in (1, 5):
+        if opts.dim8_strict and n == 4 and c1 not in DIM8_CONSTANTS:
             return "dim8_strict"
-    pair_mode = "nonneg" if opts.mode == "nonnegative" else "all"
-    pairings = integral_multigraphs(ws, mode=pair_mode, congruent=True)
+    pairings = integral_multigraphs(ws, mode=opts.pair_mode, congruent=True)
     good_pairing = None
     for g in pairings:
-        rep = lemma_filters(ws, g, dim8_strict=opts.dim8_strict)
+        rep = lemma_filters(ws, g)
         if all(v is None for v in rep.values()):
             good_pairing = g
             break
@@ -584,7 +557,7 @@ def search_graph(graph: Multigraph, profile: FixedPointProfile, opts: SearchOpti
     counts = {"labelings": 0, "families": 0}
     checker = _component_checker(graph)
     families: List[WeightFamily] = []
-    budget = [opts.max_labelings] if opts.max_labelings else None
+    budget = [opts.max_labelings] if opts.max_labelings is not None else None
     stream = stream_labelings(graph, profile, opts, divisor=divisor,
                               component_check=checker, budget=budget)
     for lab in stream:
@@ -737,8 +710,7 @@ def classify(profile: FixedPointProfile, opts: SearchOptions, jobs: int = 1,
     left as it is, when it was written for another profile, other options or
     other package source."""
     validate_profile(profile)
-    mode = "nonneg" if opts.mode == "nonnegative" else "all"
-    graphs = enumerate_multigraphs(profile, mode=mode, dedup="reversal")
+    graphs = enumerate_multigraphs(profile, mode=opts.pair_mode, dedup="reversal")
     blocks = [(gi, c) for gi in range(len(graphs)) for c in divisor_branches(profile, opts)]
     done = _search_blocks(profile, opts, graphs, blocks, jobs, checkpoint)
     audit: Dict = {"graphs": {gi: {"labelings": 0, "families": 0} for gi in range(len(graphs))},
@@ -765,7 +737,7 @@ def classify(profile: FixedPointProfile, opts: SearchOptions, jobs: int = 1,
             audit["instances"] += 1
             verdict = vet_instance(inst, opts)
             if verdict is None:
-                passing[inst] = _signatures(inst, "nonneg" if opts.mode == "nonnegative" else "all")
+                passing[inst] = _signatures(inst, opts.pair_mode)
                 audit["passing"] += 1
             else:
                 audit["rejections"][verdict] = audit["rejections"].get(verdict, 0) + 1

@@ -31,7 +31,17 @@ def test_enumerate_infeasible_profile(capsys):
     assert "infeasible" in err
 
 
-@pytest.mark.parametrize("argv", [["classify", "--lambdas", "0,1,1,2"], ["enumerate"]])
+@pytest.mark.parametrize("argv", [
+    ["classify", "--lambdas", "0,1,1,2"],
+    ["enumerate"],
+    ["enumerate", "--n", "3", "--lambdas", "0,x"],
+    ["classify", "--n", "3", "--lambdas", "0,x"],
+    ["classify", "--n", "2", "--bound-D", "0"],
+    ["classify", "--n", "2", "--bound-D", "-1"],
+    ["classify", "--n", "2", "--max-labelings", "0"],
+    ["classify", "--n", "2", "--C", "0"],
+    ["classify", "--n", "2", "--witness-bound", "0"],
+])
 def test_profile_without_n_is_a_schema_error(argv, capsys):
     code, out, err = run(argv, capsys)
     assert code == 2

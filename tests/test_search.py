@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -9,8 +10,19 @@ import circleweights
 from circleweights import search
 from circleweights.core import FixedPointProfile, minimal_profile
 from circleweights.fixtures import cp, grassmannian, s2xs2, v5, v22
-from circleweights.graphs import Multigraph, enumerate_multigraphs, integral_multigraphs
-from circleweights.linalg import graph_matrix, positive_combination, positive_integer_nullvector
+from circleweights.graphs import (
+    Multigraph,
+    WeightedMultigraph,
+    enumerate_multigraphs,
+    integral_multigraphs,
+    magnitudes_from_weights,
+)
+from circleweights.linalg import (
+    graph_matrix,
+    kernel_lattice_points,
+    positive_combination,
+    positive_integer_nullvector,
+)
 from circleweights.search import (
     SearchOptions,
     _component_checker,
@@ -20,6 +32,7 @@ from circleweights.search import (
     lemma_filters,
     magnitude_sum,
     minimal_divisors,
+    run_fingerprint,
     search_graph,
     solve_weights,
     stream_labelings,
@@ -57,7 +70,7 @@ def test_labelings_triangle():
 def test_labelings_square_count():
     # non-minimal profile: nonneg parts allowed, C(11,3) = 165 compositions,
     # of which C(7,3) = 35 are strictly positive
-    opts = SearchOptions(use_divisors=False, force_unit_edges=False)
+    opts = SearchOptions()
     labs = list(enumerate_magnitude_labelings(SQUARE, S2XS2, opts))
     assert len(labs) == 165
     assert len([l for l in labs if all(m >= 1 for m in l)]) == 35
@@ -83,7 +96,7 @@ def test_labelings_follow_dim8_strict():
 
 def test_labelings_respect_cycles():
     g = Multigraph(2, (0, 1, 1, 2), ((0, 2), (0, 2), (1, 1)))
-    opts = SearchOptions(use_divisors=False, force_unit_edges=False)
+    opts = SearchOptions()
     for lab in enumerate_magnitude_labelings(g, S2XS2, opts):
         assert lab[2] == 0  # cycle edge carries magnitude 0
         assert lab[0] + lab[1] == 8
@@ -134,12 +147,14 @@ def singular_with_positive_kernel(graph, labeling):
 
 def test_solve_weights_matches_determinant_and_positivity():
     # every labeling of the dimension-4 graphs, without pruning ...
+    # (the minimal profile over its divisor branches and without divisors)
     cases = []
-    for profile, opts in ((minimal_profile(2), SearchOptions()),
-                          (minimal_profile(2), SearchOptions(use_divisors=False)),
-                          (S2XS2, SearchOptions(use_divisors=False, force_unit_edges=False))):
+    opts = SearchOptions()
+    for profile, branches in ((minimal_profile(2), divisor_branches(minimal_profile(2), opts)),
+                              (minimal_profile(2), [None]),
+                              (S2XS2, divisor_branches(S2XS2, opts))):
         for graph in enumerate_multigraphs(profile, mode="nonneg", dedup="reversal"):
-            for c in divisor_branches(profile, opts):
+            for c in branches:
                 cases += [(graph, lab) for lab in stream_labelings(graph, profile, opts, divisor=c)]
     # ... and the labelings the dimension-6 search streams
     d6 = []
@@ -165,45 +180,96 @@ def test_classify_fails_on_a_group_without_family(monkeypatch):
         classify(minimal_profile(2), SearchOptions())
 
 
-def test_witness_instances_reproduce_magnitudes():
-    from circleweights.graphs import magnitudes_from_weights
+def reference_weighted_graphs(fam, bound, cycle_bound):
+    """The witness builder WeightFamily.witness_instances replaced: scatter
+    each product entry into an edge-weight vector and weigh the graph's
+    edges with it, one WeightedMultigraph per vector."""
+    edges = fam.graph.edges
+    cycle_positions = [k for k, e in enumerate(edges) if e[0] == e[1]]
+    comp_choices = []
+    for ker in fam.comp_kernels:
+        eb = bound
+        while eb > 2 and eb ** ker.dim > 2_000_000:
+            eb -= 1
+        pts = kernel_lattice_points(ker, eb)
+        if not pts:
+            return []
+        comp_choices.append(pts)
+    cycle_choices = [range(1, cycle_bound + 1)] * len(cycle_positions)
+    out = []
+    for combo in itertools.product(*comp_choices, *cycle_choices):
+        vec = [0] * len(edges)
+        for ci, comp in enumerate(fam.components):
+            for pos, k in enumerate(comp):
+                vec[k] = combo[ci][pos]
+        for t, k in enumerate(cycle_positions):
+            vec[k] = combo[len(fam.components) + t]
+        wedges = tuple((i, j, w) for (i, j), w in zip(edges, vec))
+        out.append(WeightedMultigraph(fam.graph.n, fam.graph.lambdas, wedges))
+    return out
 
+
+def streamed_families(profile):
+    opts = SearchOptions()
+    fams = []
+    for graph in enumerate_multigraphs(profile, mode=opts.pair_mode, dedup="reversal"):
+        for c in divisor_branches(profile, opts):
+            fams += search_graph(graph, profile, opts, divisor=c)[0]
+    return fams
+
+
+@pytest.mark.parametrize("profile, count, with_cycles, split", [
+    (minimal_profile(2), 5, 4, 0),
+    (minimal_profile(3), 92, 62, 12),
+    (S2XS2, 20, 6, 1),
+])
+def test_witness_instances_match_the_weighted_graph_builder(profile, count, with_cycles, split):
+    fams = streamed_families(profile)
+    assert len(fams) == count
+    assert sum(1 for f in fams if f.graph.cycles()) == with_cycles
+    assert sum(1 for f in fams if len(f.components) > 1) == split
+    for fam in fams:
+        want = [wg.weight_system() for wg in reference_weighted_graphs(fam, 12, 4)]
+        assert fam.witness_instances(12, 4) == want, (fam.graph.edges, fam.magnitudes)
+
+
+def test_witness_instances_reproduce_magnitudes():
     fam = solve_weights(TRIANGLE, (3, 3, 3))
-    vecs = list(fam.witness_weight_vectors(4, 2))
-    assert vecs
-    for vec in vecs:
-        wg = fam.instance_from_vector(vec)
+    graphs = reference_weighted_graphs(fam, 4, 2)
+    assert graphs
+    assert [wg.weight_system() for wg in graphs] == fam.witness_instances(4, 2)
+    for wg in graphs:
         assert magnitudes_from_weights(wg.weight_system(), wg) == (3, 3, 3)
 
 
 def test_lemma_filters_v5_passes():
     ws = v5()
     g = integral_multigraphs(ws)[0]
-    report = lemma_filters(ws, g, False)
-    assert all(v is None for v in report.values())
+    report = lemma_filters(ws, g)
+    assert report == {"multiple_edge_gcd": None, "divisor_propagation": None}
 
 
-# a 10-edge positive multigraph and a divisor-2 magnitude labeling whose
-# witness instance has first Chern constant 2; must be rejected when the
-# dimension-8 restriction (constant in {1,5}) is on
+# a 10-edge multigraph with one cycle and a divisor-2 magnitude labeling
+# whose first witness instance passes the structural, monotone-sum and
+# Chern-constant checks with first Chern constant 2; vet_instance must reject
+# it as dim8_strict when the dimension-8 restriction (constant in {1, 5}) is on
 DIM8_C2_GRAPH = Multigraph(
     4,
     (0, 1, 2, 3, 4),
-    ((0, 1), (0, 2), (0, 2), (0, 3), (1, 3), (1, 3), (1, 4), (2, 4), (2, 4), (3, 4)),
+    ((0, 1), (0, 2), (0, 4), (0, 4), (1, 3), (1, 3), (1, 3), (2, 2), (2, 4), (3, 4)),
 )
-DIM8_C2_LABELING = (2, 2, 6, 6, 2, 8, 14, 4, 4, 2)
+DIM8_C2_LABELING = (2, 4, 6, 12, 2, 6, 12, 0, 4, 2)
 
 
 def test_dim8_strict_rejects_constant_two():
+    from circleweights.localization import minimal_chern_constants
+
     fam = solve_weights(DIM8_C2_GRAPH, DIM8_C2_LABELING)
     assert fam is not None
-    inst = fam.witness_instances(6, 2)[0]
-    g = integral_multigraphs(inst)[0]
-    plain = lemma_filters(inst, g, False)
-    strict = lemma_filters(inst, g, True)
-    assert plain["dim8_strict"] is None
-    assert strict["dim8_strict"] is not None
-    assert vet_instance(inst, SearchOptions(dim8_strict=True)) is not None
+    inst = fam.witness_instances(6, 3)[0]
+    assert minimal_chern_constants(inst)[1] == 2
+    assert vet_instance(inst, SearchOptions(dim8_strict=True)) == "dim8_strict"
+    assert vet_instance(inst, SearchOptions()) != "dim8_strict"
 
 
 def test_vet_fixtures_pass():
@@ -250,6 +316,26 @@ def test_classify_dim6():
     assert v5fam.instances == [v5()]
     v22fam = by_mag[(1, 6, 4, 10, 2, 1)]
     assert v22fam.instances == [v22()]
+
+
+def test_options_refuse_values_below_one():
+    for name in ("divisor_c", "max_labelings", "witness_bound", "cycle_bound"):
+        for value in (0, -1):
+            with pytest.raises(ValueError, match=name):
+                SearchOptions(**{name: value})
+    with pytest.raises(ValueError, match="D >= 1"):
+        SearchOptions(mode="bounded", bound_d=0)
+
+
+def test_every_option_changes_the_fingerprint():
+    other = {"mode": "bounded", "bound_d": 2, "divisor_c": 3, "dim8_strict": True,
+             "witness_bound": 11, "cycle_bound": 3, "max_labelings": 1000}
+    assert sorted(other) == sorted(f.name for f in dataclasses.fields(SearchOptions))
+    base = SearchOptions()
+    key = run_fingerprint(minimal_profile(2), base)
+    for name, value in other.items():
+        changed = dataclasses.replace(base, **{name: value})
+        assert run_fingerprint(minimal_profile(2), changed) != key, name
 
 
 def test_search_graph_audit_counts():
