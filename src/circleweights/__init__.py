@@ -63,7 +63,6 @@ from .search import (
     SearchOptions,
     WeightFamily,
     classify,
-    enumerate_magnitude_labelings,
     lemma_filters,
     magnitude_sum,
     minimal_divisors,

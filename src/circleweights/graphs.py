@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Sequence, Tuple
 
 from .core import FixedPointProfile, WeightSystem, validate_profile
 
@@ -70,35 +70,40 @@ class Multigraph:
     def to_json(self) -> dict:
         return {"n": self.n, "lambdas": list(self.lambdas), "edges": [list(e) for e in self.edges]}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "Multigraph":
-        return cls(int(data["n"]), tuple(data["lambdas"]), tuple((e[0], e[1]) for e in data["edges"]))
-
     def components(self) -> List[List[int]]:
         """Connected components of the graph with cycles removed, as sorted
         lists of indices into ``edges`` (cycle edges are not in any)."""
         idx = [k for k, e in enumerate(self.edges) if e[0] != e[1]]
-        parent = {k: k for k in idx}
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
         by_vertex: Dict[int, List[int]] = {}
         for k in idx:
             for v in self.edges[k]:
                 by_vertex.setdefault(v, []).append(k)
-        for group in by_vertex.values():
-            for k in group[1:]:
-                ra, rb = find(group[0]), find(k)
-                if ra != rb:
-                    parent[rb] = ra
+        find = union_find(by_vertex.values())
         comps: Dict[int, List[int]] = {}
         for k in idx:
             comps.setdefault(find(k), []).append(k)
         return sorted(sorted(c) for c in comps.values())
+
+
+def union_find(groups: Iterable[Sequence[Hashable]]) -> Callable[[Hashable], Hashable]:
+    """Join the items of each group into one class; return ``find``, which
+    maps every item of the groups to the representative of its class."""
+    parent: Dict[Hashable, Hashable] = {}
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for group in groups:
+        for x in group:
+            parent.setdefault(x, x)
+        for x in group[1:]:
+            ra, rb = find(group[0]), find(x)
+            if ra != rb:
+                parent[rb] = ra
+    return find
 
 
 @dataclass(frozen=True)
@@ -112,10 +117,6 @@ class WeightedMultigraph:
     def __post_init__(self):
         object.__setattr__(self, "lambdas", tuple(self.lambdas))
         object.__setattr__(self, "wedges", tuple(sorted(tuple(map(int, e)) for e in self.wedges)))
-
-    @property
-    def graph(self) -> Multigraph:
-        return Multigraph(self.n, self.lambdas, tuple((i, j) for i, j, _ in self.wedges))
 
     def weight_system(self) -> WeightSystem:
         pts: List[List[int]] = [[] for _ in self.lambdas]
@@ -202,8 +203,14 @@ def enumerate_pairings(ws: WeightSystem, mode: str = "all") -> List[WeightedMult
     multiset are returned once.  Raises :class:`PairingMismatch` when the
     positive and negative weight multisets do not agree.
     """
-    lambdas = ws.profile.lambdas
-    allowed = _edge_filter(lambdas, mode)
+    allowed = _edge_filter(ws.profile.lambdas, mode)
+    return _pairings(ws, lambda w: allowed)
+
+
+def _pairings(ws: WeightSystem, allowed_for: Callable[[int], Callable[[int, int], bool]]
+              ) -> List[WeightedMultigraph]:
+    """The pairings of ``ws`` whose every edge (i, j) of weight w satisfies
+    ``allowed_for(w)(i, j)``, sorted by weighted edges."""
     npts = ws.num_points
     values = sorted({abs(w) for p in ws.points for w in p})
     options_per_value: List[List[Tuple[WeightedEdge, ...]]] = []
@@ -216,13 +223,14 @@ def enumerate_pairings(ws: WeightSystem, mode: str = "all") -> List[WeightedMult
                 % (w, sum(pos), sum(neg))
             )
         opts = []
-        for mat in _degree_matrices(pos, neg, allowed):
+        for mat in _degree_matrices(pos, neg, allowed_for(w)):
             chunk: List[WeightedEdge] = []
             for i in range(npts):
                 for j in range(npts):
                     chunk.extend([(i, j, w)] * mat[i][j])
             opts.append(tuple(chunk))
         options_per_value.append(opts)
+    lambdas = ws.profile.lambdas
     seen: Dict[Tuple[WeightedEdge, ...], WeightedMultigraph] = {}
     for combo in product(*options_per_value):
         wedges = tuple(e for chunk in combo for e in chunk)
@@ -253,34 +261,33 @@ def magnitudes_from_weights(ws: WeightSystem, g: WeightedMultigraph) -> Tuple[Fr
     return tuple(out)
 
 
-def is_integral(ws: WeightSystem, g: WeightedMultigraph) -> bool:
-    return all(m.denominator == 1 for m in magnitudes_from_weights(ws, g))
+def _residue_test(ws: WeightSystem, w: int):
+    """Whether an edge (i, j) of weight w joins points whose weight
+    multisets agree modulo w."""
+    residues = [sorted(x % w for x in p) for p in ws.points]
+    return lambda i, j: residues[i] == residues[j]
 
 
 def has_congruent_endpoints(ws: WeightSystem, g: WeightedMultigraph) -> bool:
     """Stronger arithmetic test: for every edge of weight w > 1 the endpoint
     weight multisets must agree modulo w (fixed-point sets of the order-w
     cyclic subgroup connect the endpoints, forcing equal residues)."""
-    for i, j, w in g.wedges:
-        if i == j or w == 1:
-            continue
-        ri = sorted(x % w for x in ws.points[i])
-        rj = sorted(x % w for x in ws.points[j])
-        if ri != rj:
-            return False
-    return True
+    return all(_residue_test(ws, w)(i, j) for i, j, w in g.wedges)
 
 
 def integral_multigraphs(ws: WeightSystem, mode: str = "all",
                          congruent: bool = False) -> List[WeightedMultigraph]:
     """Pairings of ``ws`` whose magnitudes are all integers (the computable
     relaxation of geometric integrality); with ``congruent=True`` the
-    residue-multiset test of :func:`has_congruent_endpoints` is added."""
-    out = []
-    for g in enumerate_pairings(ws, mode):
-        if not is_integral(ws, g):
-            continue
-        if congruent and not has_congruent_endpoints(ws, g):
-            continue
-        out.append(g)
-    return out
+    residue-multiset test of :func:`has_congruent_endpoints` is added.
+    Both tests look at one edge at a time, so they prune the pairing
+    enumeration edge by edge."""
+    orient = _edge_filter(ws.profile.lambdas, mode)
+    sums = ws.weight_sums()
+
+    def allowed_for(w):
+        same_residues = _residue_test(ws, w) if congruent else lambda i, j: True
+        return lambda i, j: orient(i, j) and (
+            i == j or (sums[i] - sums[j]) % w == 0 and same_residues(i, j))
+
+    return _pairings(ws, allowed_for)

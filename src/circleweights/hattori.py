@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import isqrt, prod
 from typing import List, Optional, Sequence, Tuple
 
 from .core import WeightSystem
@@ -32,6 +33,31 @@ class ConsistencyFailure(ArithmeticError):
     """The r_s decomposition failed to reproduce the phi_i."""
 
 
+def _denominator(weights: Sequence[int]) -> LaurentPolynomial:
+    """prod_k (1 - t^(w_k))."""
+    return prod((one_minus_t(int(w)) for w in weights), start=LaurentPolynomial.one())
+
+
+def _fixed_point_sums(rows: Sequence[Sequence[LaurentPolynomial]],
+                      weights: Sequence[Sequence[int]]) -> List[LaurentPolynomial]:
+    """For each row, sum_i row[i] / prod_k (1 - t^(weights[i][k])) exactly:
+    every row over one common denominator, built once.  Raises
+    :class:`NotLaurent` when a sum is not a Laurent polynomial."""
+    one = LaurentPolynomial.one()
+    denoms = [_denominator(ws_i) for ws_i in weights]
+    total_den = prod(denoms, start=one)
+    # the product of the denominators other than the i-th
+    others = [prod((d for j, d in enumerate(denoms) if j != i), start=one)
+              for i in range(len(denoms))]
+    out = []
+    for row in rows:
+        num = LaurentPolynomial.zero()
+        for value, other in zip(row, others):
+            num = num + value * other
+        out.append(num.divexact(total_den))
+    return out
+
+
 def as_index(terms: Sequence[Tuple[LaurentPolynomial, Sequence[int]]]) -> LaurentPolynomial:
     """Evaluate  sum_i value_i / prod_k (1 - t^(-w_ik))  exactly.
 
@@ -39,25 +65,8 @@ def as_index(terms: Sequence[Tuple[LaurentPolynomial, Sequence[int]]]) -> Lauren
     The result must lie in Z[t, 1/t] for genuine index data; a nonzero
     remainder raises :class:`NotLaurent`.
     """
-    denoms = []
-    for _, weights in terms:
-        d = LaurentPolynomial.one()
-        for w in weights:
-            d = d * one_minus_t(-int(w))
-        denoms.append(d)
-    total_den = LaurentPolynomial.one()
-    for d in denoms:
-        total_den = total_den * d
-    num = LaurentPolynomial.zero()
-    for i, (value, _) in enumerate(terms):
-        if isinstance(value, int):
-            value = LaurentPolynomial.term(value, 0)
-        part = value
-        for j, d in enumerate(denoms):
-            if j != i:
-                part = part * d
-        num = num + part
-    return num.divexact(total_den)
+    row = [LaurentPolynomial.term(v, 0) if isinstance(v, int) else v for v, _ in terms]
+    return _fixed_point_sums([row], [[-int(w) for w in weights] for _, weights in terms])[0]
 
 
 @dataclass(frozen=True)
@@ -101,14 +110,9 @@ def available_levels(ws: WeightSystem, k0_max: Optional[int] = None) -> List[Lev
 
 def phi(ws: WeightSystem, levels: LevelData, i: int) -> LaurentPolynomial:
     """phi_i(t) = prod_{j != i} (1 - t^(a_i - a_j)) / prod_k (1 - t^(w_ik))."""
-    num = LaurentPolynomial.one()
-    for j in range(ws.num_points):
-        if j != i:
-            num = num * one_minus_t(levels.a[i] - levels.a[j])
-    den = LaurentPolynomial.one()
-    for w in ws.points[i]:
-        den = den * one_minus_t(int(w))
-    return num.divexact(den)
+    num = prod((one_minus_t(levels.a[i] - levels.a[j]) for j in range(ws.num_points) if j != i),
+               start=LaurentPolynomial.one())
+    return num.divexact(_denominator(ws.points[i]))
 
 
 def r_sequence(ws: WeightSystem, levels: LevelData) -> List[LaurentPolynomial]:
@@ -116,33 +120,17 @@ def r_sequence(ws: WeightSystem, levels: LevelData) -> List[LaurentPolynomial]:
     verified against the identity phi_i = sum_s r_s t^(s a_i)."""
     npts = ws.num_points
     a = levels.a
-    denoms = []
-    for p in ws.points:
-        d = LaurentPolynomial.one()
-        for w in p:
-            d = d * one_minus_t(int(w))
-        denoms.append(d)
-    total_den = LaurentPolynomial.one()
-    for d in denoms:
-        total_den = total_den * d
-    others = []  # prod of denoms except i
-    for i in range(npts):
-        part = LaurentPolynomial.one()
-        for j in range(npts):
-            if j != i:
-                part = part * denoms[j]
-        others.append(part)
-    rs: List[LaurentPolynomial] = []
+    rows = []
     for s in range(npts):
-        num = LaurentPolynomial.zero()
+        sign = -1 if s % 2 else 1
+        row = []
         for i in range(npts):
             inner = LaurentPolynomial.zero()
             for subset in combinations([j for j in range(npts) if j != i], s):
-                inner = inner + LaurentPolynomial.term(1, -sum(a[j] for j in subset))
-            num = num + inner * others[i]
-        if s % 2:
-            num = -num
-        rs.append(num.divexact(total_den))
+                inner = inner + LaurentPolynomial.term(sign, -sum(a[j] for j in subset))
+            row.append(inner)
+        rows.append(row)
+    rs = _fixed_point_sums(rows, ws.points)
     for i in range(npts):
         recon = LaurentPolynomial.zero()
         for s, r in enumerate(rs):
@@ -192,8 +180,6 @@ def exp_r_values(c1: int, l: int, m: Fraction) -> List[Fraction]:
 def _sqrt_fraction(x: Fraction) -> Optional[Fraction]:
     if x < 0:
         return None
-    from math import isqrt
-
     pn, pd = isqrt(x.numerator), isqrt(x.denominator)
     if pn * pn == x.numerator and pd * pd == x.denominator:
         return Fraction(pn, pd)

@@ -10,10 +10,11 @@ candidates produced by the combinatorial search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import prod
+from typing import Dict, List, Sequence, Tuple
 
 from .core import WeightSystem
 from .graphs import WeightedMultigraph, magnitudes_from_weights
@@ -44,13 +45,8 @@ def abbv_sum(ws: WeightSystem, multidegree: Sequence[int]) -> Fraction:
     for p in ws.points:
         if any(w == 0 for w in p):
             raise DegenerateWeights("zero weight at a fixed point")
-        denom = 1
-        for w in p:
-            denom *= w
-        num = 1
-        for j in multidegree:
-            num *= elementary_symmetric(p, j)
-        total += Fraction(num, denom)
+        num = prod(elementary_symmetric(p, j) for j in multidegree)
+        total += Fraction(num, prod(p))
     return total
 
 
@@ -94,22 +90,18 @@ class ChernReport:
     c1_cn1: Fraction
     expected_c1_cn1: Fraction
     chi_y: Tuple[int, ...]
-    chern_constants: Optional[List[Fraction]] = None      # C_i, minimal case
-    reversed_constants: Optional[List[Fraction]] = None   # C'_i, minimal case
 
     @property
     def ok(self) -> bool:
         if self.zero_failures or self.c1_cn1 != self.expected_c1_cn1:
             return False
-        if self.c_n != sum(self.chi_y):
-            return False
-        if self.chern_constants is not None:
-            cs = self.chern_constants
-            if any(c.denominator != 1 or c <= 0 for c in cs):
-                return False
-            if self.reversed_constants != cs:
-                return False
-        return True
+        return self.c_n == sum(self.chi_y)
+
+
+def in_index_order(ws: WeightSystem) -> bool:
+    """Whether ``ws`` is minimal with point i of Morse index i, the setting
+    of :func:`minimal_chern_constants`."""
+    return ws.profile.lambdas == tuple(range(ws.n + 1))
 
 
 def minimal_chern_constants(ws: WeightSystem) -> List[Fraction]:
@@ -120,14 +112,8 @@ def minimal_chern_constants(ws: WeightSystem) -> List[Fraction]:
     sums = ws.weight_sums()
     out = [Fraction(1)]
     for i in range(1, ws.num_points):
-        num = 1
-        for j in range(i):
-            num *= sums[i] - sums[j]
-        lam_minus = 1
-        for w in ws.points[i]:
-            if w < 0:
-                lam_minus *= w
-        out.append(Fraction(num, lam_minus))
+        num = prod(sums[i] - sums[j] for j in range(i))
+        out.append(Fraction(num, prod(w for w in ws.points[i] if w < 0)))
     return out
 
 
@@ -141,7 +127,7 @@ def chern_battery(ws: WeightSystem) -> ChernReport:
             failures.append((md, val))
     c_n = abbv_sum(ws, (n,))
     c1_cn1 = abbv_sum(ws, (1, n - 1)) if n >= 2 else c_n
-    report = ChernReport(
+    return ChernReport(
         n=n,
         zero_failures=failures,
         c_n=c_n,
@@ -149,10 +135,6 @@ def chern_battery(ws: WeightSystem) -> ChernReport:
         expected_c1_cn1=expected_c1cn1(ws),
         chi_y=chi_y_coefficients(ws),
     )
-    if ws.profile.is_minimal and list(ws.profile.lambdas) == list(range(n + 1)):
-        report.chern_constants = minimal_chern_constants(ws)
-        report.reversed_constants = minimal_chern_constants(ws.reversed())
-    return report
 
 
 def complete_graph_c1n(ws: WeightSystem, g: WeightedMultigraph) -> Fraction:
@@ -174,21 +156,15 @@ def complete_graph_c1n(ws: WeightSystem, g: WeightedMultigraph) -> Fraction:
             break
     if pivot is None:
         raise ShapePrecondition("no vertex meets n distinct non-cycle edges")
-    prod = Fraction(1)
-    for k in by_vertex[pivot]:
-        prod *= mags[k]
+    product = prod((mags[k] for k in by_vertex[pivot]), start=Fraction(1))
     sums = ws.weight_sums()
-    direct = Fraction(0)
-    for i, p in enumerate(ws.points):
-        denom = 1
-        for w in p:
-            denom *= w
-        direct += Fraction(sums[i] ** ws.n, denom)
-    if direct != prod:
+    direct = sum((Fraction(sums[i] ** ws.n, prod(p)) for i, p in enumerate(ws.points)),
+                 Fraction(0))
+    if direct != product:
         raise ShapePrecondition(
-            "magnitude product %s disagrees with localization value %s" % (prod, direct)
+            "magnitude product %s disagrees with localization value %s" % (product, direct)
         )
-    return prod
+    return product
 
 
 def c1n_upper_bound(n: int) -> Fraction:

@@ -22,7 +22,7 @@ import json
 import os
 from dataclasses import asdict, dataclass
 from math import gcd
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .core import FixedPointProfile, WeightSystem, validate_profile, weight_system_checks
 from .graphs import (
@@ -31,6 +31,7 @@ from .graphs import (
     enumerate_multigraphs,
     integral_multigraphs,
     magnitudes_from_weights,
+    union_find,
 )
 from .linalg import (
     NullspaceDescription,
@@ -41,7 +42,7 @@ from .linalg import (
     positive_combination,
     positive_kernel_exists,
 )
-from .localization import chern_battery, expected_c1cn1, minimal_chern_constants
+from .localization import chern_battery, expected_c1cn1, in_index_order, minimal_chern_constants
 from .hattori import ConsistencyFailure, derive_levels, r_values_at_one
 from .laurent import NotLaurent
 
@@ -330,18 +331,6 @@ def divisor_branches(profile: FixedPointProfile, opts: SearchOptions) -> List[Op
     return [opts.divisor_c]
 
 
-def enumerate_magnitude_labelings(graph: Multigraph, profile: FixedPointProfile,
-                                  opts: SearchOptions) -> Iterator[Tuple[int, ...]]:
-    """Public labeling stream: all labelings with the invariant sum, over
-    the divisor branches of the search, deduplicated."""
-    seen: Set[Tuple[int, ...]] = set()
-    for c in divisor_branches(profile, opts):
-        for lab in stream_labelings(graph, profile, opts, divisor=c):
-            if lab not in seen:
-                seen.add(lab)
-                yield lab
-
-
 # ---------------------------------------------------------------------------
 # Solving (A(Gamma) - diag(m)) w = 0 componentwise
 # ---------------------------------------------------------------------------
@@ -415,9 +404,7 @@ def lemma_filters(ws: WeightSystem, g: WeightedMultigraph) -> Dict[str, Optional
     for (i, j), wsb in bundles.items():
         if len(wsb) < 2:
             continue
-        gg = 0
-        for w in wsb:
-            gg = gcd(gg, w)
+        gg = gcd(*wsb)
         if len(wsb) >= n - 1 and gg != 1:
             report["multiple_edge_gcd"] = (
                 "bundle %s->%s of size %d has gcd %d" % (i, j, len(wsb), gg)
@@ -431,12 +418,10 @@ def lemma_filters(ws: WeightSystem, g: WeightedMultigraph) -> Dict[str, Optional
         # divisor propagation over every sub-bundle of size >= 2
         for size in range(2, len(wsb) + 1):
             for sub in itertools.combinations(range(len(wsb)), size):
-                gs = 0
-                for t in sub:
-                    gs = gcd(gs, wsb[t])
+                taken = [wsb[t] for t in sub]
+                gs = gcd(*taken)
                 if gs == 1:
                     continue
-                taken = [wsb[t] for t in sub]
                 rem_i = list(ws.points[i])
                 rem_j = list(ws.points[j])
                 for w in taken:
@@ -457,10 +442,8 @@ def vet_instance(ws: WeightSystem, opts: SearchOptions) -> Optional[str]:
     if failures:
         return "structural"
     n = ws.n
-    profile = ws.profile
-    minimal = profile.is_minimal and list(profile.lambdas) == list(range(n + 1))
     c1 = None
-    if minimal:
+    if in_index_order(ws):
         sums = ws.weight_sums()
         if any(a <= b for a, b in zip(sums, sums[1:])):
             return "monotone_sums"
@@ -486,7 +469,7 @@ def vet_instance(ws: WeightSystem, opts: SearchOptions) -> Optional[str]:
     report = chern_battery(ws)
     if not report.ok:
         return "localization"
-    if minimal and c1 is not None:
+    if c1 is not None:
         levels = derive_levels(ws, c1)
         if levels is None:
             return "index_levels"
@@ -700,6 +683,12 @@ def _search_blocks(profile: FixedPointProfile, opts: SearchOptions, graphs: List
     return done
 
 
+def check_jobs(jobs: int) -> None:
+    """Raise ValueError unless ``jobs`` is a usable worker count (at least 1)."""
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1, got %s" % (jobs,))
+
+
 def classify(profile: FixedPointProfile, opts: SearchOptions, jobs: int = 1,
              checkpoint: Optional[str] = None) -> ClassificationResult:
     """Full pipeline.  Stages 2 and 3 run in (graph index, divisor) blocks,
@@ -708,7 +697,8 @@ def classify(profile: FixedPointProfile, opts: SearchOptions, jobs: int = 1,
     the JSON file ``checkpoint``.  That file records every finished block and
     is resumed from when it exists; CheckpointMismatch is raised, and the file
     left as it is, when it was written for another profile, other options or
-    other package source."""
+    other package source.  Raises ValueError when ``jobs`` is below 1."""
+    check_jobs(jobs)
     validate_profile(profile)
     graphs = enumerate_multigraphs(profile, mode=opts.pair_mode, dedup="reversal")
     blocks = [(gi, c) for gi in range(len(graphs)) for c in divisor_branches(profile, opts)]
@@ -741,38 +731,18 @@ def classify(profile: FixedPointProfile, opts: SearchOptions, jobs: int = 1,
                 audit["passing"] += 1
             else:
                 audit["rejections"][verdict] = audit["rejections"].get(verdict, 0) + 1
-    # union-find over signatures linked by instances
-    parent: Dict = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for sigs in passing.values():
-        for s in sigs:
-            parent.setdefault(s, s)
-        for s in sigs[1:]:
-            ra, rb = find(sigs[0]), find(s)
-            if ra != rb:
-                parent[rb] = ra
+    # signatures shared by instances link their families
+    find = union_find(passing.values())
     groups: Dict = {}
     for inst, sigs in passing.items():
-        root = find(sigs[0])
-        groups.setdefault(root, {"instances": [], "sig_votes": {}})
-        groups[root]["instances"].append(inst)
+        instances, votes = groups.setdefault(find(sigs[0]), ([], {}))
+        instances.append(inst)
         for s in sigs:
-            groups[root]["sig_votes"][s] = groups[root]["sig_votes"].get(s, 0) + 1
+            votes[s] = votes.get(s, 0) + 1
     reports: List[FamilyReport] = []
-    for root, data in groups.items():
-        def sig_rank(item):
-            (edges, mags), votes = item
-            ncycles = sum(1 for i, j in edges if i == j)
-            return (-votes, ncycles, edges, mags)
-
-        best = sorted(data["sig_votes"].items(), key=sig_rank)[0][0]
-        edges, mags = best
+    for instances, votes in groups.values():
+        # the most voted signature, then the one with fewest cycles
+        edges, mags = min(votes, key=lambda s: (-votes[s], sum(1 for i, j in s[0] if i == j), s))
         rep_graph = Multigraph(profile.n, profile.lambdas, edges)
         # w > 0 solves (A w)_h = m_h w_h for every integral pairing, so every
         # component of a signature has a positive kernel vector
@@ -780,10 +750,8 @@ def classify(profile: FixedPointProfile, opts: SearchOptions, jobs: int = 1,
         if fam is None:
             raise RuntimeError("signature %s %s of passing instances has no weight family"
                                % (edges, mags))
-        reports.append(FamilyReport(
-            family=fam,
-            instances=sorted(data["instances"], key=lambda w: w.points),
-        ))
+        reports.append(FamilyReport(family=fam,
+                                    instances=sorted(instances, key=lambda w: w.points)))
     reports.sort(key=lambda r: (r.graph.edges, r.magnitudes))
     return ClassificationResult(
         profile=profile,

@@ -12,7 +12,13 @@ from circleweights.fixtures import cp, grassmannian, s2xs2, v5, v22
 from circleweights.graphs import enumerate_multigraphs, enumerate_pairings, magnitudes_from_weights
 from circleweights.hattori import derive_levels, dim8_solver, exp_r_values, r_values_at_one
 from circleweights.linalg import positive_integer_nullvector
-from circleweights.localization import abbv_sum, chern_battery, minimal_chern_constants, zero_multidegrees
+from circleweights.localization import (
+    abbv_sum,
+    chern_battery,
+    in_index_order,
+    minimal_chern_constants,
+    zero_multidegrees,
+)
 from circleweights.search import SearchOptions, classify, magnitude_sum
 
 S2XS2_PROFILE = FixedPointProfile(2, (0, 1, 1, 2))
@@ -107,8 +113,9 @@ def test_5_localization_battery():
         assert abbv_sum(ws, (ws.n,)) == ws.num_points
         report = chern_battery(ws)
         assert report.ok
-        if report.chern_constants is not None:
-            assert all(c > 0 and c.denominator == 1 for c in report.chern_constants)
+        if in_index_order(ws):
+            assert all(c > 0 and c.denominator == 1 for c in minimal_chern_constants(ws))
+            assert minimal_chern_constants(ws.reversed()) == minimal_chern_constants(ws)
     # perturbation sensitivity: the {-1,1,3} single-weight change at the
     # index-1 point of the degree-5 Fano system breaks degree-0 vanishing
     from circleweights.core import WeightSystem

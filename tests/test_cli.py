@@ -41,6 +41,8 @@ def test_enumerate_infeasible_profile(capsys):
     ["classify", "--n", "2", "--max-labelings", "0"],
     ["classify", "--n", "2", "--C", "0"],
     ["classify", "--n", "2", "--witness-bound", "0"],
+    ["classify", "--n", "2", "--jobs", "0"],
+    ["classify", "--n", "2", "--jobs", "-3"],
 ])
 def test_profile_without_n_is_a_schema_error(argv, capsys):
     code, out, err = run(argv, capsys)
@@ -153,6 +155,9 @@ def test_classify_cache(tmp_path, capsys):
     assert code == 0
     assert "cached" in err
     assert out1.read_text() == out2.read_text()
+    # a cache hit does not make a bad worker count acceptable
+    code, out, err = run(["classify", "--n", "2", "--jobs", "0", "--cache", str(cache)], capsys)
+    assert code == 2 and out == "" and err.startswith("schema error:")
 
 
 def test_classify_jobs(tmp_path, capsys):

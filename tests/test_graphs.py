@@ -1,10 +1,11 @@
+import functools
 import itertools
 from fractions import Fraction as F
 
 import pytest
 
 from circleweights.core import FixedPointProfile, minimal_profile
-from circleweights.fixtures import cp, s2xs2, v5
+from circleweights.fixtures import cp, grassmannian, s2xs2, v5, v22
 from circleweights.graphs import (
     Multigraph,
     PairingMismatch,
@@ -172,3 +173,55 @@ def test_congruent_endpoints_filter():
         mags = magnitudes_from_weights(ws, g)
         if all(m == int(m) for m in mags):
             assert has_congruent_endpoints(ws, g) == (sorted(mags) == [2, 2, 2, 2])
+
+
+def reference_integral_multigraphs(ws, mode="all", congruent=False):
+    """The enumerate-then-filter integral_multigraphs replaced: every pairing,
+    kept when all its magnitudes are integers and, with congruent=True, when
+    the endpoints of every edge of weight w > 1 have equal residue
+    multisets mod w."""
+    out = []
+    for g in enumerate_pairings(ws, mode):
+        if any(m.denominator != 1 for m in magnitudes_from_weights(ws, g)):
+            continue
+        if congruent and any(
+                i != j and w != 1
+                and sorted(x % w for x in ws.points[i]) != sorted(x % w for x in ws.points[j])
+                for i, j, w in g.wedges):
+            continue
+        out.append(g)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def vetted_systems():
+    """Every distinct system vet_instance sees in the d4 and d6 classify runs."""
+    from circleweights import search
+    from circleweights.search import SearchOptions
+
+    seen = []
+    vet = search.vet_instance
+    try:
+        search.vet_instance = lambda ws, opts: seen.append(ws) or vet(ws, opts)
+        for n in (2, 3):
+            search.classify(minimal_profile(n), SearchOptions())
+    finally:
+        search.vet_instance = vet
+    return tuple(dict.fromkeys(seen))
+
+
+FIXTURE_SYSTEMS = (cp((2, 1, 0)), cp((3, 2, 1, 0)), cp((4, 3, 2, 1, 0)), grassmannian((2, 1)),
+                   v5(), v22(), s2xs2(2, 3), s2xs2(3, 4), s2xs2(4, 5), s2xs2(2, 5), s2xs2(3, 5))
+
+
+@pytest.mark.parametrize("mode", ["all", "nonneg"])
+@pytest.mark.parametrize("congruent", [False, True])
+def test_integral_multigraphs_match_enumerate_then_filter(mode, congruent):
+    systems = FIXTURE_SYSTEMS + vetted_systems()
+    assert len(systems) == 11 + 1473
+    pruned = 0
+    for ws in systems:
+        want = reference_integral_multigraphs(ws, mode, congruent)
+        assert integral_multigraphs(ws, mode, congruent) == want, ws.points
+        pruned += len(enumerate_pairings(ws, mode)) - len(want)
+    assert pruned > 0

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -16,7 +17,61 @@ from circleweights.hattori import (
     r_values_at_one,
     todd_quartic,
 )
-from circleweights.laurent import LaurentPolynomial
+from circleweights.laurent import LaurentPolynomial, one_minus_t
+
+
+def reference_as_index(terms):
+    """as_index before the shared fixed-point sum: sum_i value_i over
+    prod_k (1 - t^(-w_ik)), each value times every other point's
+    denominator, over the product of all of them."""
+    denoms = []
+    for _, weights in terms:
+        d = LaurentPolynomial.one()
+        for w in weights:
+            d = d * one_minus_t(-int(w))
+        denoms.append(d)
+    total_den = LaurentPolynomial.one()
+    for d in denoms:
+        total_den = total_den * d
+    num = LaurentPolynomial.zero()
+    for i, (value, _) in enumerate(terms):
+        part = value
+        for j, d in enumerate(denoms):
+            if j != i:
+                part = part * d
+        num = num + part
+    return num.divexact(total_den)
+
+
+def reference_r_sequence(ws, levels):
+    """r_sequence before the shared fixed-point sum (without the phi check):
+    r_s = (-1)^s sum_i e_s(t^(-a_j), j != i) / prod_k (1 - t^(w_ik))."""
+    npts, a = ws.num_points, levels.a
+    denoms = []
+    for p in ws.points:
+        d = LaurentPolynomial.one()
+        for w in p:
+            d = d * one_minus_t(int(w))
+        denoms.append(d)
+    total_den = LaurentPolynomial.one()
+    for d in denoms:
+        total_den = total_den * d
+    rs = []
+    for s in range(npts):
+        num = LaurentPolynomial.zero()
+        for i in range(npts):
+            inner = LaurentPolynomial.zero()
+            for subset in combinations([j for j in range(npts) if j != i], s):
+                inner = inner + LaurentPolynomial.term(1, -sum(a[j] for j in subset))
+            part = inner
+            for j in range(npts):
+                if j != i:
+                    part = part * denoms[j]
+            num = num + part
+        if s % 2:
+            num = -num
+        rs.append(num.divexact(total_den))
+    return rs
 
 
 def _lp(exp):
@@ -31,12 +86,14 @@ def test_sphere_index_trivial_bundle():
     # rotation of the 2-sphere: weights {1} at the minimum, {-1} at the maximum
     terms = [(_lp(0), (1,)), (_lp(0), (-1,))]
     assert as_index(terms).coeffs == {0: F(1)}
+    assert as_index(terms) == reference_as_index(terms)
 
 
 def test_sphere_index_degree_one():
     terms = [(_lp(1), (1,)), (_lp(0), (-1,))]
     result = as_index(terms)
     assert result.coeffs == {0: F(1), 1: F(1)}  # 1 + t
+    assert result == reference_as_index(terms)
 
 
 def test_projective_space_indices_match_oracle():
@@ -52,6 +109,7 @@ def test_projective_space_indices_match_oracle():
         weights = [tuple(xi[i] - xi[j] for j in range(n + 1) if j != i) for i in range(n + 1)]
         terms = [(_lp(k * xi[i]), weights[i]) for i in range(n + 1)]
         result = as_index(terms)
+        assert result == reference_as_index(terms)
         assert result.eval_one() == comb(n + k, n)
         for t0 in (F(2), F(1, 3), F(-3, 2)):
             direct = sum(
@@ -176,6 +234,7 @@ def test_r_sequence_stays_in_integers():
     for ws, k0, values in cases:
         lv = derive_levels(ws, k0)
         rs = r_sequence(ws, lv)
+        assert rs == reference_r_sequence(ws, lv), (ws.points, k0)
         assert all(type(c) is int for r in rs for c in r.coeffs.values()), (ws.points, k0)
         got = r_values_at_one(ws, lv)
         assert got == values and all(type(x) is F for x in got), (ws.points, k0)

@@ -28,7 +28,6 @@ from circleweights.search import (
     _component_checker,
     classify,
     divisor_branches,
-    enumerate_magnitude_labelings,
     lemma_filters,
     magnitude_sum,
     minimal_divisors,
@@ -58,9 +57,15 @@ def test_minimal_divisors():
     assert minimal_divisors(4) == [5, 2, 1]
 
 
+def branch_labelings(graph, profile, opts):
+    """The labelings of every divisor branch of the search, in branch order."""
+    return [lab for c in divisor_branches(profile, opts)
+            for lab in stream_labelings(graph, profile, opts, divisor=c)]
+
+
 def test_labelings_triangle():
     opts = SearchOptions()
-    labs = list(enumerate_magnitude_labelings(TRIANGLE, minimal_profile(2), opts))
+    labs = branch_labelings(TRIANGLE, minimal_profile(2), opts)
     assert (3, 3, 3) in labs
     for lab in labs:
         assert sum(lab) == 9
@@ -71,7 +76,7 @@ def test_labelings_square_count():
     # non-minimal profile: nonneg parts allowed, C(11,3) = 165 compositions,
     # of which C(7,3) = 35 are strictly positive
     opts = SearchOptions()
-    labs = list(enumerate_magnitude_labelings(SQUARE, S2XS2, opts))
+    labs = branch_labelings(SQUARE, S2XS2, opts)
     assert len(labs) == 165
     assert len([l for l in labs if all(m >= 1 for m in l)]) == 35
     assert (2, 2, 2, 2) in labs
@@ -80,7 +85,7 @@ def test_labelings_square_count():
 def test_labelings_unique_for_k5_divisor5():
     k5 = Multigraph(4, tuple(range(5)), tuple((i, j) for i in range(5) for j in range(i + 1, 5)))
     opts = SearchOptions(divisor_c=5)
-    labs = list(enumerate_magnitude_labelings(k5, minimal_profile(4), opts))
+    labs = branch_labelings(k5, minimal_profile(4), opts)
     assert labs == [tuple([5] * 10)]
 
 
@@ -89,15 +94,14 @@ def test_labelings_follow_dim8_strict():
     strict = SearchOptions(dim8_strict=True)
     assert divisor_branches(minimal_profile(4), strict) == [5, 1]
     k5 = Multigraph(4, tuple(range(5)), tuple((i, j) for i in range(5) for j in range(i + 1, 5)))
-    labs = enumerate_magnitude_labelings(k5, minimal_profile(4), SearchOptions(dim8_strict=True,
-                                                                                divisor_c=2))
-    assert list(labs) == []
+    labs = branch_labelings(k5, minimal_profile(4), SearchOptions(dim8_strict=True, divisor_c=2))
+    assert labs == []
 
 
 def test_labelings_respect_cycles():
     g = Multigraph(2, (0, 1, 1, 2), ((0, 2), (0, 2), (1, 1)))
     opts = SearchOptions()
-    for lab in enumerate_magnitude_labelings(g, S2XS2, opts):
+    for lab in branch_labelings(g, S2XS2, opts):
         assert lab[2] == 0  # cycle edge carries magnitude 0
         assert lab[0] + lab[1] == 8
 
@@ -325,6 +329,12 @@ def test_options_refuse_values_below_one():
                 SearchOptions(**{name: value})
     with pytest.raises(ValueError, match="D >= 1"):
         SearchOptions(mode="bounded", bound_d=0)
+
+
+def test_classify_refuses_fewer_than_one_job():
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs"):
+            classify(minimal_profile(2), SearchOptions(), jobs=jobs)
 
 
 def test_every_option_changes_the_fingerprint():
