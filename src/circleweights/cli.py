@@ -26,7 +26,6 @@ from .core import (
     FixedPointProfile,
     ProfileError,
     WeightSystem,
-    WeightSystemError,
     minimal_profile,
     validate_profile,
     weight_system_checks,
@@ -126,14 +125,9 @@ def cmd_enumerate(args) -> int:
 
 def cmd_classify(args) -> int:
     try:
-        opts = SearchOptions(
-            mode="nonnegative" if args.bound_D is None else "bounded",
-            bound_d=1 if args.bound_D is None else args.bound_D,
-            divisor_c=args.C,
-            dim8_strict=args.dim8_strict,
-            witness_bound=args.witness_bound,
-            max_labelings=args.max_labelings,
-        )
+        opts = SearchOptions(bound_d=args.bound_D, divisor_c=args.C,
+                             dim8_strict=args.dim8_strict, witness_bound=args.witness_bound,
+                             max_labelings=args.max_labelings)
         check_jobs(args.jobs)
     except ValueError as exc:
         raise UsageError(exc) from exc
@@ -144,7 +138,7 @@ def cmd_classify(args) -> int:
     except (ProfileError, NonIntegralSum) as exc:
         print("infeasible profile: %s" % exc, file=sys.stderr)
         return EXIT_INFEASIBLE
-    if opts.mode == "nonnegative" and not profile.is_minimal and total < 0:
+    if opts.bound_d is None and not profile.is_minimal and total < 0:
         print("nonnegative mode refused: non-minimal profile with negative "
               "magnitude-sum target %d; use --bound-D" % total, file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -168,20 +162,23 @@ def cmd_classify(args) -> int:
 
 
 def _load_ws(path: str) -> WeightSystem:
-    with open(path) as fh:
-        return WeightSystem.from_json(json.load(fh))
+    """The weight system in JSON file ``path``; UsageError when unreadable."""
+    try:
+        with open(path) as fh:
+            return WeightSystem.from_json(json.load(fh))
+    except (OSError, ValueError, KeyError) as exc:
+        raise UsageError(exc) from exc
 
 
 def cmd_verify(args) -> int:
-    try:
-        ws = _load_ws(args.file)
-    except (OSError, ValueError, KeyError, WeightSystemError) as exc:
-        print("schema error: %s" % exc, file=sys.stderr)
-        return EXIT_SCHEMA
+    ws = _load_ws(args.file)
     failures = weight_system_checks(ws)
-    report = chern_battery(ws)
     lines = ["weight system: %s" % (ws.points,)]
     lines.append("structural checks: %s" % ("pass" if not failures else "; ".join(failures)))
+    if any(0 in p for p in ws.points):  # localization divides by every weight
+        _write_out("\n".join(lines) + "\n", args.out)
+        return EXIT_INFEASIBLE
+    report = chern_battery(ws)
     lines.append("zero integrals: %s" % ("pass" if not report.zero_failures else
                                          "FAIL %s" % report.zero_failures[:3]))
     lines.append("c_n = %s (fixed points: %d)" % (report.c_n, ws.num_points))
@@ -201,14 +198,13 @@ def cmd_hattori(args) -> int:
         _write_out(json.dumps([[l, str(m)] for l, m in sols]), args.out)
         return EXIT_OK
     if not args.file:
-        print("need a weight-system file or --c1", file=sys.stderr)
-        return EXIT_SCHEMA
-    try:
-        ws = _load_ws(args.file)
-    except (OSError, ValueError, KeyError, WeightSystemError) as exc:
-        print("schema error: %s" % exc, file=sys.stderr)
-        return EXIT_SCHEMA
-    levels = [derive_levels(ws, args.k0)] if args.k0 else available_levels(ws)
+        raise UsageError("need a weight-system file or --c1")
+    if args.k0 is not None and args.k0 < 1:
+        raise UsageError("--k0 must be at least 1, got %d" % args.k0)
+    ws = _load_ws(args.file)
+    if any(0 in p for p in ws.points):
+        raise UsageError("%s has a zero weight: the index divides by every weight" % args.file)
+    levels = [derive_levels(ws, args.k0)] if args.k0 is not None else available_levels(ws)
     lines = []
     for lv in levels:
         if lv is None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt, prod
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .core import WeightSystem
 from .laurent import LaurentPolynomial, NotLaurent, one_minus_t
@@ -33,18 +33,17 @@ class ConsistencyFailure(ArithmeticError):
     """The r_s decomposition failed to reproduce the phi_i."""
 
 
-def _denominator(weights: Sequence[int]) -> LaurentPolynomial:
+def _denominator(weights: Iterable[int]) -> LaurentPolynomial:
     """prod_k (1 - t^(w_k))."""
     return prod((one_minus_t(int(w)) for w in weights), start=LaurentPolynomial.one())
 
 
 def _fixed_point_sums(rows: Sequence[Sequence[LaurentPolynomial]],
-                      weights: Sequence[Sequence[int]]) -> List[LaurentPolynomial]:
-    """For each row, sum_i row[i] / prod_k (1 - t^(weights[i][k])) exactly:
-    every row over one common denominator, built once.  Raises
-    :class:`NotLaurent` when a sum is not a Laurent polynomial."""
+                      denoms: Sequence[LaurentPolynomial]) -> List[LaurentPolynomial]:
+    """For each row, sum_i row[i] / denoms[i] exactly: every row over one
+    common denominator, built once.  Raises :class:`NotLaurent` when a sum
+    is not a Laurent polynomial."""
     one = LaurentPolynomial.one()
-    denoms = [_denominator(ws_i) for ws_i in weights]
     total_den = prod(denoms, start=one)
     # the product of the denominators other than the i-th
     others = [prod((d for j, d in enumerate(denoms) if j != i), start=one)
@@ -66,7 +65,7 @@ def as_index(terms: Sequence[Tuple[LaurentPolynomial, Sequence[int]]]) -> Lauren
     remainder raises :class:`NotLaurent`.
     """
     row = [LaurentPolynomial.term(v, 0) if isinstance(v, int) else v for v, _ in terms]
-    return _fixed_point_sums([row], [[-int(w) for w in weights] for _, weights in terms])[0]
+    return _fixed_point_sums([row], [_denominator(-w for w in ws) for _, ws in terms])[0]
 
 
 @dataclass(frozen=True)
@@ -108,11 +107,15 @@ def available_levels(ws: WeightSystem, k0_max: Optional[int] = None) -> List[Lev
     return out
 
 
+def _phi_numerator(a: Sequence[int], i: int) -> LaurentPolynomial:
+    """prod_{j != i} (1 - t^(a_i - a_j))."""
+    return prod((one_minus_t(a[i] - a[j]) for j in range(len(a)) if j != i),
+                start=LaurentPolynomial.one())
+
+
 def phi(ws: WeightSystem, levels: LevelData, i: int) -> LaurentPolynomial:
     """phi_i(t) = prod_{j != i} (1 - t^(a_i - a_j)) / prod_k (1 - t^(w_ik))."""
-    num = prod((one_minus_t(levels.a[i] - levels.a[j]) for j in range(ws.num_points) if j != i),
-               start=LaurentPolynomial.one())
-    return num.divexact(_denominator(ws.points[i]))
+    return _phi_numerator(levels.a, i).divexact(_denominator(ws.points[i]))
 
 
 def r_sequence(ws: WeightSystem, levels: LevelData) -> List[LaurentPolynomial]:
@@ -130,12 +133,14 @@ def r_sequence(ws: WeightSystem, levels: LevelData) -> List[LaurentPolynomial]:
                 inner = inner + LaurentPolynomial.term(sign, -sum(a[j] for j in subset))
             row.append(inner)
         rows.append(row)
-    rs = _fixed_point_sums(rows, ws.points)
+    denoms = [_denominator(p) for p in ws.points]
+    rs = _fixed_point_sums(rows, denoms)
     for i in range(npts):
         recon = LaurentPolynomial.zero()
         for s, r in enumerate(rs):
             recon = recon + r.shift(s * a[i])
-        if recon != phi(ws, levels, i):
+        # recon == phi_i, checked without a division: denoms[i] is nonzero
+        if recon * denoms[i] != _phi_numerator(a, i):
             raise ConsistencyFailure("r_s decomposition does not reproduce phi_%d" % i)
     return rs
 

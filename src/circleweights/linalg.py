@@ -238,8 +238,11 @@ def positive_integer_nullvector(rows: Sequence[Sequence[int]],
     return best
 
 
-def kernel_lattice_points(ns: NullspaceDescription, bound: int,
-                          limit: int = 2_000_000) -> List[Tuple[int, ...]]:
+# the most lattice points kernel_lattice_points scans: bound ** dim
+LATTICE_BOX_LIMIT = 2_000_000
+
+
+def kernel_lattice_points(ns: NullspaceDescription, bound: int) -> List[Tuple[int, ...]]:
     """All integer kernel vectors with every entry in [1, bound], sorted.
 
     Basis vector j of ``ns`` holds d_j != 0 at free column j and 0 at the
@@ -250,7 +253,7 @@ def kernel_lattice_points(ns: NullspaceDescription, bound: int,
     """
     if ns.dim == 0:
         return []
-    if bound ** ns.dim > limit:
+    if bound ** ns.dim > LATTICE_BOX_LIMIT:
         raise ValueError("lattice enumeration too large: %d^%d" % (bound, ns.dim))
     free = ns.free
     k = ns.dim

@@ -33,6 +33,7 @@ from .graphs import (
     magnitudes_from_weights,
     union_find,
 )
+from . import linalg
 from .linalg import (
     NullspaceDescription,
     graph_matrix,
@@ -82,39 +83,34 @@ DIM8_CONSTANTS = (1, 5)
 class SearchOptions:
     """Knobs for the labeling search.
 
-    mode            'nonnegative' (labels >= 1 on non-cycle edges for minimal
-                    profiles, >= 0 otherwise) or 'bounded' (|m| <= 2D).
-    bound_d         the D of bounded mode.
+    bound_d         None for the nonnegative search (labels >= 1 on non-cycle
+                    edges for minimal profiles, >= 0 otherwise, one search per
+                    divisor branch); D for the bounded search (|m| <= 2D on
+                    every edge, graphs and pairings in every orientation, no
+                    divisor branches).
     divisor_c       force a single divisor branch C; None = loop over all.
     dim8_strict     restrict C (and the vetted first Chern constant) to
                     DIM8_CONSTANTS when n = 4.
     witness_bound   max entry of kernel lattice points instantiated.
-    cycle_bound     max weight tried on cycle edges when instantiating.
     max_labelings   node budget for the labeling search tree; None = none.
     """
 
-    mode: str = "nonnegative"
-    bound_d: int = 1
+    bound_d: Optional[int] = None
     divisor_c: Optional[int] = None
     dim8_strict: bool = False
     witness_bound: int = 12
-    cycle_bound: int = 4
     max_labelings: Optional[int] = None
 
     def __post_init__(self):
-        if self.mode not in ("nonnegative", "bounded"):
-            raise ValueError("mode must be 'nonnegative' or 'bounded'")
-        if self.mode == "bounded" and self.bound_d < 1:
-            raise ValueError("bounded mode needs D >= 1")
-        for name in ("divisor_c", "max_labelings", "witness_bound", "cycle_bound"):
+        for name in ("bound_d", "divisor_c", "max_labelings", "witness_bound"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError("%s must be at least 1, got %s" % (name, value))
 
     @property
     def pair_mode(self) -> str:
-        """Orientation filter for the graphs and pairings of this mode."""
-        return "nonneg" if self.mode == "nonnegative" else "all"
+        """Orientation filter for the graphs and pairings of this search."""
+        return "nonneg" if self.bound_d is None else "all"
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -133,13 +129,13 @@ class WeightFamily:
     def witness_instances(self, bound: int = 12, cycle_bound: int = 4) -> List[WeightSystem]:
         """Every weight system whose component weights are kernel lattice
         points (entries in [1, bound], shrunk while the box of a kernel
-        exceeds 2,000,000 points) and whose cycle weights lie in
+        exceeds linalg.LATTICE_BOX_LIMIT points) and whose cycle weights lie in
         [1, cycle_bound], in itertools.product order over the components,
         then the cycles."""
         comp_choices = []
         for ker in self.comp_kernels:
             eb = bound
-            while eb > 2 and eb ** ker.dim > 2_000_000:
+            while eb > 2 and eb ** ker.dim > linalg.LATTICE_BOX_LIMIT:
                 eb -= 1
             pts = kernel_lattice_points(ker, eb)
             if not pts:
@@ -232,86 +228,68 @@ def _unit_edge_positions(graph: Multigraph) -> List[int]:
 
 def stream_labelings(graph: Multigraph, profile: FixedPointProfile, opts: SearchOptions,
                      divisor: Optional[int] = None,
-                     component_check: Optional[Callable[[List[int], Dict[int, int]], bool]] = None,
+                     component_check: Optional[Callable[[List[int], List[int]], bool]] = None,
                      budget: Optional[List[int]] = None,
                      ) -> Iterator[Tuple[int, ...]]:
     """Integer labelings of the edges of ``graph`` summing to the magnitude
     sum; cycles are always 0.  Deterministic order (lexicographic over the
     canonical edge order, smallest label first).
 
-    With ``divisor=C`` only labelings that are C times positive integers are
-    produced, and the unit edges (see _unit_edge_positions) are pinned to C.
-    When ``component_check`` is given it is consulted each time all labels of
-    a connected component are fixed; a False verdict prunes the subtree.
-    ``budget`` is a one-element mutable cell bounding the number of explored
-    search-tree nodes; the stream stops (leaving budget[0] < 0) when spent.
+    The bounded search (``opts.bound_d`` = D) tries every label in [-2D, 2D]
+    and ignores ``divisor``.  The nonnegative search tries labels from the
+    row-sign minimum on minimal profiles, from 0 otherwise, up to the
+    magnitude sum; with ``divisor=C`` only multiples of C, and the unit edges
+    (see _unit_edge_positions) are pinned to C.  ``component_check`` is
+    consulted each time all labels of a connected component are fixed; a
+    False verdict prunes the subtree.  ``budget`` is a one-element mutable
+    cell bounding the explored search-tree nodes (every value tried counts);
+    the stream stops (leaving budget[0] < 0) when spent.
     """
     total = magnitude_sum(profile)
     edges = graph.edges
-    noncycle = [k for k, e in enumerate(edges) if e[0] != e[1]]
     comps = graph.components()
     order = [k for comp in comps for k in comp]
-    assert sorted(order) == noncycle
-    boundaries = {}
-    pos = 0
-    for comp in comps:
-        pos += len(comp)
-        boundaries[pos - 1] = comp
+    assert sorted(order) == [k for k, e in enumerate(edges) if e[0] != e[1]]
+    # the component completed at each search position
+    boundaries = {end - 1: comp for end, comp in zip(itertools.accumulate(map(len, comps)), comps)}
+    if component_check is None:
+        boundaries = {}
+    step = divisor if divisor and opts.bound_d is None else 1
+    pinned = _unit_edge_positions(graph) if divisor else []
     amat = graph_matrix(edges)
-
-    if opts.mode == "bounded":
-        lows = {k: -2 * opts.bound_d for k in noncycle}
-        highs = {k: 2 * opts.bound_d for k in noncycle}
-        step = {k: 1 for k in noncycle}
-    else:
-        minimal = profile.is_minimal
-        lows, highs, step = {}, {}, {}
-        pinned = set(_unit_edge_positions(graph)) if divisor is not None else set()
-        for k in noncycle:
-            base = _row_sign_minimum(amat, k) if minimal else 0
-            if divisor is not None:
-                if k in pinned:
-                    lows[k] = highs[k] = divisor
-                    step[k] = 1
-                else:
-                    lo = max(base, 1) if minimal else max(base, 0)
-                    lows[k] = ((lo + divisor - 1) // divisor) * divisor
-                    if lows[k] == 0 and minimal:
-                        lows[k] = divisor
-                    highs[k] = total
-                    step[k] = divisor
-            else:
-                lows[k] = max(base, 1) if minimal else base
-                highs[k] = total
-                step[k] = 1
-
-    labels: Dict[int, int] = {k: 0 for k in range(len(edges))}
+    bounds = []  # (low, high) of the label at each search position
+    for k in order:
+        if opts.bound_d is not None:
+            bounds.append((-2 * opts.bound_d, 2 * opts.bound_d))
+        elif k in pinned:
+            bounds.append((divisor, divisor))
+        else:
+            low = _row_sign_minimum(amat, k) if profile.is_minimal else 0
+            bounds.append((-(-low // step) * step, total))
+    min_rest = [sum(lo for lo, _ in bounds[idx + 1:]) for idx in range(len(order))]
+    max_rest = [sum(hi for _, hi in bounds[idx + 1:]) for idx in range(len(order))]
+    labels = [0] * len(edges)
 
     def rec(idx: int, remaining: int) -> Iterator[Tuple[int, ...]]:
         if idx == len(order):
             if remaining == 0:
-                yield tuple(labels[k] for k in range(len(edges)))
+                yield tuple(labels)
             return
-        k = order[idx]
-        lo, hi, st = lows[k], highs[k], step[k]
-        min_rest = sum(lows[kk] for kk in order[idx + 1:])
-        max_rest = sum(highs[kk] for kk in order[idx + 1:])
-        for v in range(lo, hi + 1, st):
+        lo, hi = bounds[idx]
+        for v in range(lo, hi + 1, step):
             if budget is not None:
                 budget[0] -= 1
                 if budget[0] < 0:
                     return
             rest = remaining - v
-            if rest < min_rest or rest > max_rest:
-                if rest < min_rest:
-                    break
+            if rest < min_rest[idx]:
+                break
+            if rest > max_rest[idx]:
                 continue
-            labels[k] = v
-            if idx in boundaries and component_check is not None:
-                if not component_check(boundaries[idx], labels):
-                    continue
+            labels[order[idx]] = v
+            if idx in boundaries and not component_check(boundaries[idx], labels):
+                continue
             yield from rec(idx + 1, rest)
-        labels[k] = 0
 
     yield from rec(0, total)
 
@@ -321,7 +299,7 @@ def divisor_branches(profile: FixedPointProfile, opts: SearchOptions) -> List[Op
     searches take ``opts.divisor_c`` or every admissible divisor (only
     DIM8_CONSTANTS under dim8_strict when n = 4); other nonnegative searches
     take ``opts.divisor_c``, possibly None; bounded ones take None."""
-    if opts.mode == "bounded":
+    if opts.bound_d is not None:
         return [None]
     if profile.is_minimal:
         divisors = [opts.divisor_c] if opts.divisor_c is not None else minimal_divisors(profile.n)
@@ -366,7 +344,7 @@ def _component_checker(graph: Multigraph):
     with a positive kernel."""
     amat = graph_matrix(graph.edges)
 
-    def check(comp: List[int], labels: Dict[int, int]) -> bool:
+    def check(comp: List[int], labels: List[int]) -> bool:
         sub = _component_matrix(amat, labels, comp)
         if int_determinant(sub) != 0:
             return False
@@ -721,7 +699,7 @@ def classify(profile: FixedPointProfile, opts: SearchOptions, jobs: int = 1,
     passing: Dict[WeightSystem, List[Tuple[Tuple, Tuple[int, ...]]]] = {}
     for key in sorted(candidates):
         fam = candidates[key]
-        for inst in fam.witness_instances(opts.witness_bound, opts.cycle_bound):
+        for inst in fam.witness_instances(opts.witness_bound):
             if inst in passing:
                 continue
             audit["instances"] += 1

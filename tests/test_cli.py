@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -86,6 +87,41 @@ def test_verify_schema_error(tmp_path, capsys):
     assert code == 2
 
 
+def zero_weight_file(tmp_path, capsys):
+    """v5 with its first weight set to zero."""
+    path = tmp_path / "zero.json"
+    run(["fixture", "v5", "--out", str(path)], capsys)
+    data = json.loads(path.read_text())
+    data["points"][0]["weights"][0] = 0
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_verify_reports_a_zero_weight_as_structural(tmp_path, capsys):
+    path = zero_weight_file(tmp_path, capsys)
+    code, out, err = run(["verify", str(path)], capsys)
+    assert code == 3 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("weight system: ((0, 2, 3),")
+    assert lines[1].startswith("structural checks: point 0 has a zero weight;")
+
+
+@pytest.mark.parametrize("k0", ["0", "-2"])
+def test_hattori_refuses_k0_below_one(tmp_path, capsys, k0):
+    ws_file = tmp_path / "v5.json"
+    run(["fixture", "v5", "--out", str(ws_file)], capsys)
+    code, out, err = run(["hattori", str(ws_file), "--k0", k0], capsys)
+    assert code == 2
+    assert out == "" and err.startswith("schema error: --k0") and err.count("\n") == 1
+
+
+def test_hattori_refuses_a_zero_weight(tmp_path, capsys):
+    path = zero_weight_file(tmp_path, capsys)
+    code, out, err = run(["hattori", str(path)], capsys)
+    assert code == 2
+    assert out == "" and err.startswith("schema error:") and err.count("\n") == 1
+
+
 def test_hattori_subcommand(tmp_path, capsys):
     ws_file = tmp_path / "v5.json"
     run(["fixture", "v5", "--out", str(ws_file)], capsys)
@@ -104,6 +140,28 @@ def test_scan_c1eq1(capsys):
     code, out, _ = run(["scan-c1eq1", "--lmax", "60"], capsys)
     assert code == 0
     assert json.loads(out)["l"] == [15, 25, 40, 60]
+
+
+# classify flag, its arguments, and the SearchOptions field it sets to a
+# value other than the default
+OPTION_FLAGS = [
+    ("--bound-D", ["1"], "bound_d", 1),
+    ("--C", ["1"], "divisor_c", 1),
+    ("--dim8-strict", [], "dim8_strict", True),
+    ("--witness-bound", ["3"], "witness_bound", 3),
+    ("--max-labelings", ["50"], "max_labelings", 50),
+]
+
+
+def test_every_search_option_has_a_classify_flag(tmp_path, capsys):
+    fields = {f.name: f.default for f in dataclasses.fields(SearchOptions)}
+    assert sorted(field for _, _, field, _ in OPTION_FLAGS) == sorted(fields)
+    for flag, values, field, value in OPTION_FLAGS:
+        assert value != fields[field]
+        out = tmp_path / "res.json"
+        code, _, _ = run(["classify", "--n", "2", flag, *values, "--out", str(out)], capsys)
+        assert code == 0
+        assert json.loads(out.read_text())["options"][field] == value, flag
 
 
 def test_classify_dim4_json(tmp_path, capsys):

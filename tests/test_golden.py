@@ -1,10 +1,13 @@
-"""The CLI JSON of three classify runs, byte for byte.
+"""The CLI JSON of five classify runs, byte for byte.
 
-The files under ``tests/golden/`` were written before stage 4 (vetting and
-regrouping) was refactored, as
+The files under ``tests/golden/`` hold
 ``json.dumps(cli._result_json(classify(...)), indent=1, sort_keys=True)``.
-Any change to the families, the audit counts or the rejection counts of
-these runs shows here.
+The d4, d6 and d8_c5 runs were first written before stage 4 (vetting and
+regrouping) was refactored, the two S^2 x S^2 runs (a non-minimal profile,
+nonnegative and bounded) before the labeling bounds became one rule; all
+five were rewritten when the options record lost ``mode`` and
+``cycle_bound``, with every other byte unchanged.  Any change to the
+families, the audit counts or the rejection counts of these runs shows here.
 """
 
 import json
@@ -13,18 +16,23 @@ from pathlib import Path
 import pytest
 
 from circleweights.cli import _result_json
-from circleweights.core import minimal_profile
+from circleweights.core import FixedPointProfile, minimal_profile
 from circleweights.search import SearchOptions, classify
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+S2XS2 = FixedPointProfile(2, (0, 1, 1, 2))
 
 
 @pytest.mark.parametrize("name, n, opts", [
     ("d4", 2, SearchOptions()),
     ("d6", 3, SearchOptions()),
     ("d8_c5", 4, SearchOptions(dim8_strict=True, divisor_c=5)),
+    ("s2xs2", S2XS2, SearchOptions()),
+    ("s2xs2_bounded2", S2XS2, SearchOptions(bound_d=2)),
 ])
 def test_classify_reproduces_golden_json(name, n, opts):
-    payload = json.dumps(_result_json(classify(minimal_profile(n), opts)), indent=1,
-                         sort_keys=True)
+    profile = n if isinstance(n, FixedPointProfile) else minimal_profile(n)
+    payload = json.dumps(_result_json(classify(profile, opts)), indent=1, sort_keys=True)
     assert payload == (GOLDEN / ("%s.json" % name)).read_text()

@@ -5,8 +5,10 @@ from math import comb
 
 import pytest
 
+from circleweights import hattori
 from circleweights.fixtures import cp, grassmannian, v5, v22
 from circleweights.hattori import (
+    ConsistencyFailure,
     as_index,
     available_levels,
     cp_check,
@@ -211,6 +213,22 @@ def test_r_sequence_reconstructs_phi():
             for s, r in enumerate(rs):
                 recon = recon + r.shift(s * lv.a[i])
             assert recon.coeffs == phi(ws, lv, i).coeffs
+
+
+@pytest.mark.parametrize("s", range(4))
+def test_r_sequence_refuses_a_corrupted_r(monkeypatch, s):
+    # each point's phi_i(t) = sum_s r_s(t) t^(s a_i) is checked, so an r_s
+    # off by one must raise
+    real = hattori._fixed_point_sums
+
+    def corrupted(rows, denoms):
+        rs = real(rows, denoms)
+        rs[s] = rs[s] + LaurentPolynomial.one()
+        return rs
+
+    monkeypatch.setattr(hattori, "_fixed_point_sums", corrupted)
+    with pytest.raises(ConsistencyFailure):
+        r_sequence(v5(), derive_levels(v5(), 2))
 
 
 def test_r_sequence_stays_in_integers():

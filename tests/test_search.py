@@ -18,6 +18,7 @@ from circleweights.graphs import (
     magnitudes_from_weights,
 )
 from circleweights.linalg import (
+    LATTICE_BOX_LIMIT,
     graph_matrix,
     kernel_lattice_points,
     positive_combination,
@@ -104,6 +105,115 @@ def test_labelings_respect_cycles():
     for lab in branch_labelings(g, S2XS2, opts):
         assert lab[2] == 0  # cycle edge carries magnitude 0
         assert lab[0] + lab[1] == 8
+
+
+def reference_stream_labelings(graph, profile, opts, divisor=None, component_check=None,
+                               budget=None):
+    """stream_labelings before its bounds became one rule: per-edge
+    low/high/step dicts in four branches, and the bounds of the remaining
+    positions summed again at every node."""
+    total = magnitude_sum(profile)
+    edges = graph.edges
+    noncycle = [k for k, e in enumerate(edges) if e[0] != e[1]]
+    comps = graph.components()
+    order = [k for comp in comps for k in comp]
+    boundaries = {}
+    pos = 0
+    for comp in comps:
+        pos += len(comp)
+        boundaries[pos - 1] = comp
+    amat = graph_matrix(edges)
+
+    if opts.bound_d is not None:
+        lows = {k: -2 * opts.bound_d for k in noncycle}
+        highs = {k: 2 * opts.bound_d for k in noncycle}
+        step = {k: 1 for k in noncycle}
+    else:
+        minimal = profile.is_minimal
+        lows, highs, step = {}, {}, {}
+        pinned = set(search._unit_edge_positions(graph)) if divisor is not None else set()
+        for k in noncycle:
+            base = search._row_sign_minimum(amat, k) if minimal else 0
+            if divisor is not None:
+                if k in pinned:
+                    lows[k] = highs[k] = divisor
+                    step[k] = 1
+                else:
+                    lo = max(base, 1) if minimal else max(base, 0)
+                    lows[k] = ((lo + divisor - 1) // divisor) * divisor
+                    if lows[k] == 0 and minimal:
+                        lows[k] = divisor
+                    highs[k] = total
+                    step[k] = divisor
+            else:
+                lows[k] = max(base, 1) if minimal else base
+                highs[k] = total
+                step[k] = 1
+
+    labels = {k: 0 for k in range(len(edges))}
+
+    def rec(idx, remaining):
+        if idx == len(order):
+            if remaining == 0:
+                yield tuple(labels[k] for k in range(len(edges)))
+            return
+        k = order[idx]
+        lo, hi, st = lows[k], highs[k], step[k]
+        min_rest = sum(lows[kk] for kk in order[idx + 1:])
+        max_rest = sum(highs[kk] for kk in order[idx + 1:])
+        for v in range(lo, hi + 1, st):
+            if budget is not None:
+                budget[0] -= 1
+                if budget[0] < 0:
+                    return
+            rest = remaining - v
+            if rest < min_rest or rest > max_rest:
+                if rest < min_rest:
+                    break
+                continue
+            labels[k] = v
+            if idx in boundaries and component_check is not None:
+                if not component_check(boundaries[idx], labels):
+                    continue
+            yield from rec(idx + 1, rest)
+        labels[k] = 0
+
+    yield from rec(0, total)
+
+
+def test_stream_labelings_match_the_reference():
+    """The same labelings in the same order, and the same search-tree nodes
+    charged to the budget cell."""
+
+    def both(graph, profile, opts, divisor, check, budget):
+        cells = [budget], [budget]
+        got = list(stream_labelings(graph, profile, opts, divisor=divisor,
+                                    component_check=check, budget=cells[0]))
+        want = list(reference_stream_labelings(graph, profile, opts, divisor=divisor,
+                                               component_check=check, budget=cells[1]))
+        assert (got, cells[0]) == (want, cells[1]), (profile, opts, graph.edges, divisor, check)
+        return len(got)
+
+    # every graph and divisor branch of d4, d6 and S^2 x S^2, nonnegative and
+    # bounded with D = 1, 2, 3, and S^2 x S^2 on the branches C = 2 and 3,
+    # searched in full ...
+    cases = [(profile, opts) for profile in (minimal_profile(2), minimal_profile(3), S2XS2)
+             for opts in [SearchOptions()] + [SearchOptions(bound_d=d) for d in (1, 2, 3)]]
+    cases += [(S2XS2, SearchOptions(divisor_c=c)) for c in (2, 3)]
+    streams = labelings = 0
+    for profile, opts in cases:
+        for graph in enumerate_multigraphs(profile, mode=opts.pair_mode, dedup="reversal"):
+            for c in divisor_branches(profile, opts):
+                for check in (None, _component_checker(graph)):
+                    labelings += both(graph, profile, opts, c, check, 10 ** 9)
+                    streams += 1
+    # ... and every d8 graph of the branch C = 1 under a node budget
+    profile = minimal_profile(4)
+    opts = SearchOptions(dim8_strict=True, divisor_c=1)
+    for graph in enumerate_multigraphs(profile, mode=opts.pair_mode, dedup="reversal"):
+        labelings += both(graph, profile, opts, 1, _component_checker(graph), 3000)
+        streams += 1
+    assert (streams, labelings) == (283, 51_597)
 
 
 def component_matrix(graph, magnitudes, comp):
@@ -193,7 +303,7 @@ def reference_weighted_graphs(fam, bound, cycle_bound):
     comp_choices = []
     for ker in fam.comp_kernels:
         eb = bound
-        while eb > 2 and eb ** ker.dim > 2_000_000:
+        while eb > 2 and eb ** ker.dim > LATTICE_BOX_LIMIT:
             eb -= 1
         pts = kernel_lattice_points(ker, eb)
         if not pts:
@@ -323,12 +433,10 @@ def test_classify_dim6():
 
 
 def test_options_refuse_values_below_one():
-    for name in ("divisor_c", "max_labelings", "witness_bound", "cycle_bound"):
+    for name in ("bound_d", "divisor_c", "max_labelings", "witness_bound"):
         for value in (0, -1):
             with pytest.raises(ValueError, match=name):
                 SearchOptions(**{name: value})
-    with pytest.raises(ValueError, match="D >= 1"):
-        SearchOptions(mode="bounded", bound_d=0)
 
 
 def test_classify_refuses_fewer_than_one_job():
@@ -338,8 +446,8 @@ def test_classify_refuses_fewer_than_one_job():
 
 
 def test_every_option_changes_the_fingerprint():
-    other = {"mode": "bounded", "bound_d": 2, "divisor_c": 3, "dim8_strict": True,
-             "witness_bound": 11, "cycle_bound": 3, "max_labelings": 1000}
+    other = {"bound_d": 2, "divisor_c": 3, "dim8_strict": True, "witness_bound": 11,
+             "max_labelings": 1000}
     assert sorted(other) == sorted(f.name for f in dataclasses.fields(SearchOptions))
     base = SearchOptions()
     key = run_fingerprint(minimal_profile(2), base)
