@@ -175,7 +175,8 @@ def cmd_verify(args) -> int:
     failures = weight_system_checks(ws)
     lines = ["weight system: %s" % (ws.points,)]
     lines.append("structural checks: %s" % ("pass" if not failures else "; ".join(failures)))
-    if any(0 in p for p in ws.points):  # localization divides by every weight
+    # localization divides by every weight and counts points by their index
+    if any(len(p) != ws.n or 0 in p for p in ws.points):
         _write_out("\n".join(lines) + "\n", args.out)
         return EXIT_INFEASIBLE
     report = chern_battery(ws)

@@ -22,7 +22,7 @@ import json
 import os
 from dataclasses import asdict, dataclass
 from math import gcd
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .core import FixedPointProfile, WeightSystem, validate_profile, weight_system_checks
 from .graphs import (
@@ -88,7 +88,8 @@ class SearchOptions:
                     divisor branch); D for the bounded search (|m| <= 2D on
                     every edge, graphs and pairings in every orientation, no
                     divisor branches).
-    divisor_c       force a single divisor branch C; None = loop over all.
+    divisor_c       force a single divisor branch C of the nonnegative search;
+                    None = loop over all.  Refused with bound_d.
     dim8_strict     restrict C (and the vetted first Chern constant) to
                     DIM8_CONSTANTS when n = 4.
     witness_bound   max entry of kernel lattice points instantiated.
@@ -106,6 +107,9 @@ class SearchOptions:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError("%s must be at least 1, got %s" % (name, value))
+        if self.bound_d is not None and self.divisor_c is not None:
+            raise ValueError("divisor_c %s applies only to the nonnegative search, not with "
+                             "bound_d %s" % (self.divisor_c, self.bound_d))
 
     @property
     def pair_mode(self) -> str:
@@ -228,7 +232,7 @@ def _unit_edge_positions(graph: Multigraph) -> List[int]:
 
 def stream_labelings(graph: Multigraph, profile: FixedPointProfile, opts: SearchOptions,
                      divisor: Optional[int] = None,
-                     component_check: Optional[Callable[[List[int], List[int]], bool]] = None,
+                     component_check: Optional[List[List[int]]] = None,
                      budget: Optional[List[int]] = None,
                      ) -> Iterator[Tuple[int, ...]]:
     """Integer labelings of the edges of ``graph`` summing to the magnitude
@@ -239,21 +243,27 @@ def stream_labelings(graph: Multigraph, profile: FixedPointProfile, opts: Search
     and ignores ``divisor``.  The nonnegative search tries labels from the
     row-sign minimum on minimal profiles, from 0 otherwise, up to the
     magnitude sum; with ``divisor=C`` only multiples of C, and the unit edges
-    (see _unit_edge_positions) are pinned to C.  ``component_check`` is
-    consulted each time all labels of a connected component are fixed; a
-    False verdict prunes the subtree.  ``budget`` is a one-element mutable
-    cell bounding the explored search-tree nodes (every value tried counts);
-    the stream stops (leaving budget[0] < 0) when spent.
+    (see _unit_edge_positions) are pinned to C.  Given the determinant
+    polynomials of _component_checker as ``component_check``, the search
+    carries the current component's polynomial down the tree, fixing one
+    label per level; once all labels of a connected component are fixed, a
+    nonzero determinant, or a singular matrix whose kernel misses the open
+    positive orthant, prunes the subtree.  ``budget`` is a one-element mutable cell bounding the explored
+    search-tree nodes (every value tried counts); the stream stops (leaving
+    budget[0] < 0) when spent.
     """
     total = magnitude_sum(profile)
     edges = graph.edges
     comps = graph.components()
     order = [k for comp in comps for k in comp]
     assert sorted(order) == [k for k, e in enumerate(edges) if e[0] != e[1]]
-    # the component completed at each search position
-    boundaries = {end - 1: comp for end, comp in zip(itertools.accumulate(map(len, comps)), comps)}
-    if component_check is None:
-        boundaries = {}
+    # the component completed at each search position, and the determinant
+    # polynomial of the component starting at each search position
+    boundaries, starts = {}, {}
+    if component_check is not None:
+        ends = list(itertools.accumulate(map(len, comps)))
+        boundaries = {end - 1: comp for end, comp in zip(ends, comps)}
+        starts = dict(zip([0] + ends, component_check))
     step = divisor if divisor and opts.bound_d is None else 1
     pinned = _unit_edge_positions(graph) if divisor else []
     amat = graph_matrix(edges)
@@ -270,11 +280,16 @@ def stream_labelings(graph: Multigraph, profile: FixedPointProfile, opts: Search
     max_rest = [sum(hi for _, hi in bounds[idx + 1:]) for idx in range(len(order))]
     labels = [0] * len(edges)
 
-    def rec(idx: int, remaining: int) -> Iterator[Tuple[int, ...]]:
+    def rec(idx: int, remaining: int, poly: Optional[List[int]]) -> Iterator[Tuple[int, ...]]:
         if idx == len(order):
             if remaining == 0:
                 yield tuple(labels)
             return
+        poly = starts.get(idx, poly)
+        # poly is multilinear in the labels still free in this component,
+        # the label at this position being the lowest bit of the index
+        if poly is not None:
+            const, linear = poly[0::2], poly[1::2]
         lo, hi = bounds[idx]
         for v in range(lo, hi + 1, step):
             if budget is not None:
@@ -287,11 +302,13 @@ def stream_labelings(graph: Multigraph, profile: FixedPointProfile, opts: Search
             if rest > max_rest[idx]:
                 continue
             labels[order[idx]] = v
-            if idx in boundaries and not component_check(boundaries[idx], labels):
+            if idx in boundaries and (const[0] + v * linear[0] or not positive_kernel_exists(
+                    _component_matrix(amat, labels, boundaries[idx]))):
                 continue
-            yield from rec(idx + 1, rest)
+            yield from rec(idx + 1, rest,
+                           None if poly is None else [c + v * d for c, d in zip(const, linear)])
 
-    yield from rec(0, total)
+    yield from rec(0, total, None)
 
 
 def divisor_branches(profile: FixedPointProfile, opts: SearchOptions) -> List[Optional[int]]:
@@ -339,18 +356,25 @@ def solve_weights(graph: Multigraph, magnitudes: Sequence[int]) -> Optional[Weig
     return WeightFamily(graph, mags, comps, kernels)
 
 
-def _component_checker(graph: Multigraph):
-    """Pruning predicate for stream_labelings: component must be singular
-    with a positive kernel."""
+def _component_checker(graph: Multigraph) -> List[List[int]]:
+    """The component check of stream_labelings for ``graph``: the determinant
+    of each component of A(Gamma) - diag(m) (graph.components() order) as a
+    multilinear polynomial in its labels.  Entry j of a polynomial is the
+    coefficient of the product of the labels at the set bits of j, bit p
+    standing for the component's p-th edge.  By the expansion
+    det(A_c - diag(m)) = sum_S (-1)^|S| det A_c[E - S] prod_{k in S} m_k
+    over the subsets S of the component's edges E, that coefficient is a
+    signed principal minor of A(Gamma): 2^|E| determinants per component."""
     amat = graph_matrix(graph.edges)
-
-    def check(comp: List[int], labels: List[int]) -> bool:
-        sub = _component_matrix(amat, labels, comp)
-        if int_determinant(sub) != 0:
-            return False
-        return positive_kernel_exists(sub)
-
-    return check
+    polys = []
+    for comp in graph.components():
+        poly = []
+        for subset in range(1 << len(comp)):
+            kept = [k for p, k in enumerate(comp) if not subset >> p & 1]
+            minor = int_determinant([[amat[h][k] for k in kept] for h in kept])
+            poly.append(-minor if bin(subset).count("1") % 2 else minor)
+        polys.append(poly)
+    return polys
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ def test_enumerate_infeasible_profile(capsys):
     ["classify", "--n", "2", "--witness-bound", "0"],
     ["classify", "--n", "2", "--jobs", "0"],
     ["classify", "--n", "2", "--jobs", "-3"],
+    ["classify", "--n", "2", "--bound-D", "1", "--C", "3"],
 ])
 def test_profile_without_n_is_a_schema_error(argv, capsys):
     code, out, err = run(argv, capsys)
@@ -104,6 +105,23 @@ def test_verify_reports_a_zero_weight_as_structural(tmp_path, capsys):
     lines = out.splitlines()
     assert len(lines) == 2 and lines[0].startswith("weight system: ((0, 2, 3),")
     assert lines[1].startswith("structural checks: point 0 has a zero weight;")
+
+
+def test_verify_reports_a_point_index_above_n_without_a_traceback(tmp_path, capsys):
+    # v5 declared with n = 2: point 3 has index 3, which no profile with n = 2 has
+    path = tmp_path / "v5n2.json"
+    run(["fixture", "v5", "--out", str(path)], capsys)
+    data = json.loads(path.read_text())
+    data["n"] = 2
+    path.write_text(json.dumps(data))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "circleweights.cli", "verify", str(path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3 and proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("weight system: ((1, 2, 3),")
+    assert lines[1].startswith("structural checks: point 0 carries 3 weights, expected 2;")
 
 
 @pytest.mark.parametrize("k0", ["0", "-2"])

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import circleweights
 from circleweights import search
@@ -20,9 +21,11 @@ from circleweights.graphs import (
 from circleweights.linalg import (
     LATTICE_BOX_LIMIT,
     graph_matrix,
+    int_determinant,
     kernel_lattice_points,
     positive_combination,
     positive_integer_nullvector,
+    positive_kernel_exists,
 )
 from circleweights.search import (
     SearchOptions,
@@ -181,17 +184,33 @@ def reference_stream_labelings(graph, profile, opts, divisor=None, component_che
     yield from rec(0, total)
 
 
+def reference_component_checker(graph):
+    """The component check before the determinant became a polynomial carried
+    down the search: one determinant per completed component, then the
+    positive-kernel test on the singular ones."""
+    amat = graph_matrix(graph.edges)
+
+    def check(comp, labels):
+        sub = search._component_matrix(amat, labels, comp)
+        return int_determinant(sub) == 0 and positive_kernel_exists(sub)
+
+    return check
+
+
 def test_stream_labelings_match_the_reference():
     """The same labelings in the same order, and the same search-tree nodes
-    charged to the budget cell."""
+    charged to the budget cell, as the reference stream with the reference
+    component check."""
 
-    def both(graph, profile, opts, divisor, check, budget):
+    def both(graph, profile, opts, divisor, checked, budget):
+        check, reference_check = ((_component_checker(graph), reference_component_checker(graph))
+                                  if checked else (None, None))
         cells = [budget], [budget]
         got = list(stream_labelings(graph, profile, opts, divisor=divisor,
                                     component_check=check, budget=cells[0]))
         want = list(reference_stream_labelings(graph, profile, opts, divisor=divisor,
-                                               component_check=check, budget=cells[1]))
-        assert (got, cells[0]) == (want, cells[1]), (profile, opts, graph.edges, divisor, check)
+                                               component_check=reference_check, budget=cells[1]))
+        assert (got, cells[0]) == (want, cells[1]), (profile, opts, graph.edges, divisor, checked)
         return len(got)
 
     # every graph and divisor branch of d4, d6 and S^2 x S^2, nonnegative and
@@ -204,16 +223,59 @@ def test_stream_labelings_match_the_reference():
     for profile, opts in cases:
         for graph in enumerate_multigraphs(profile, mode=opts.pair_mode, dedup="reversal"):
             for c in divisor_branches(profile, opts):
-                for check in (None, _component_checker(graph)):
-                    labelings += both(graph, profile, opts, c, check, 10 ** 9)
+                for checked in (False, True):
+                    labelings += both(graph, profile, opts, c, checked, 10 ** 9)
                     streams += 1
     # ... and every d8 graph of the branch C = 1 under a node budget
     profile = minimal_profile(4)
     opts = SearchOptions(dim8_strict=True, divisor_c=1)
     for graph in enumerate_multigraphs(profile, mode=opts.pair_mode, dedup="reversal"):
-        labelings += both(graph, profile, opts, 1, _component_checker(graph), 3000)
+        labelings += both(graph, profile, opts, 1, True, 3000)
         streams += 1
     assert (streams, labelings) == (283, 51_597)
+
+
+# every graph of the bounded search (all orientations) with n <= 3
+SMALL_GRAPHS = [g for profile in (minimal_profile(1), minimal_profile(2), minimal_profile(3), S2XS2)
+                for g in enumerate_multigraphs(profile, mode="all", dedup="reversal")]
+
+
+def specialised_determinants(graph, labels):
+    """Each component's determinant polynomial from _component_checker with
+    its labels fixed one at a time, in search order."""
+    dets = []
+    for comp, poly in zip(graph.components(), _component_checker(graph)):
+        for k in comp:
+            poly = [c + labels[k] * d for c, d in zip(poly[0::2], poly[1::2])]
+        assert len(poly) == 1
+        dets.append(poly[0])
+    return dets
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SMALL_GRAPHS), st.data())
+def test_determinant_polynomial_matches_the_determinant(graph, data):
+    labels = data.draw(st.lists(st.integers(-9, 9), min_size=len(graph.edges),
+                                max_size=len(graph.edges)))
+    amat = graph_matrix(graph.edges)
+    want = [int_determinant(search._component_matrix(amat, labels, comp))
+            for comp in graph.components()]
+    assert specialised_determinants(graph, labels) == want
+
+
+def test_determinant_polynomial_edge_cases():
+    # one edge: det(2 - m)
+    one = Multigraph(1, (0, 1), ((0, 1),))
+    assert _component_checker(one) == [[2, -1]]
+    assert [specialised_determinants(one, [m]) for m in (2, 5)] == [[0], [-3]]
+    # only cycles: no component, so nothing to check
+    loops = Multigraph(2, (1, 1), ((0, 0), (1, 1)))
+    assert _component_checker(loops) == []
+    assert specialised_determinants(loops, [0, 0]) == []
+    # the coefficient of the product of all labels is the empty minor, signed
+    for graph in SMALL_GRAPHS:
+        for comp, poly in zip(graph.components(), _component_checker(graph)):
+            assert len(poly) == 2 ** len(comp) and poly[-1] == (-1) ** len(comp)
 
 
 def component_matrix(graph, magnitudes, comp):
