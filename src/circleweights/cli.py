@@ -68,6 +68,13 @@ def _profile_from_args(args) -> FixedPointProfile:
         raise UsageError("--lambdas must be comma-separated integers: %s" % exc) from exc
 
 
+def _check_out(out: Optional[str]) -> None:
+    """Refuse an --out path in a directory that does not exist, before any
+    work is done."""
+    if out and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+        raise UsageError("--out %s: its directory does not exist" % out)
+
+
 def _write_out(payload: str, out: Optional[str]) -> None:
     if out:
         tmp = out + ".tmp"
@@ -310,6 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_out(args.out)
         return args.func(args)
     except (UsageError, CheckpointMismatch) as exc:
         print("schema error: %s" % exc, file=sys.stderr)

@@ -18,9 +18,10 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 
 class ProfileError(ValueError):
@@ -125,7 +126,7 @@ class WeightSystem:
     def num_points(self) -> int:
         return len(self.points)
 
-    @property
+    @cached_property
     def profile(self) -> FixedPointProfile:
         return FixedPointProfile(self.n, tuple(sum(1 for w in p if w < 0) for p in self.points))
 

@@ -130,12 +130,15 @@ class WeightFamily:
     components: List[List[int]]
     comp_kernels: List[NullspaceDescription]
 
-    def witness_instances(self, bound: int = 12, cycle_bound: int = 4) -> List[WeightSystem]:
+    def witness_instances(self, bound: int = 12,
+                          cycle_bound: int = 4) -> List[Optional[WeightSystem]]:
         """Every weight system whose component weights are kernel lattice
         points (entries in [1, bound], shrunk while the box of a kernel
         exceeds linalg.LATTICE_BOX_LIMIT points) and whose cycle weights lie in
         [1, cycle_bound], in itertools.product order over the components,
-        then the cycles."""
+        then the cycles.  None marks an ineffective lattice point, one whose
+        weights at some fixed point have a gcd above 1: no WeightSystem is
+        built for it."""
         comp_choices = []
         for ker in self.comp_kernels:
             eb = bound
@@ -157,7 +160,8 @@ class WeightFamily:
             for (i, j), w in zip(ends, itertools.chain.from_iterable(combo)):
                 pts[i].append(w)
                 pts[j].append(-w)
-            out.append(WeightSystem(self.graph.n, pts))
+            out.append(WeightSystem(self.graph.n, pts) if all(gcd(*p) == 1 for p in pts)
+                       else None)
         return out
 
     def parametric_weights(self) -> List[List[str]]:
@@ -719,7 +723,8 @@ def classify(profile: FixedPointProfile, opts: SearchOptions, jobs: int = 1,
             if key not in candidates:
                 candidates[key] = fam
                 gaudit["families"] += 1
-    # stage 4: instantiate and vet
+    # stage 4: instantiate and vet; an ineffective lattice point, left
+    # unbuilt as None, fails weight_system_checks' gcd rule: structural
     passing: Dict[WeightSystem, List[Tuple[Tuple, Tuple[int, ...]]]] = {}
     for key in sorted(candidates):
         fam = candidates[key]
@@ -727,7 +732,7 @@ def classify(profile: FixedPointProfile, opts: SearchOptions, jobs: int = 1,
             if inst in passing:
                 continue
             audit["instances"] += 1
-            verdict = vet_instance(inst, opts)
+            verdict = "structural" if inst is None else vet_instance(inst, opts)
             if verdict is None:
                 passing[inst] = _signatures(inst, opts.pair_mode)
                 audit["passing"] += 1

@@ -323,3 +323,20 @@ def test_classify_refuses_checkpoint_in_missing_directory(tmp_path, monkeypatch)
     monkeypatch.setattr(search, "_search_block", searched)
     with pytest.raises(search.CheckpointMismatch, match="does not exist"):
         classify(minimal_profile(2), SearchOptions(), checkpoint=str(ck))
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--n", "2", "--minimal"],
+    ["fixture", "v5"],
+    ["enumerate", "--n", "3"],
+])
+def test_out_in_missing_directory_is_refused_before_any_work(argv, tmp_path, capsys,
+                                                             monkeypatch):
+    def classified(*args, **kwargs):
+        raise AssertionError("classify ran")
+
+    monkeypatch.setattr("circleweights.cli.classify", classified)
+    code, out, err = run(argv + ["--out", str(tmp_path / "no" / "y.json")], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("schema error: --out") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []

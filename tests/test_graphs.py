@@ -194,20 +194,28 @@ def reference_integral_multigraphs(ws, mode="all", congruent=False):
 
 
 @functools.lru_cache(maxsize=None)
-def vetted_systems():
-    """Every distinct system vet_instance sees in the d4 and d6 classify runs."""
+def instantiated_systems():
+    """Every distinct system the d4 and d6 classify runs instantiate, the
+    ineffective ones that witness_instances leaves unbuilt included."""
     from circleweights import search
     from circleweights.search import SearchOptions
+    from test_search import reference_weighted_graphs
 
-    seen = []
-    vet = search.vet_instance
+    calls = []
+    witness_instances = search.WeightFamily.witness_instances
+
+    def recorded(fam, *args):
+        calls.append((fam, args))
+        return witness_instances(fam, *args)
+
     try:
-        search.vet_instance = lambda ws, opts: seen.append(ws) or vet(ws, opts)
+        search.WeightFamily.witness_instances = recorded
         for n in (2, 3):
             search.classify(minimal_profile(n), SearchOptions())
     finally:
-        search.vet_instance = vet
-    return tuple(dict.fromkeys(seen))
+        search.WeightFamily.witness_instances = witness_instances
+    return tuple(dict.fromkeys(wg.weight_system() for fam, args in calls
+                               for wg in reference_weighted_graphs(fam, *args)))
 
 
 FIXTURE_SYSTEMS = (cp((2, 1, 0)), cp((3, 2, 1, 0)), cp((4, 3, 2, 1, 0)), grassmannian((2, 1)),
@@ -217,7 +225,7 @@ FIXTURE_SYSTEMS = (cp((2, 1, 0)), cp((3, 2, 1, 0)), cp((4, 3, 2, 1, 0)), grassma
 @pytest.mark.parametrize("mode", ["all", "nonneg"])
 @pytest.mark.parametrize("congruent", [False, True])
 def test_integral_multigraphs_match_enumerate_then_filter(mode, congruent):
-    systems = FIXTURE_SYSTEMS + vetted_systems()
+    systems = FIXTURE_SYSTEMS + instantiated_systems()
     assert len(systems) == 11 + 1473
     pruned = 0
     for ws in systems:

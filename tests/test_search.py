@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import circleweights
 from circleweights import search
-from circleweights.core import FixedPointProfile, minimal_profile
+from circleweights.core import FixedPointProfile, minimal_profile, weight_system_checks
 from circleweights.fixtures import cp, grassmannian, s2xs2, v5, v22
 from circleweights.graphs import (
     Multigraph,
@@ -356,10 +356,11 @@ def test_classify_fails_on_a_group_without_family(monkeypatch):
         classify(minimal_profile(2), SearchOptions())
 
 
-def reference_weighted_graphs(fam, bound, cycle_bound):
+def reference_weighted_graphs(fam, bound=12, cycle_bound=4):
     """The witness builder WeightFamily.witness_instances replaced: scatter
     each product entry into an edge-weight vector and weigh the graph's
-    edges with it, one WeightedMultigraph per vector."""
+    edges with it, one WeightedMultigraph per vector, ineffective ones
+    included."""
     edges = fam.graph.edges
     cycle_positions = [k for k, e in enumerate(edges) if e[0] == e[1]]
     comp_choices = []
@@ -385,6 +386,13 @@ def reference_weighted_graphs(fam, bound, cycle_bound):
     return out
 
 
+def effective_or_none(graphs):
+    """The reference systems, with None wherever the full structural check
+    fails: where witness_instances must build no WeightSystem."""
+    systems = [wg.weight_system() for wg in graphs]
+    return [ws if not weight_system_checks(ws) else None for ws in systems]
+
+
 def streamed_families(profile):
     opts = SearchOptions()
     fams = []
@@ -392,6 +400,11 @@ def streamed_families(profile):
         for c in divisor_branches(profile, opts):
             fams += search_graph(graph, profile, opts, divisor=c)[0]
     return fams
+
+
+# (instances, ineffective ones) over every streamed family, witness box 12, cycles 4
+INSTANCE_COUNTS = {minimal_profile(2): (162, 113), minimal_profile(3): (11794, 9657),
+                   S2XS2: (1268, 722)}
 
 
 @pytest.mark.parametrize("profile, count, with_cycles, split", [
@@ -404,16 +417,21 @@ def test_witness_instances_match_the_weighted_graph_builder(profile, count, with
     assert len(fams) == count
     assert sum(1 for f in fams if f.graph.cycles()) == with_cycles
     assert sum(1 for f in fams if len(f.components) > 1) == split
+    seen = []
     for fam in fams:
-        want = [wg.weight_system() for wg in reference_weighted_graphs(fam, 12, 4)]
+        want = effective_or_none(reference_weighted_graphs(fam, 12, 4))
         assert fam.witness_instances(12, 4) == want, (fam.graph.edges, fam.magnitudes)
+        seen += want
+    assert (len(seen), seen.count(None)) == INSTANCE_COUNTS[profile]
 
 
 def test_witness_instances_reproduce_magnitudes():
     fam = solve_weights(TRIANGLE, (3, 3, 3))
     graphs = reference_weighted_graphs(fam, 4, 2)
     assert graphs
-    assert [wg.weight_system() for wg in graphs] == fam.witness_instances(4, 2)
+    want = effective_or_none(graphs)
+    assert None in want and any(want)
+    assert want == fam.witness_instances(4, 2)
     for wg in graphs:
         assert magnitudes_from_weights(wg.weight_system(), wg) == (3, 3, 3)
 
