@@ -151,7 +151,10 @@ def cmd_classify(args) -> int:
         return EXIT_INFEASIBLE
     cache_file = None
     if args.cache:
-        os.makedirs(args.cache, exist_ok=True)
+        try:
+            os.makedirs(args.cache, exist_ok=True)
+        except OSError as exc:
+            raise UsageError("--cache %s is not a usable directory: %s" % (args.cache, exc)) from exc
         cache_file = os.path.join(args.cache, "classify-%s.json" % run_fingerprint(profile, opts))
         if os.path.exists(cache_file):
             with open(cache_file) as fh:
@@ -200,15 +203,22 @@ def cmd_verify(args) -> int:
     return EXIT_OK if verdict is None else EXIT_INFEASIBLE
 
 
+def _check_at_least_one(args, *names: str) -> None:
+    """Refuse an integer flag below 1 before any work is done."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value < 1:
+            raise UsageError("--%s must be at least 1, got %d" % (name, value))
+
+
 def cmd_hattori(args) -> int:
+    _check_at_least_one(args, "k0", "c1", "lmax")
     if args.c1 is not None:
         sols = dim8_solver(args.c1, lmax=args.lmax)
         _write_out(json.dumps([[l, str(m)] for l, m in sols]), args.out)
         return EXIT_OK
     if not args.file:
         raise UsageError("need a weight-system file or --c1")
-    if args.k0 is not None and args.k0 < 1:
-        raise UsageError("--k0 must be at least 1, got %d" % args.k0)
     ws = _load_ws(args.file)
     if any(0 in p for p in ws.points):
         raise UsageError("%s has a zero weight: the index divides by every weight" % args.file)
@@ -249,6 +259,7 @@ def cmd_fixture(args) -> int:
 
 
 def cmd_scan_c1eq1(args) -> int:
+    _check_at_least_one(args, "lmax")
     sols = dim8_solver(1, lmax=args.lmax)
     ls = sorted({l for l, _ in sols})
     _write_out(json.dumps({"l": ls, "solutions": [[l, str(m)] for l, m in sols]}), args.out)

@@ -54,8 +54,8 @@ class NonIntegralSum(ValueError):
 
 class CheckpointMismatch(Exception):
     """A checkpoint file was not written for this profile, these options and
-    this package source, is not a checkpoint file at all, or sits in a
-    directory that does not exist."""
+    this package source, is not a checkpoint file at all (a directory, say),
+    or sits in a directory that does not exist."""
 
 
 def magnitude_sum(profile: FixedPointProfile) -> int:
@@ -295,7 +295,16 @@ def stream_labelings(graph: Multigraph, profile: FixedPointProfile, opts: Search
         if poly is not None:
             const, linear = poly[0::2], poly[1::2]
         lo, hi = bounds[idx]
-        for v in range(lo, hi + 1, step):
+        values = range(lo, hi + 1, step)
+        # the values leaving more than the later positions can take are a
+        # prefix of the range: charge them to the budget at once
+        skip = min(len(values), max(0, -(-(remaining - max_rest[idx] - lo) // step)))
+        if budget is not None:
+            if budget[0] < skip:
+                budget[0] = -1
+                return
+            budget[0] -= skip
+        for v in values[skip:]:
             if budget is not None:
                 budget[0] -= 1
                 if budget[0] < 0:
@@ -303,8 +312,6 @@ def stream_labelings(graph: Multigraph, profile: FixedPointProfile, opts: Search
             rest = remaining - v
             if rest < min_rest[idx]:
                 break
-            if rest > max_rest[idx]:
-                continue
             labels[order[idx]] = v
             if idx in boundaries and (const[0] + v * linear[0] or not positive_kernel_exists(
                     _component_matrix(amat, labels, boundaries[idx]))):
@@ -612,6 +619,8 @@ def _load_checkpoint(path: str, fingerprint: str, graphs: List[Multigraph],
     folder = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(folder):
         raise CheckpointMismatch("checkpoint %s: directory %s does not exist" % (path, folder))
+    if os.path.isdir(path):
+        raise CheckpointMismatch("checkpoint %s is a directory, not a file" % path)
     if not os.path.exists(path):
         return {}
     try:
@@ -689,6 +698,19 @@ def _search_blocks(profile: FixedPointProfile, opts: SearchOptions, graphs: List
     return done
 
 
+def _orbit_key(edges: Tuple, magnitudes: Tuple[int, ...]) -> Tuple[Tuple, Tuple[int, ...]]:
+    """(edges, magnitudes) with the labels of each bundle of parallel edges
+    (equal, hence adjacent, entries of the sorted ``edges``) sorted.  A(Gamma)
+    depends only on edge endpoints, so permuting the labels of parallel edges
+    permutes the kernel coordinates of their component and leaves the
+    weights at every fixed point as they are: families with one key have
+    the same witness instances, in another order."""
+    labels: List[int] = []
+    for _, bundle in itertools.groupby(range(len(edges)), key=edges.__getitem__):
+        labels.extend(sorted(magnitudes[k] for k in bundle))
+    return edges, tuple(labels)
+
+
 def check_jobs(jobs: int) -> None:
     """Raise ValueError unless ``jobs`` is a usable worker count (at least 1)."""
     if jobs < 1:
@@ -723,21 +745,31 @@ def classify(profile: FixedPointProfile, opts: SearchOptions, jobs: int = 1,
             if key not in candidates:
                 candidates[key] = fam
                 gaudit["families"] += 1
-    # stage 4: instantiate and vet; an ineffective lattice point, left
-    # unbuilt as None, fails weight_system_checks' gcd rule: structural
+    # stage 4: instantiate and vet the first family of each parallel-edge
+    # orbit (see _orbit_key); an ineffective lattice point, left unbuilt as
+    # None, fails weight_system_checks' gcd rule: structural.  The later
+    # families of an orbit have the same instances, so they add the first
+    # one's rejections; their passing instances are in ``passing`` already.
     passing: Dict[WeightSystem, List[Tuple[Tuple, Tuple[int, ...]]]] = {}
+    orbit_rejections: Dict[Tuple[Tuple, Tuple[int, ...]], Dict[str, int]] = {}
     for key in sorted(candidates):
-        fam = candidates[key]
-        for inst in fam.witness_instances(opts.witness_bound):
-            if inst in passing:
-                continue
-            audit["instances"] += 1
-            verdict = "structural" if inst is None else vet_instance(inst, opts)
-            if verdict is None:
-                passing[inst] = _signatures(inst, opts.pair_mode)
-                audit["passing"] += 1
-            else:
-                audit["rejections"][verdict] = audit["rejections"].get(verdict, 0) + 1
+        orbit = _orbit_key(*key)
+        rejected = orbit_rejections.get(orbit)
+        if rejected is None:
+            rejected = orbit_rejections[orbit] = {}
+            for inst in candidates[key].witness_instances(opts.witness_bound):
+                if inst in passing:
+                    continue
+                verdict = "structural" if inst is None else vet_instance(inst, opts)
+                if verdict is None:
+                    passing[inst] = _signatures(inst, opts.pair_mode)
+                else:
+                    rejected[verdict] = rejected.get(verdict, 0) + 1
+        for verdict, count in rejected.items():
+            audit["rejections"][verdict] = audit["rejections"].get(verdict, 0) + count
+        audit["instances"] += sum(rejected.values())
+    audit["instances"] += len(passing)
+    audit["passing"] = len(passing)
     # signatures shared by instances link their families
     find = union_find(passing.values())
     groups: Dict = {}

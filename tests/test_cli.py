@@ -45,6 +45,10 @@ def test_enumerate_infeasible_profile(capsys):
     ["classify", "--n", "2", "--jobs", "0"],
     ["classify", "--n", "2", "--jobs", "-3"],
     ["classify", "--n", "2", "--bound-D", "1", "--C", "3"],
+    ["hattori", "--c1", "0"],
+    ["hattori", "--c1", "-1"],
+    ["hattori", "--c1", "1", "--lmax", "-2"],
+    ["scan-c1eq1", "--lmax", "0"],
 ])
 def test_profile_without_n_is_a_schema_error(argv, capsys):
     code, out, err = run(argv, capsys)
@@ -340,3 +344,22 @@ def test_out_in_missing_directory_is_refused_before_any_work(argv, tmp_path, cap
     assert code == 2 and out == ""
     assert err.startswith("schema error: --out") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag, kind", [("--resume", "directory"), ("--cache", "file")])
+def test_classify_refuses_a_path_of_the_wrong_kind(flag, kind, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "taken"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_text("not a cache\n")
+
+    def searched(payload):
+        raise AssertionError("a block was searched")
+
+    monkeypatch.setattr(search, "_search_block", searched)
+    code, out, err = run(["classify", "--n", "2", flag, str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("schema error:") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.is_dir() if kind == "directory" else path.read_text() == "not a cache\n"

@@ -425,6 +425,87 @@ def test_witness_instances_match_the_weighted_graph_builder(profile, count, with
     assert (len(seen), seen.count(None)) == INSTANCE_COUNTS[profile]
 
 
+def classify_candidates(profile, opts):
+    """The candidate families of classify, keyed by (edges, magnitudes): the
+    first family of each key over the blocks in classify's order."""
+    candidates = {}
+    for graph in enumerate_multigraphs(profile, mode=opts.pair_mode, dedup="reversal"):
+        for c in divisor_branches(profile, opts):
+            for fam in search_graph(graph, profile, opts, divisor=c)[0]:
+                candidates.setdefault((graph.edges, fam.magnitudes), fam)
+    return candidates
+
+
+def reference_stage4(candidates, opts):
+    """classify's stage 4 before families were grouped by parallel-edge
+    orbit: every family instantiated, and every instance not yet passing
+    vetted.  Returns the audit's instance counts and the passing instances
+    in the order classify records them."""
+    audit = {"rejections": {}, "instances": 0, "passing": 0}
+    passing = {}
+    for key in sorted(candidates):
+        for inst in candidates[key].witness_instances(opts.witness_bound):
+            if inst in passing:
+                continue
+            audit["instances"] += 1
+            verdict = "structural" if inst is None else vet_instance(inst, opts)
+            if verdict is None:
+                passing[inst] = None
+                audit["passing"] += 1
+            else:
+                audit["rejections"][verdict] = audit["rejections"].get(verdict, 0) + 1
+    return audit, list(passing)
+
+
+# classify runs, with their (candidate families, parallel-edge orbits)
+STAGE4_RUNS = {
+    "d4": (minimal_profile(2), SearchOptions(), (3, 2)),
+    "d6": (minimal_profile(3), SearchOptions(), (72, 31)),
+    "s2xs2": (S2XS2, SearchOptions(), (20, 20)),
+    "s2xs2_bounded2": (S2XS2, SearchOptions(bound_d=2), (16, 16)),
+}
+
+
+@pytest.mark.parametrize("run", sorted(STAGE4_RUNS))
+def test_families_of_one_orbit_have_the_same_instances(run):
+    profile, opts, counts = STAGE4_RUNS[run]
+    candidates = classify_candidates(profile, opts)
+    orbits = {}
+    for key, fam in candidates.items():
+        orbits.setdefault(search._orbit_key(*key), []).append(fam)
+    assert (len(candidates), len(orbits)) == counts
+
+    def instances(fam):
+        # a fixed order, None (an ineffective lattice point) first
+        return sorted(fam.witness_instances(opts.witness_bound),
+                      key=lambda ws: (ws is not None, ws.points if ws else ()))
+
+    for fams in orbits.values():
+        want = instances(fams[0])
+        for fam in fams[1:]:
+            assert instances(fam) == want, (fam.graph.edges, fam.magnitudes)
+
+
+@pytest.mark.parametrize("run", sorted(STAGE4_RUNS))
+def test_stage4_matches_the_reference(run, monkeypatch):
+    profile, opts, _ = STAGE4_RUNS[run]
+    # classify computes the signatures of each passing instance once, as
+    # it records it
+    recorded = []
+    signatures = search._signatures
+
+    def recording(ws, pair_mode):
+        recorded.append(ws)
+        return signatures(ws, pair_mode)
+
+    monkeypatch.setattr(search, "_signatures", recording)
+    audit = classify(profile, opts).audit
+    want, passing = reference_stage4(classify_candidates(profile, opts), opts)
+    assert {key: audit[key] for key in want} == want
+    assert list(audit["rejections"].items()) == list(want["rejections"].items())
+    assert recorded == passing
+
+
 def test_witness_instances_reproduce_magnitudes():
     fam = solve_weights(TRIANGLE, (3, 3, 3))
     graphs = reference_weighted_graphs(fam, 4, 2)
