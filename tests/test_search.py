@@ -488,18 +488,26 @@ def test_families_of_one_orbit_have_the_same_instances(run):
 
 @pytest.mark.parametrize("run", sorted(STAGE4_RUNS))
 def test_stage4_matches_the_reference(run, monkeypatch):
-    profile, opts, _ = STAGE4_RUNS[run]
+    profile, opts, (_, orbits) = STAGE4_RUNS[run]
     # classify computes the signatures of each passing instance once, as
-    # it records it
-    recorded = []
+    # it records it, and instantiates one family per orbit
+    recorded, instantiated = [], []
     signatures = search._signatures
+    witness_instances = search.WeightFamily.witness_instances
 
     def recording(ws, pair_mode):
         recorded.append(ws)
         return signatures(ws, pair_mode)
 
+    def counting(fam, *args):
+        instantiated.append(fam)
+        return witness_instances(fam, *args)
+
     monkeypatch.setattr(search, "_signatures", recording)
+    monkeypatch.setattr(search.WeightFamily, "witness_instances", counting)
     audit = classify(profile, opts).audit
+    assert len(instantiated) == orbits
+    monkeypatch.undo()
     want, passing = reference_stage4(classify_candidates(profile, opts), opts)
     assert {key: audit[key] for key in want} == want
     assert list(audit["rejections"].items()) == list(want["rejections"].items())
