@@ -19,7 +19,6 @@ from .graphs import (
     WeightedMultigraph,
     enumerate_multigraphs,
     enumerate_pairings,
-    graph_from_pairing,
     integral_multigraphs,
     magnitudes_from_weights,
 )

@@ -57,6 +57,8 @@ class UsageError(Exception):
 
 
 def _profile_from_args(args) -> FixedPointProfile:
+    if args.minimal and args.lambdas:
+        raise UsageError("--minimal and --lambdas exclude each other")
     if args.n is None:
         raise UsageError("--lambdas requires --n" if args.lambdas
                          else "need --n (with --minimal) or --lambdas")
@@ -69,9 +71,13 @@ def _profile_from_args(args) -> FixedPointProfile:
 
 
 def _check_out(out: Optional[str]) -> None:
-    """Refuse an --out path in a directory that does not exist, before any
-    work is done."""
-    if out and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+    """Refuse an --out path that is a directory, or that is in a directory
+    that does not exist, before any work is done."""
+    if not out:
+        return
+    if os.path.isdir(out):
+        raise UsageError("--out %s is a directory, not a file" % out)
+    if not os.path.isdir(os.path.dirname(os.path.abspath(out))):
         raise UsageError("--out %s: its directory does not exist" % out)
 
 
@@ -214,6 +220,10 @@ def _check_at_least_one(args, *names: str) -> None:
 def cmd_hattori(args) -> int:
     _check_at_least_one(args, "k0", "c1", "lmax")
     if args.c1 is not None:
+        if args.file:
+            raise UsageError("give a weight-system file or --c1, not both")
+        if args.k0 is not None:
+            raise UsageError("--k0 applies to a weight-system file, not to --c1")
         sols = dim8_solver(args.c1, lmax=args.lmax)
         _write_out(json.dumps([[l, str(m)] for l, m in sols]), args.out)
         return EXIT_OK
@@ -240,12 +250,14 @@ def cmd_hattori(args) -> int:
 
 
 def cmd_fixture(args) -> int:
+    takes_xi = args.name in ("cp", "grassmannian")
+    if takes_xi and not args.xi:
+        raise UsageError("%s needs --xi" % args.name)
+    if not takes_xi and args.xi is not None:
+        raise UsageError("--xi applies to cp and grassmannian, not to %s" % args.name)
     maker = FIXTURES[args.name]
     try:
-        if args.name == "cp" or args.name == "grassmannian":
-            if not args.xi:
-                print("need --xi", file=sys.stderr)
-                return EXIT_SCHEMA
+        if takes_xi:
             ws = maker(tuple(int(x) for x in args.xi.split(",")))
         elif args.name == "s2xs2":
             ws = maker(args.a, args.b)

@@ -17,7 +17,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
@@ -163,13 +162,6 @@ class WeightSystem:
         except (KeyError, TypeError) as exc:
             raise WeightSystemError("malformed weight-system record: %s" % (exc,))
         return cls(n, tuple(pts))
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
-    @classmethod
-    def loads(cls, text: str) -> "WeightSystem":
-        return cls.from_json(json.loads(text))
 
 
 def weight_system_checks(ws: WeightSystem) -> List[str]:

@@ -8,7 +8,7 @@ where required; otherwise :class:`IneffectiveParameters` is raised.
 from __future__ import annotations
 
 from math import gcd
-from typing import Sequence, Tuple
+from typing import Sequence
 
 from .core import WeightSystem, weight_system_checks
 

@@ -239,15 +239,6 @@ def _pairings(ws: WeightSystem, allowed_for: Callable[[int], Callable[[int, int]
     return [seen[k] for k in sorted(seen)]
 
 
-def graph_from_pairing(ws: WeightSystem, wedges: Sequence[WeightedEdge]) -> WeightedMultigraph:
-    """Build the weighted multigraph for an explicit pairing, verifying that
-    it consumes exactly the weights of ``ws``."""
-    g = WeightedMultigraph(ws.n, ws.profile.lambdas, tuple(wedges))
-    if g.weight_system() != ws:
-        raise PairingMismatch("pairing does not reproduce the weight system")
-    return g
-
-
 def magnitudes_from_weights(ws: WeightSystem, g: WeightedMultigraph) -> Tuple[Fraction, ...]:
     """Edge magnitudes (difference of endpoint weight sums over edge weight);
     cycles get magnitude 0.  Order matches ``g.wedges``."""
@@ -261,33 +252,19 @@ def magnitudes_from_weights(ws: WeightSystem, g: WeightedMultigraph) -> Tuple[Fr
     return tuple(out)
 
 
-def _residue_test(ws: WeightSystem, w: int):
-    """Whether an edge (i, j) of weight w joins points whose weight
-    multisets agree modulo w."""
-    residues = [sorted(x % w for x in p) for p in ws.points]
-    return lambda i, j: residues[i] == residues[j]
-
-
-def has_congruent_endpoints(ws: WeightSystem, g: WeightedMultigraph) -> bool:
-    """Stronger arithmetic test: for every edge of weight w > 1 the endpoint
-    weight multisets must agree modulo w (fixed-point sets of the order-w
-    cyclic subgroup connect the endpoints, forcing equal residues)."""
-    return all(_residue_test(ws, w)(i, j) for i, j, w in g.wedges)
-
-
-def integral_multigraphs(ws: WeightSystem, mode: str = "all",
-                         congruent: bool = False) -> List[WeightedMultigraph]:
-    """Pairings of ``ws`` whose magnitudes are all integers (the computable
-    relaxation of geometric integrality); with ``congruent=True`` the
-    residue-multiset test of :func:`has_congruent_endpoints` is added.
-    Both tests look at one edge at a time, so they prune the pairing
-    enumeration edge by edge."""
+def integral_multigraphs(ws: WeightSystem, mode: str = "all") -> List[WeightedMultigraph]:
+    """Pairings of ``ws`` whose every non-cycle edge (i, j) of weight w is
+    integral and congruent: its magnitude is an integer (the computable
+    relaxation of geometric integrality), and the weight multisets at i and j
+    agree modulo w (the fixed-point set of the order-w cyclic subgroup joins
+    the endpoints, forcing equal residues).  Both tests look at one edge at
+    a time, so they prune the pairing enumeration edge by edge."""
     orient = _edge_filter(ws.profile.lambdas, mode)
     sums = ws.weight_sums()
 
     def allowed_for(w):
-        same_residues = _residue_test(ws, w) if congruent else lambda i, j: True
+        residues = [sorted(x % w for x in p) for p in ws.points]
         return lambda i, j: orient(i, j) and (
-            i == j or (sums[i] - sums[j]) % w == 0 and same_residues(i, j))
+            i == j or (sums[i] - sums[j]) % w == 0 and residues[i] == residues[j])
 
     return _pairings(ws, allowed_for)

@@ -26,7 +26,7 @@ from math import isqrt, prod
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .core import WeightSystem
-from .laurent import LaurentPolynomial, NotLaurent, one_minus_t
+from .laurent import LaurentPolynomial, one_minus_t
 
 
 class ConsistencyFailure(ArithmeticError):
@@ -95,16 +95,10 @@ def derive_levels(ws: WeightSystem, k0: int) -> Optional[LevelData]:
     return LevelData(k0=k0, d=d, a=a)
 
 
-def available_levels(ws: WeightSystem, k0_max: Optional[int] = None) -> List[LevelData]:
+def available_levels(ws: WeightSystem) -> List[LevelData]:
     """All level structures with k0 from the number of fixed points down to 1."""
-    if k0_max is None:
-        k0_max = ws.num_points
-    out = []
-    for k0 in range(k0_max, 0, -1):
-        lv = derive_levels(ws, k0)
-        if lv is not None:
-            out.append(lv)
-    return out
+    levels = (derive_levels(ws, k0) for k0 in range(ws.num_points, 0, -1))
+    return [lv for lv in levels if lv is not None]
 
 
 def _phi_numerator(a: Sequence[int], i: int) -> LaurentPolynomial:
@@ -145,7 +139,7 @@ def r_sequence(ws: WeightSystem, levels: LevelData) -> List[LaurentPolynomial]:
     return rs
 
 
-def r_values_at_one(ws: WeightSystem, levels: LevelData) -> List[Fraction]:
+def r_values_at_one(ws: WeightSystem, levels: LevelData) -> List[int]:
     return [r.eval_one() for r in r_sequence(ws, levels)]
 
 

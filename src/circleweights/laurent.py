@@ -1,60 +1,51 @@
-"""Exact Laurent polynomial arithmetic in one variable t.
+"""Exact Laurent polynomial arithmetic in one variable t over the integers.
 
-Coefficients are integers, and a ``Fraction`` appears only after a division
-by a polynomial whose leading coefficient is not +-1 (or when a caller puts
-one in); integral ``Fraction`` inputs are stored as ``int``.  Exponents are
-arbitrary (possibly negative) integers.  Every factor the index battery
-builds is 1 - t^w or a product of such, with leading coefficient +-1, so its
-divisions stay in Z[t, 1/t].  Division is exact: dividing by a polynomial
-that does not divide the numerator in Q[t, 1/t] raises :class:`NotLaurent`.
+Coefficients are ints and exponents are arbitrary (possibly negative)
+integers.  Every divisor the index battery builds is 1 - t^w or a product
+of such, with leading coefficient +-1, so division stays in Z[t, 1/t]:
+dividing by a polynomial whose leading coefficient is not +-1 raises
+ValueError, and dividing by one that does not divide the numerator raises
+:class:`NotLaurent`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Dict, Union
-
-Coeff = Union[int, Fraction]
+from operator import index
+from typing import Dict
 
 
 class NotLaurent(ArithmeticError):
     """An expression expected to be a Laurent polynomial is not one."""
 
 
-def _coeff(c) -> Coeff:
-    """c as an int when it is integral, otherwise as a Fraction."""
-    if type(c) is int:
-        return c
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
-def _make(coeffs: Dict[int, Coeff]) -> "LaurentPolynomial":
-    """A polynomial from a dict of int exponents and int/Fraction values,
-    dropping zeros and storing integral Fractions as ints."""
+def _make(coeffs: Dict[int, int]) -> "LaurentPolynomial":
+    """A polynomial from a dict of int exponents and int values, dropping
+    zeros."""
     p = LaurentPolynomial.__new__(LaurentPolynomial)
-    p.coeffs = {e: c if type(c) is int else _coeff(c) for e, c in coeffs.items() if c}
+    p.coeffs = {e: c for e, c in coeffs.items() if c}
     return p
 
 
-def _wrap(coeffs: Dict[int, Coeff]) -> "LaurentPolynomial":
-    """A polynomial taking ``coeffs`` as it is: nonzero and normalized."""
+def _wrap(coeffs: Dict[int, int]) -> "LaurentPolynomial":
+    """A polynomial taking ``coeffs`` as it is: nonzero ints."""
     p = LaurentPolynomial.__new__(LaurentPolynomial)
     p.coeffs = coeffs
     return p
 
 
 class LaurentPolynomial:
-    """Sparse Laurent polynomial sum c_e t^e with exact coefficients."""
+    """Sparse Laurent polynomial sum c_e t^e with int coefficients."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Dict[int, Coeff] = None):
-        self.coeffs: Dict[int, Coeff] = {}
+    def __init__(self, coeffs: Dict[int, int] = None):
+        """Coefficients must be ints (``operator.index``): a Fraction or a
+        float raises TypeError."""
+        self.coeffs: Dict[int, int] = {}
         if coeffs:
             for e, c in coeffs.items():
-                c = _coeff(c)
-                if c != 0:
+                c = index(c)
+                if c:
                     self.coeffs[int(e)] = c
 
     @classmethod
@@ -99,7 +90,7 @@ class LaurentPolynomial:
     def __mul__(self, other) -> "LaurentPolynomial":
         if isinstance(other, int):
             other = LaurentPolynomial.term(other, 0)
-        out: Dict[int, Coeff] = {}
+        out: Dict[int, int] = {}
         get = out.get
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
@@ -120,43 +111,45 @@ class LaurentPolynomial:
     def max_exp(self) -> int:
         return max(self.coeffs)
 
-    def eval_one(self) -> Fraction:
+    def eval_one(self) -> int:
         """Value at t = 1 (sum of coefficients)."""
-        return Fraction(sum(self.coeffs.values()))
+        return sum(self.coeffs.values())
 
     def divexact(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        """Exact quotient self / other in Q[t, 1/t]; raises NotLaurent if the
-        division leaves a remainder.  Integer arithmetic throughout when the
-        leading coefficient of ``other`` is +-1."""
+        """Exact quotient self / other in Z[t, 1/t].  The leading coefficient
+        of ``other`` must be +-1 (ValueError otherwise); raises NotLaurent if
+        the division leaves a remainder."""
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
+        dmin = other.min_exp()
+        dmax = other.max_exp() - dmin
+        dlead = other.coeffs[dmax + dmin]
+        if dlead != 1 and dlead != -1:
+            raise ValueError("divisor %s has leading coefficient %d, not +-1" % (other, dlead))
         if self.is_zero():
             return LaurentPolynomial.zero()
         # both as ordinary polynomials with nonzero constant term; long
         # division by descending degree on a dense remainder
-        nmin, dmin = self.min_exp(), other.min_exp()
+        nmin = self.min_exp()
         top = self.max_exp() - nmin
         rem = [0] * (top + 1)
         for e, c in self.coeffs.items():
             rem[e - nmin] = c
-        dmax = other.max_exp() - dmin
-        dlead = other.coeffs[dmax + dmin]
         tail = [(e - dmin, c) for e, c in other.coeffs.items() if e - dmin != dmax]
-        unit = dlead == 1 or dlead == -1
-        quot: Dict[int, Coeff] = {}
+        quot: Dict[int, int] = {}
         shift_back = nmin - dmin
         for k in range(top, dmax - 1, -1):
             c = rem[k]
             if not c:
                 continue
-            q = c * dlead if unit else _coeff(Fraction(c) / dlead)
+            q = c * dlead
             e = k - dmax
             quot[e + shift_back] = q
             for de, dc in tail:
                 rem[de + e] -= q * dc
         if any(rem[:dmax]):
             raise NotLaurent("nonzero remainder in exact division")
-        return _make(quot)
+        return _wrap(quot)
 
     def __repr__(self) -> str:
         if not self.coeffs:

@@ -236,7 +236,6 @@ def _unit_edge_positions(graph: Multigraph) -> List[int]:
 
 def stream_labelings(graph: Multigraph, profile: FixedPointProfile, opts: SearchOptions,
                      divisor: Optional[int] = None,
-                     component_check: Optional[List[List[int]]] = None,
                      budget: Optional[List[int]] = None,
                      ) -> Iterator[Tuple[int, ...]]:
     """Integer labelings of the edges of ``graph`` summing to the magnitude
@@ -247,12 +246,12 @@ def stream_labelings(graph: Multigraph, profile: FixedPointProfile, opts: Search
     and ignores ``divisor``.  The nonnegative search tries labels from the
     row-sign minimum on minimal profiles, from 0 otherwise, up to the
     magnitude sum; with ``divisor=C`` only multiples of C, and the unit edges
-    (see _unit_edge_positions) are pinned to C.  Given the determinant
-    polynomials of _component_checker as ``component_check``, the search
-    carries the current component's polynomial down the tree, fixing one
-    label per level; once all labels of a connected component are fixed, a
-    nonzero determinant, or a singular matrix whose kernel misses the open
-    positive orthant, prunes the subtree.  ``budget`` is a one-element mutable cell bounding the explored
+    (see _unit_edge_positions) are pinned to C.  The search carries the
+    current component's determinant polynomial (see _component_checker)
+    down the tree, fixing one label per level; once all labels of a
+    connected component are fixed, a nonzero determinant, or a singular
+    matrix whose kernel misses the open positive orthant, prunes the
+    subtree.  ``budget`` is a one-element mutable cell bounding the explored
     search-tree nodes (every value tried counts); the stream stops (leaving
     budget[0] < 0) when spent.
     """
@@ -263,11 +262,9 @@ def stream_labelings(graph: Multigraph, profile: FixedPointProfile, opts: Search
     assert sorted(order) == [k for k, e in enumerate(edges) if e[0] != e[1]]
     # the component completed at each search position, and the determinant
     # polynomial of the component starting at each search position
-    boundaries, starts = {}, {}
-    if component_check is not None:
-        ends = list(itertools.accumulate(map(len, comps)))
-        boundaries = {end - 1: comp for end, comp in zip(ends, comps)}
-        starts = dict(zip([0] + ends, component_check))
+    ends = list(itertools.accumulate(map(len, comps)))
+    boundaries = {end - 1: comp for end, comp in zip(ends, comps)}
+    starts = dict(zip([0] + ends, _component_checker(graph)))
     step = divisor if divisor and opts.bound_d is None else 1
     pinned = _unit_edge_positions(graph) if divisor else []
     amat = graph_matrix(edges)
@@ -284,7 +281,7 @@ def stream_labelings(graph: Multigraph, profile: FixedPointProfile, opts: Search
     max_rest = [sum(hi for _, hi in bounds[idx + 1:]) for idx in range(len(order))]
     labels = [0] * len(edges)
 
-    def rec(idx: int, remaining: int, poly: Optional[List[int]]) -> Iterator[Tuple[int, ...]]:
+    def rec(idx: int, remaining: int, poly: List[int]) -> Iterator[Tuple[int, ...]]:
         if idx == len(order):
             if remaining == 0:
                 yield tuple(labels)
@@ -292,8 +289,7 @@ def stream_labelings(graph: Multigraph, profile: FixedPointProfile, opts: Search
         poly = starts.get(idx, poly)
         # poly is multilinear in the labels still free in this component,
         # the label at this position being the lowest bit of the index
-        if poly is not None:
-            const, linear = poly[0::2], poly[1::2]
+        const, linear = poly[0::2], poly[1::2]
         lo, hi = bounds[idx]
         values = range(lo, hi + 1, step)
         # the values leaving more than the later positions can take are a
@@ -316,10 +312,9 @@ def stream_labelings(graph: Multigraph, profile: FixedPointProfile, opts: Search
             if idx in boundaries and (const[0] + v * linear[0] or not positive_kernel_exists(
                     _component_matrix(amat, labels, boundaries[idx]))):
                 continue
-            yield from rec(idx + 1, rest,
-                           None if poly is None else [c + v * d for c, d in zip(const, linear)])
+            yield from rec(idx + 1, rest, [c + v * d for c, d in zip(const, linear)])
 
-    yield from rec(0, total, None)
+    yield from rec(0, total, [])
 
 
 def divisor_branches(profile: FixedPointProfile, opts: SearchOptions) -> List[Optional[int]]:
@@ -470,7 +465,7 @@ def vet_instance(ws: WeightSystem, opts: SearchOptions) -> Optional[str]:
             return "chern_constants"
         if opts.dim8_strict and n == 4 and c1 not in DIM8_CONSTANTS:
             return "dim8_strict"
-    pairings = integral_multigraphs(ws, mode=opts.pair_mode, congruent=True)
+    pairings = integral_multigraphs(ws, mode=opts.pair_mode)
     good_pairing = None
     for g in pairings:
         rep = lemma_filters(ws, g)
@@ -491,8 +486,6 @@ def vet_instance(ws: WeightSystem, opts: SearchOptions) -> Optional[str]:
         except (NotLaurent, ConsistencyFailure):
             return "index_laurent"
         l0 = n + 1 - c1
-        if any(v.denominator != 1 for v in rvals):
-            return "index_integrality"
         if rvals[0] != 1:
             return "index_todd"
         if any(rvals[s] != 0 for s in range(l0 + 1, len(rvals))):
@@ -551,12 +544,9 @@ def search_graph(graph: Multigraph, profile: FixedPointProfile, opts: SearchOpti
     """Stage 2+3 for one graph (and one divisor branch when given): stream
     labelings with pruning and return the surviving weight families."""
     counts = {"labelings": 0, "families": 0}
-    checker = _component_checker(graph)
     families: List[WeightFamily] = []
     budget = [opts.max_labelings] if opts.max_labelings is not None else None
-    stream = stream_labelings(graph, profile, opts, divisor=divisor,
-                              component_check=checker, budget=budget)
-    for lab in stream:
+    for lab in stream_labelings(graph, profile, opts, divisor=divisor, budget=budget):
         counts["labelings"] += 1
         fam = solve_weights(graph, lab)
         if fam is not None:
@@ -567,11 +557,11 @@ def search_graph(graph: Multigraph, profile: FixedPointProfile, opts: SearchOpti
     return families, counts
 
 
-def _signatures(ws: WeightSystem, pair_mode: str = "nonneg") -> List[Tuple[Tuple, Tuple[int, ...]]]:
+def _signatures(ws: WeightSystem, pair_mode: str) -> List[Tuple[Tuple, Tuple[int, ...]]]:
     """Canonical (graph edges, integer magnitudes) signatures over all
     admissible pairings of the instance."""
     sigs = []
-    for g in integral_multigraphs(ws, mode=pair_mode, congruent=True):
+    for g in integral_multigraphs(ws, mode=pair_mode):
         mags = magnitudes_from_weights(ws, g)
         edges = tuple((i, j) for i, j, _ in g.wedges)
         sigs.append((edges, tuple(int(m) for m in mags)))

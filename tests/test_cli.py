@@ -49,6 +49,12 @@ def test_enumerate_infeasible_profile(capsys):
     ["hattori", "--c1", "-1"],
     ["hattori", "--c1", "1", "--lmax", "-2"],
     ["scan-c1eq1", "--lmax", "0"],
+    ["classify", "--n", "2", "--minimal", "--lambdas", "0,1,1,2"],
+    ["enumerate", "--n", "2", "--minimal", "--lambdas", "0,1,1,2"],
+    ["hattori", "--c1", "5", "--k0", "2"],
+    ["hattori", "v5.json", "--c1", "5"],
+    ["fixture", "s2xs2", "--xi", "3,2"],
+    ["fixture", "cp"],
 ])
 def test_profile_without_n_is_a_schema_error(argv, capsys):
     code, out, err = run(argv, capsys)
@@ -346,7 +352,8 @@ def test_out_in_missing_directory_is_refused_before_any_work(argv, tmp_path, cap
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("flag, kind", [("--resume", "directory"), ("--cache", "file")])
+@pytest.mark.parametrize("flag, kind", [("--resume", "directory"), ("--cache", "file"),
+                                        ("--out", "directory")])
 def test_classify_refuses_a_path_of_the_wrong_kind(flag, kind, tmp_path, capsys, monkeypatch):
     path = tmp_path / "taken"
     if kind == "directory":

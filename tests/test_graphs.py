@@ -4,15 +4,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from circleweights.core import FixedPointProfile, minimal_profile
+from circleweights.core import FixedPointProfile, WeightSystem, minimal_profile
 from circleweights.fixtures import cp, grassmannian, s2xs2, v5, v22
 from circleweights.graphs import (
     Multigraph,
-    PairingMismatch,
     enumerate_multigraphs,
     enumerate_pairings,
-    graph_from_pairing,
-    has_congruent_endpoints,
     integral_multigraphs,
     magnitudes_from_weights,
 )
@@ -137,12 +134,6 @@ def test_graph_from_pairing_roundtrip():
         assert g.weight_system() == ws
 
 
-def test_graph_from_pairing_mismatch():
-    ws = cp((2, 1, 0))
-    with pytest.raises(PairingMismatch):
-        graph_from_pairing(ws, ((0, 1, 1), (0, 2, 1), (1, 2, 2)))
-
-
 @pytest.mark.parametrize("ab", [(3, 4), (3, 5), (4, 5)])
 def test_s2xs2_unique_integral_pairing(ab):
     # coprime a, b >= 3 with neither dividing 2(a+b): only the pairing
@@ -160,31 +151,31 @@ def test_cp2_integral_pairings_both_survive():
 
 
 def test_all_ones_weights_all_pairings_integral():
-    from circleweights.core import WeightSystem
-
     ws = WeightSystem(2, ((1, 1), (-1, 1), (-1, -1)))
     pairings = enumerate_pairings(ws, mode="all")
     assert len(integral_multigraphs(ws)) == len(pairings)
 
 
 def test_congruent_endpoints_filter():
-    ws = s2xs2(3, 4)
-    for g in enumerate_pairings(ws, mode="all"):
-        mags = magnitudes_from_weights(ws, g)
-        if all(m == int(m) for m in mags):
-            assert has_congruent_endpoints(ws, g) == (sorted(mags) == [2, 2, 2, 2])
+    # both pairings of this system have integer magnitudes, and both join
+    # points 2 and 3 by an edge of weight 5, whose residue multisets mod 5,
+    # {0, 3, 3} and {0, 2, 4}, differ
+    ws = WeightSystem(3, ((1, 2, 2), (-1, 1, 3), (-2, -2, 5), (-5, -3, -1)))
+    integral = [g for g in enumerate_pairings(ws, mode="all")
+                if all(m == int(m) for m in magnitudes_from_weights(ws, g))]
+    assert len(integral) == 2 and all((2, 3, 5) in g.wedges for g in integral)
+    assert integral_multigraphs(ws) == []
 
 
-def reference_integral_multigraphs(ws, mode="all", congruent=False):
+def reference_integral_multigraphs(ws, mode="all"):
     """The enumerate-then-filter integral_multigraphs replaced: every pairing,
-    kept when all its magnitudes are integers and, with congruent=True, when
-    the endpoints of every edge of weight w > 1 have equal residue
-    multisets mod w."""
+    kept when all its magnitudes are integers and the endpoints of every
+    edge of weight w > 1 have equal residue multisets mod w."""
     out = []
     for g in enumerate_pairings(ws, mode):
         if any(m.denominator != 1 for m in magnitudes_from_weights(ws, g)):
             continue
-        if congruent and any(
+        if any(
                 i != j and w != 1
                 and sorted(x % w for x in ws.points[i]) != sorted(x % w for x in ws.points[j])
                 for i, j, w in g.wedges):
@@ -223,13 +214,12 @@ FIXTURE_SYSTEMS = (cp((2, 1, 0)), cp((3, 2, 1, 0)), cp((4, 3, 2, 1, 0)), grassma
 
 
 @pytest.mark.parametrize("mode", ["all", "nonneg"])
-@pytest.mark.parametrize("congruent", [False, True])
-def test_integral_multigraphs_match_enumerate_then_filter(mode, congruent):
+def test_integral_multigraphs_match_enumerate_then_filter(mode):
     systems = FIXTURE_SYSTEMS + instantiated_systems()
     assert len(systems) == 11 + 1473
     pruned = 0
     for ws in systems:
-        want = reference_integral_multigraphs(ws, mode, congruent)
-        assert integral_multigraphs(ws, mode, congruent) == want, ws.points
+        want = reference_integral_multigraphs(ws, mode)
+        assert integral_multigraphs(ws, mode) == want, ws.points
         pruned += len(enumerate_pairings(ws, mode)) - len(want)
     assert pruned > 0

@@ -77,7 +77,7 @@ def reference_r_sequence(ws, levels):
 
 
 def _lp(exp):
-    return LaurentPolynomial({exp: F(1)})
+    return LaurentPolynomial({exp: 1})
 
 
 def _eval(poly, t0):
@@ -87,14 +87,14 @@ def _eval(poly, t0):
 def test_sphere_index_trivial_bundle():
     # rotation of the 2-sphere: weights {1} at the minimum, {-1} at the maximum
     terms = [(_lp(0), (1,)), (_lp(0), (-1,))]
-    assert as_index(terms).coeffs == {0: F(1)}
+    assert as_index(terms).coeffs == {0: 1}
     assert as_index(terms) == reference_as_index(terms)
 
 
 def test_sphere_index_degree_one():
     terms = [(_lp(1), (1,)), (_lp(0), (-1,))]
     result = as_index(terms)
-    assert result.coeffs == {0: F(1), 1: F(1)}  # 1 + t
+    assert result.coeffs == {0: 1, 1: 1}  # 1 + t
     assert result == reference_as_index(terms)
 
 
@@ -177,7 +177,7 @@ def test_cp4_r_sequence_trivial():
     ws = cp((4, 3, 2, 1, 0))
     lv = derive_levels(ws, 5)
     rs = r_sequence(ws, lv)
-    assert rs[0].coeffs == {0: F(1)}
+    assert rs[0].coeffs == {0: 1}
     assert all(r.coeffs == {} for r in rs[1:])
     assert sum(r.eval_one() for r in rs) == 1
 
@@ -233,8 +233,8 @@ def test_r_sequence_refuses_a_corrupted_r(monkeypatch, s):
 
 def test_r_sequence_stays_in_integers():
     # every factor of the index battery has leading coefficient +-1, so the
-    # r_s come out with int coefficients; a Fraction here means the slow
-    # rational path is back.  The values at 1 are those of the Fraction code.
+    # r_s and their values at 1 are ints.  The values at 1 are those of the
+    # rational code this replaced.
     cases = [
         (cp((2, 1, 0)), 3, [1, 0, 0]),
         (cp((2, 1, 0)), 1, [1, 7, 1]),
@@ -255,7 +255,7 @@ def test_r_sequence_stays_in_integers():
         assert rs == reference_r_sequence(ws, lv), (ws.points, k0)
         assert all(type(c) is int for r in rs for c in r.coeffs.values()), (ws.points, k0)
         got = r_values_at_one(ws, lv)
-        assert got == values and all(type(x) is F for x in got), (ws.points, k0)
+        assert got == values and all(type(x) is int for x in got), (ws.points, k0)
 
 
 def test_dim8_solver():

@@ -80,10 +80,13 @@ def test_labelings_square_count():
     # non-minimal profile: nonneg parts allowed, C(11,3) = 165 compositions,
     # of which C(7,3) = 35 are strictly positive
     opts = SearchOptions()
-    labs = branch_labelings(SQUARE, S2XS2, opts)
+    labs = list(reference_stream_labelings(SQUARE, S2XS2, opts))
     assert len(labs) == 165
     assert len([l for l in labs if all(m >= 1 for m in l)]) == 35
     assert (2, 2, 2, 2) in labs
+    # the search keeps those whose matrix is singular with a positive kernel
+    assert branch_labelings(SQUARE, S2XS2, opts) == [
+        lab for lab in labs if solve_weights(SQUARE, lab) is not None]
 
 
 def test_labelings_unique_for_k5_divisor5():
@@ -202,15 +205,13 @@ def test_stream_labelings_match_the_reference():
     charged to the budget cell, as the reference stream with the reference
     component check."""
 
-    def both(graph, profile, opts, divisor, checked, budget):
-        check, reference_check = ((_component_checker(graph), reference_component_checker(graph))
-                                  if checked else (None, None))
+    def both(graph, profile, opts, divisor, budget):
         cells = [budget], [budget]
-        got = list(stream_labelings(graph, profile, opts, divisor=divisor,
-                                    component_check=check, budget=cells[0]))
-        want = list(reference_stream_labelings(graph, profile, opts, divisor=divisor,
-                                               component_check=reference_check, budget=cells[1]))
-        assert (got, cells[0]) == (want, cells[1]), (profile, opts, graph.edges, divisor, checked)
+        got = list(stream_labelings(graph, profile, opts, divisor=divisor, budget=cells[0]))
+        want = list(reference_stream_labelings(
+            graph, profile, opts, divisor=divisor,
+            component_check=reference_component_checker(graph), budget=cells[1]))
+        assert (got, cells[0]) == (want, cells[1]), (profile, opts, graph.edges, divisor)
         return len(got)
 
     # every graph and divisor branch of d4, d6 and S^2 x S^2, nonnegative and
@@ -223,16 +224,15 @@ def test_stream_labelings_match_the_reference():
     for profile, opts in cases:
         for graph in enumerate_multigraphs(profile, mode=opts.pair_mode, dedup="reversal"):
             for c in divisor_branches(profile, opts):
-                for checked in (False, True):
-                    labelings += both(graph, profile, opts, c, checked, 10 ** 9)
-                    streams += 1
+                labelings += both(graph, profile, opts, c, 10 ** 9)
+                streams += 1
     # ... and every d8 graph of the branch C = 1 under a node budget
     profile = minimal_profile(4)
     opts = SearchOptions(dim8_strict=True, divisor_c=1)
     for graph in enumerate_multigraphs(profile, mode=opts.pair_mode, dedup="reversal"):
-        labelings += both(graph, profile, opts, 1, True, 3000)
+        labelings += both(graph, profile, opts, 1, 3000)
         streams += 1
-    assert (streams, labelings) == (283, 51_597)
+    assert (streams, labelings) == (179, 206)
 
 
 # every graph of the bounded search (all orientations) with n <= 3
@@ -331,14 +331,14 @@ def test_solve_weights_matches_determinant_and_positivity():
                               (S2XS2, divisor_branches(S2XS2, opts))):
         for graph in enumerate_multigraphs(profile, mode="nonneg", dedup="reversal"):
             for c in branches:
-                cases += [(graph, lab) for lab in stream_labelings(graph, profile, opts, divisor=c)]
+                cases += [(graph, lab) for lab in reference_stream_labelings(
+                    graph, profile, opts, divisor=c)]
     # ... and the labelings the dimension-6 search streams
     d6 = []
     profile, opts = minimal_profile(3), SearchOptions()
     for graph in enumerate_multigraphs(profile, mode="nonneg", dedup="reversal"):
         for c in divisor_branches(profile, opts):
-            d6 += [(graph, lab) for lab in stream_labelings(
-                graph, profile, opts, divisor=c, component_check=_component_checker(graph))]
+            d6 += [(graph, lab) for lab in stream_labelings(graph, profile, opts, divisor=c)]
     assert len(d6) == 92
     verdicts = set()
     for graph, lab in cases + d6:
