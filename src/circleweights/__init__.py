@@ -61,8 +61,8 @@ from .search import (
     NonIntegralSum,
     SearchOptions,
     WeightFamily,
+    admissible_pairing,
     classify,
-    lemma_filters,
     magnitude_sum,
     minimal_divisors,
     solve_weights,

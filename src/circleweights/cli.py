@@ -12,6 +12,7 @@ Subcommands:
 * ``scan-c1eq1`` -- volume scan for the dimension-8 constant-1 branch
 
 Exit codes: 0 success, 2 schema error, 3 infeasible profile / failed verify.
+Commands raise their refusals; ``main`` prints each as one stderr line.
 """
 
 from __future__ import annotations
@@ -27,10 +28,9 @@ from .core import (
     ProfileError,
     WeightSystem,
     minimal_profile,
-    validate_profile,
     weight_system_checks,
 )
-from .fixtures import FIXTURES, IneffectiveParameters
+from .fixtures import FIXTURES
 from .graphs import enumerate_multigraphs
 from .hattori import available_levels, derive_levels, dim8_solver, r_values_at_one
 from .laurent import NotLaurent
@@ -45,6 +45,7 @@ from .search import (
     magnitude_sum,
     run_fingerprint,
     vet_instance,
+    write_atomic,
 )
 
 EXIT_OK = 0
@@ -83,31 +84,17 @@ def _check_out(out: Optional[str]) -> None:
 
 def _write_out(payload: str, out: Optional[str]) -> None:
     if out:
-        tmp = out + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write(payload)
-        os.replace(tmp, out)
+        write_atomic(out, payload)
     else:
         sys.stdout.write(payload)
         if not payload.endswith("\n"):
             sys.stdout.write("\n")
 
 
-def _result_json(result: ClassificationResult) -> dict:
-    return {
-        "profile": {"n": result.profile.n, "lambdas": list(result.profile.lambdas)},
-        "options": result.options.to_json(),
-        "graphs_examined": result.graphs_examined,
-        "audit": result.audit,
-        "families": [f.to_json() for f in result.families],
-    }
-
-
 def _human_table(result: ClassificationResult) -> str:
-    lines = []
-    lines.append("profile n=%d lambdas=%s" % (result.profile.n, list(result.profile.lambdas)))
-    lines.append("graph classes examined: %d" % result.graphs_examined)
-    lines.append("surviving families: %d" % len(result.families))
+    lines = ["profile n=%d lambdas=%s" % (result.profile.n, list(result.profile.lambdas)),
+             "graph classes examined: %d" % result.graphs_examined,
+             "surviving families: %d" % len(result.families)]
     for t, fam in enumerate(result.families):
         lines.append("")
         lines.append("family %d: edges %s" % (t + 1, list(fam.graph.edges)))
@@ -123,15 +110,8 @@ def _human_table(result: ClassificationResult) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_enumerate(args) -> int:
-    try:
-        profile = _profile_from_args(args)
-        validate_profile(profile)
-    except ProfileError as exc:
-        print("infeasible profile: %s" % exc, file=sys.stderr)
-        return EXIT_INFEASIBLE
-    graphs = enumerate_multigraphs(profile, mode=args.filter, dedup=args.dedup)
-    payload = json.dumps([g.to_json() for g in graphs], indent=1)
-    _write_out(payload, args.out)
+    graphs = enumerate_multigraphs(_profile_from_args(args), mode=args.filter, dedup=args.dedup)
+    _write_out(json.dumps([g.to_json() for g in graphs], indent=1), args.out)
     print("%d graph classes" % len(graphs), file=sys.stderr)
     return EXIT_OK
 
@@ -144,17 +124,11 @@ def cmd_classify(args) -> int:
         check_jobs(args.jobs)
     except ValueError as exc:
         raise UsageError(exc) from exc
-    try:
-        profile = _profile_from_args(args)
-        validate_profile(profile)
-        total = magnitude_sum(profile)
-    except (ProfileError, NonIntegralSum) as exc:
-        print("infeasible profile: %s" % exc, file=sys.stderr)
-        return EXIT_INFEASIBLE
+    profile = _profile_from_args(args)
+    total = magnitude_sum(profile)
     if opts.bound_d is None and not profile.is_minimal and total < 0:
-        print("nonnegative mode refused: non-minimal profile with negative "
-              "magnitude-sum target %d; use --bound-D" % total, file=sys.stderr)
-        return EXIT_INFEASIBLE
+        raise ProfileError("nonnegative mode refused: non-minimal profile with negative "
+                           "magnitude-sum target %d; use --bound-D" % total)
     cache_file = None
     if args.cache:
         try:
@@ -169,7 +143,7 @@ def cmd_classify(args) -> int:
             print("(cached)", file=sys.stderr)
             return EXIT_OK
     result = classify(profile, opts, jobs=args.jobs, checkpoint=args.resume)
-    payload = json.dumps(_result_json(result), indent=1, sort_keys=True)
+    payload = json.dumps(result.to_json(), indent=1, sort_keys=True)
     if cache_file:
         _write_out(payload, cache_file)
     _write_out(payload, args.out)
@@ -224,11 +198,13 @@ def cmd_hattori(args) -> int:
             raise UsageError("give a weight-system file or --c1, not both")
         if args.k0 is not None:
             raise UsageError("--k0 applies to a weight-system file, not to --c1")
-        sols = dim8_solver(args.c1, lmax=args.lmax)
+        sols = dim8_solver(args.c1, lmax=100 if args.lmax is None else args.lmax)
         _write_out(json.dumps([[l, str(m)] for l, m in sols]), args.out)
         return EXIT_OK
     if not args.file:
         raise UsageError("need a weight-system file or --c1")
+    if args.lmax is not None:
+        raise UsageError("--lmax applies to --c1, not to a weight-system file")
     ws = _load_ws(args.file)
     if any(0 in p for p in ws.points):
         raise UsageError("%s has a zero weight: the index divides by every weight" % args.file)
@@ -255,17 +231,18 @@ def cmd_fixture(args) -> int:
         raise UsageError("%s needs --xi" % args.name)
     if not takes_xi and args.xi is not None:
         raise UsageError("--xi applies to cp and grassmannian, not to %s" % args.name)
+    if args.name != "s2xs2" and (args.a, args.b) != (None, None):
+        raise UsageError("--a and --b apply to s2xs2, not to %s" % args.name)
     maker = FIXTURES[args.name]
     try:
         if takes_xi:
             ws = maker(tuple(int(x) for x in args.xi.split(",")))
         elif args.name == "s2xs2":
-            ws = maker(args.a, args.b)
+            ws = maker(1 if args.a is None else args.a, 2 if args.b is None else args.b)
         else:
             ws = maker()
-    except (IneffectiveParameters, ValueError) as exc:
-        print("bad parameters: %s" % exc, file=sys.stderr)
-        return EXIT_SCHEMA
+    except ValueError as exc:  # IneffectiveParameters is one
+        raise UsageError("bad parameters: %s" % exc) from exc
     _write_out(json.dumps(ws.to_json(), indent=1), args.out)
     return EXIT_OK
 
@@ -318,15 +295,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", nargs="?")
     p.add_argument("--k0", type=int)
     p.add_argument("--c1", type=int, help="run the dimension-8 solver for this constant")
-    p.add_argument("--lmax", type=int, default=100)
+    p.add_argument("--lmax", type=int, help="solver bound for --c1 (default 100)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_hattori)
 
     p = sub.add_parser("fixture", help="emit a reference weight system")
     p.add_argument("name", choices=sorted(FIXTURES))
     p.add_argument("--xi", help="comma-separated weights for cp/grassmannian")
-    p.add_argument("--a", type=int, default=1)
-    p.add_argument("--b", type=int, default=2)
+    p.add_argument("--a", type=int, help="s2xs2 only (default 1)")
+    p.add_argument("--b", type=int, help="s2xs2 only (default 2)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_fixture)
 
@@ -345,6 +322,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (UsageError, CheckpointMismatch) as exc:
         print("schema error: %s" % exc, file=sys.stderr)
         return EXIT_SCHEMA
+    except (ProfileError, NonIntegralSum) as exc:
+        print("infeasible profile: %s" % exc, file=sys.stderr)
+        return EXIT_INFEASIBLE
 
 
 if __name__ == "__main__":

@@ -157,9 +157,7 @@ def complete_graph_c1n(ws: WeightSystem, g: WeightedMultigraph) -> Fraction:
     if pivot is None:
         raise ShapePrecondition("no vertex meets n distinct non-cycle edges")
     product = prod((mags[k] for k in by_vertex[pivot]), start=Fraction(1))
-    sums = ws.weight_sums()
-    direct = sum((Fraction(sums[i] ** ws.n, prod(p)) for i, p in enumerate(ws.points)),
-                 Fraction(0))
+    direct = abbv_sum(ws, (1,) * ws.n)
     if direct != product:
         raise ShapePrecondition(
             "magnitude product %s disagrees with localization value %s" % (product, direct)

@@ -127,7 +127,6 @@ class WeightFamily:
 
     graph: Multigraph
     magnitudes: Tuple[int, ...]
-    components: List[List[int]]
     comp_kernels: List[NullspaceDescription]
 
     def witness_instances(self, bound: int = 12,
@@ -152,7 +151,7 @@ class WeightFamily:
         cycles = [e for e in edges if e[0] == e[1]]
         cycle_choices = [[(w,) for w in range(1, cycle_bound + 1)]] * len(cycles)
         # (source, target) of each weight of a flattened product entry
-        ends = [edges[k] for comp in self.components for k in comp] + cycles
+        ends = [edges[k] for comp in self.graph.components() for k in comp] + cycles
         npts = self.graph.num_points
         out = []
         for combo in itertools.product(*comp_choices, *cycle_choices):
@@ -170,7 +169,7 @@ class WeightFamily:
         edges = self.graph.edges
         exprs = ["" for _ in edges]
         pnum = 0
-        for comp, ker in zip(self.components, self.comp_kernels):
+        for comp, ker in zip(self.graph.components(), self.comp_kernels):
             names = ["b[%d]" % (pnum + t + 1) for t in range(ker.dim)]
             pnum += ker.dim
             for pos, k in enumerate(comp):
@@ -350,16 +349,15 @@ def solve_weights(graph: Multigraph, magnitudes: Sequence[int]) -> Optional[Weig
         raise ValueError("labeling length does not match edge count")
     mags = tuple(int(x) for x in magnitudes)
     amat = graph_matrix(edges)
-    comps = graph.components()
     kernels: List[NullspaceDescription] = []
-    for comp in comps:
+    for comp in graph.components():
         # the component matrix is square, so it is singular exactly when its
         # kernel is nonzero, and a zero kernel misses the positive orthant
         kernel = nullspace(_component_matrix(amat, mags, comp))
         if positive_combination(kernel) is None:
             return None
         kernels.append(kernel)
-    return WeightFamily(graph, mags, comps, kernels)
+    return WeightFamily(graph, mags, kernels)
 
 
 def _component_checker(graph: Multigraph) -> List[List[int]]:
@@ -387,24 +385,18 @@ def _component_checker(graph: Multigraph) -> List[List[int]]:
 # Instance vetting
 # ---------------------------------------------------------------------------
 
-def lemma_filters(ws: WeightSystem, g: WeightedMultigraph) -> Dict[str, Optional[str]]:
-    """Arithmetic rejection rules for an instance with a chosen pairing.
-
-    Keys map to None (pass) or a failure description:
-      multiple_edge_gcd   parallel edge bundles of size >= n-1, or whose
-                          complement at both endpoints is all cycles, must
-                          have coprime weights;
-      divisor_propagation for every sub-bundle of parallel edges with gcd
-                          g > 1, both endpoints must carry another weight
-                          divisible by g.
+def admissible_pairing(ws: WeightSystem, g: WeightedMultigraph) -> bool:
+    """Whether the pairing ``g`` of the weights of ``ws`` passes the
+    arithmetic lemmas on its bundles of parallel edges; False at the first
+    failing rule:
+      multiple_edge_gcd   a bundle of size >= n-1, or one whose endpoints
+                          carry nothing but cycles besides it, has coprime
+                          weights;
+      divisor_propagation for every sub-bundle with gcd g > 1, both
+                          endpoints carry another weight divisible by g.
     The first-Chern-constant rules do not depend on the pairing; vet_instance
     checks them once, before it tries any pairing.
     """
-    n = ws.n
-    report: Dict[str, Optional[str]] = {
-        "multiple_edge_gcd": None,
-        "divisor_propagation": None,
-    }
     bundles: Dict[Tuple[int, int], List[int]] = {}
     for (i, j, w) in g.wedges:
         if i != j:
@@ -412,35 +404,21 @@ def lemma_filters(ws: WeightSystem, g: WeightedMultigraph) -> Dict[str, Optional
     for (i, j), wsb in bundles.items():
         if len(wsb) < 2:
             continue
-        gg = gcd(*wsb)
-        if len(wsb) >= n - 1 and gg != 1:
-            report["multiple_edge_gcd"] = (
-                "bundle %s->%s of size %d has gcd %d" % (i, j, len(wsb), gg)
-            )
-        rest_i = [e for e in g.wedges if i in (e[0], e[1]) and not (e[0] == i and e[1] == j)]
-        rest_j = [e for e in g.wedges if j in (e[0], e[1]) and not (e[0] == i and e[1] == j)]
-        if gg != 1 and all(e[0] == e[1] for e in rest_i) and all(e[0] == e[1] for e in rest_j):
-            report["multiple_edge_gcd"] = (
-                "bundle %s->%s isolated by cycles has gcd %d" % (i, j, gg)
-            )
-        # divisor propagation over every sub-bundle of size >= 2
+        if gcd(*wsb) != 1 and (len(wsb) >= ws.n - 1 or all(
+                e[0] == e[1] for e in g.wedges if e[:2] != (i, j) and (i in e[:2] or j in e[:2]))):
+            return False
         for size in range(2, len(wsb) + 1):
-            for sub in itertools.combinations(range(len(wsb)), size):
-                taken = [wsb[t] for t in sub]
+            for taken in itertools.combinations(wsb, size):
                 gs = gcd(*taken)
                 if gs == 1:
                     continue
-                rem_i = list(ws.points[i])
-                rem_j = list(ws.points[j])
+                rem_i, rem_j = list(ws.points[i]), list(ws.points[j])
                 for w in taken:
                     rem_i.remove(w)
                     rem_j.remove(-w)
                 if not any(x % gs == 0 for x in rem_i) or not any(x % gs == 0 for x in rem_j):
-                    report["divisor_propagation"] = (
-                        "sub-bundle %s of %s->%s (gcd %d) has no companion multiple"
-                        % (taken, i, j, gs)
-                    )
-    return report
+                    return False
+    return True
 
 
 def vet_instance(ws: WeightSystem, opts: SearchOptions) -> Optional[str]:
@@ -465,14 +443,7 @@ def vet_instance(ws: WeightSystem, opts: SearchOptions) -> Optional[str]:
             return "chern_constants"
         if opts.dim8_strict and n == 4 and c1 not in DIM8_CONSTANTS:
             return "dim8_strict"
-    pairings = integral_multigraphs(ws, mode=opts.pair_mode)
-    good_pairing = None
-    for g in pairings:
-        rep = lemma_filters(ws, g)
-        if all(v is None for v in rep.values()):
-            good_pairing = g
-            break
-    if good_pairing is None:
+    if not any(admissible_pairing(ws, g) for g in integral_multigraphs(ws, mode=opts.pair_mode)):
         return "no_admissible_pairing"
     report = chern_battery(ws)
     if not report.ok:
@@ -537,6 +508,15 @@ class ClassificationResult:
     graphs_examined: int
     audit: Dict
     families: List[FamilyReport]
+
+    def to_json(self) -> dict:
+        return {
+            "profile": {"n": self.profile.n, "lambdas": list(self.profile.lambdas)},
+            "options": self.options.to_json(),
+            "graphs_examined": self.graphs_examined,
+            "audit": self.audit,
+            "families": [f.to_json() for f in self.families],
+        }
 
 
 def search_graph(graph: Multigraph, profile: FixedPointProfile, opts: SearchOptions,
@@ -632,22 +612,33 @@ def _load_checkpoint(path: str, fingerprint: str, graphs: List[Multigraph],
     return done
 
 
-def _save_checkpoint(path: str, fingerprint: str, done: Dict[Block, BlockResult]) -> None:
-    """Atomically replace ``path`` with the finished blocks: the magnitudes
-    of each block's families and its search counts."""
+def write_atomic(path: str, text: str) -> None:
+    """Replace the file ``path`` by one holding ``text``: write a fresh
+    temporary file in its directory (removed again on failure), then rename
+    it over ``path``.  A reader sees the old file or the new one, and two
+    writers of one path never share a temporary file."""
     import tempfile  # imported where used: keeps `import circleweights` light
 
-    blocks = {_block_key(block): {"families": [list(f.magnitudes) for f in fams],
-                                  "counts": counts}
-              for block, (fams, counts) in done.items()}
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump({"fingerprint": fingerprint, "blocks": blocks}, fh)
+            os.fchmod(fd, 0o666 & ~umask)  # the mode open() gives, not mkstemp's 0600
+            fh.write(text)
     except BaseException:
         os.unlink(tmp)
         raise
     os.replace(tmp, path)
+
+
+def _save_checkpoint(path: str, fingerprint: str, done: Dict[Block, BlockResult]) -> None:
+    """Replace ``path`` with the finished blocks: the magnitudes of each
+    block's families and its search counts."""
+    blocks = {_block_key(block): {"families": [list(f.magnitudes) for f in fams],
+                                  "counts": counts}
+              for block, (fams, counts) in done.items()}
+    write_atomic(path, json.dumps({"fingerprint": fingerprint, "blocks": blocks}))
 
 
 def _search_block(payload) -> BlockResult:

@@ -7,8 +7,9 @@ import sys
 import pytest
 
 from circleweights import search
-from circleweights.cli import _result_json, main
+from circleweights.cli import main
 from circleweights.core import minimal_profile
+from circleweights.fixtures import v5
 from circleweights.search import SearchOptions, classify
 
 
@@ -55,11 +56,28 @@ def test_enumerate_infeasible_profile(capsys):
     ["hattori", "v5.json", "--c1", "5"],
     ["fixture", "s2xs2", "--xi", "3,2"],
     ["fixture", "cp"],
+    ["hattori", "v5.json", "--k0", "2", "--lmax", "5"],
+    ["fixture", "v22", "--a", "3", "--b", "7"],
+    ["fixture", "s2xs2", "--a", "2", "--b", "4"],
+    ["fixture", "cp", "--xi", "3,x"],
 ])
-def test_profile_without_n_is_a_schema_error(argv, capsys):
+def test_profile_without_n_is_a_schema_error(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "v5.json").write_text(json.dumps(v5().to_json()))
     code, out, err = run(argv, capsys)
     assert code == 2
     assert out == "" and err.startswith("schema error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["enumerate", "--n", "3", "--lambdas", "0,1,1,3"], "infeasible profile: "),
+    (["classify", "--n", "3", "--lambdas", "0,1,1,3"], "infeasible profile: "),
+    (["classify", "--n", "4", "--lambdas", "2,2"], "infeasible profile: nonnegative mode refused"),
+])
+def test_infeasible_profile_is_one_line_and_exit_three(argv, message, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 3
+    assert out == "" and err.startswith(message) and err.count("\n") == 1
 
 
 def test_fixture_roundtrip(tmp_path, capsys):
@@ -266,7 +284,7 @@ def test_classify_json_is_the_library_result(tmp_path, capsys):
     code, _, _ = run(["classify", "--n", "2", "--out", str(out)], capsys)
     assert code == 0
     got = json.loads(out.read_text())
-    want = _result_json(classify(minimal_profile(2), SearchOptions()))
+    want = classify(minimal_profile(2), SearchOptions()).to_json()
     assert got == json.loads(json.dumps(want))
     # families count only candidates new to the run, not every block's
     assert got["audit"]["graphs"]["1"] == {"labelings": 4, "families": 2}

@@ -1,7 +1,7 @@
 """The CLI JSON of five classify runs, byte for byte.
 
 The files under ``tests/golden/`` hold
-``json.dumps(cli._result_json(classify(...)), indent=1, sort_keys=True)``.
+``json.dumps(classify(...).to_json(), indent=1, sort_keys=True)``.
 The d4, d6 and d8_c5 runs were first written before stage 4 (vetting and
 regrouping) was refactored, the two S^2 x S^2 runs (a non-minimal profile,
 nonnegative and bounded) before the labeling bounds became one rule; all
@@ -15,7 +15,6 @@ from pathlib import Path
 
 import pytest
 
-from circleweights.cli import _result_json
 from circleweights.core import FixedPointProfile, minimal_profile
 from circleweights.search import SearchOptions, classify
 
@@ -34,5 +33,5 @@ S2XS2 = FixedPointProfile(2, (0, 1, 1, 2))
 ])
 def test_classify_reproduces_golden_json(name, n, opts):
     profile = n if isinstance(n, FixedPointProfile) else minimal_profile(n)
-    payload = json.dumps(_result_json(classify(profile, opts)), indent=1, sort_keys=True)
+    payload = json.dumps(classify(profile, opts).to_json(), indent=1, sort_keys=True)
     assert payload == (GOLDEN / ("%s.json" % name)).read_text()

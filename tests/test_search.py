@@ -29,10 +29,10 @@ from circleweights.linalg import (
 )
 from circleweights.search import (
     SearchOptions,
+    admissible_pairing,
     _component_checker,
     classify,
     divisor_branches,
-    lemma_filters,
     magnitude_sum,
     minimal_divisors,
     run_fingerprint,
@@ -287,7 +287,7 @@ def component_matrix(graph, magnitudes, comp):
 def test_solve_triangle():
     fam = solve_weights(TRIANGLE, (3, 3, 3))
     assert fam is not None
-    sub = component_matrix(TRIANGLE, (3, 3, 3), fam.components[0])
+    sub = component_matrix(TRIANGLE, (3, 3, 3), fam.graph.components()[0])
     assert positive_integer_nullvector(sub, search_bound=3) == (1, 2, 1)
     for v in fam.comp_kernels[0].basis:
         assert v[1] == v[0] + v[2]  # w(e02) = w(e01) + w(e12)
@@ -298,7 +298,7 @@ def test_solve_square():
     # opposite sides of the square
     fam = solve_weights(SQUARE, (2, 2, 2, 2))
     assert fam is not None
-    sub = component_matrix(SQUARE, (2, 2, 2, 2), fam.components[0])
+    sub = component_matrix(SQUARE, (2, 2, 2, 2), fam.graph.components()[0])
     assert positive_integer_nullvector(sub, search_bound=3) == (1, 1, 1, 1)
     for v in fam.comp_kernels[0].basis:
         assert v[0] == v[3] and v[1] == v[2]
@@ -376,11 +376,11 @@ def reference_weighted_graphs(fam, bound=12, cycle_bound=4):
     out = []
     for combo in itertools.product(*comp_choices, *cycle_choices):
         vec = [0] * len(edges)
-        for ci, comp in enumerate(fam.components):
+        for ci, comp in enumerate(fam.graph.components()):
             for pos, k in enumerate(comp):
                 vec[k] = combo[ci][pos]
         for t, k in enumerate(cycle_positions):
-            vec[k] = combo[len(fam.components) + t]
+            vec[k] = combo[len(fam.graph.components()) + t]
         wedges = tuple((i, j, w) for (i, j), w in zip(edges, vec))
         out.append(WeightedMultigraph(fam.graph.n, fam.graph.lambdas, wedges))
     return out
@@ -416,7 +416,7 @@ def test_witness_instances_match_the_weighted_graph_builder(profile, count, with
     fams = streamed_families(profile)
     assert len(fams) == count
     assert sum(1 for f in fams if f.graph.cycles()) == with_cycles
-    assert sum(1 for f in fams if len(f.components) > 1) == split
+    assert sum(1 for f in fams if len(f.graph.components()) > 1) == split
     seen = []
     for fam in fams:
         want = effective_or_none(reference_weighted_graphs(fam, 12, 4))
@@ -525,11 +525,81 @@ def test_witness_instances_reproduce_magnitudes():
         assert magnitudes_from_weights(wg.weight_system(), wg) == (3, 3, 3)
 
 
+def reference_lemma_filters(ws, g):
+    """The report admissible_pairing replaced: every rule's failure
+    description (None when it passes), for every bundle of parallel edges."""
+    from math import gcd
+
+    n = ws.n
+    report = {"multiple_edge_gcd": None, "divisor_propagation": None}
+    bundles = {}
+    for (i, j, w) in g.wedges:
+        if i != j:
+            bundles.setdefault((i, j), []).append(w)
+    for (i, j), wsb in bundles.items():
+        if len(wsb) < 2:
+            continue
+        gg = gcd(*wsb)
+        if len(wsb) >= n - 1 and gg != 1:
+            report["multiple_edge_gcd"] = (
+                "bundle %s->%s of size %d has gcd %d" % (i, j, len(wsb), gg)
+            )
+        rest_i = [e for e in g.wedges if i in (e[0], e[1]) and not (e[0] == i and e[1] == j)]
+        rest_j = [e for e in g.wedges if j in (e[0], e[1]) and not (e[0] == i and e[1] == j)]
+        if gg != 1 and all(e[0] == e[1] for e in rest_i) and all(e[0] == e[1] for e in rest_j):
+            report["multiple_edge_gcd"] = (
+                "bundle %s->%s isolated by cycles has gcd %d" % (i, j, gg)
+            )
+        for size in range(2, len(wsb) + 1):
+            for sub in itertools.combinations(range(len(wsb)), size):
+                taken = [wsb[t] for t in sub]
+                gs = gcd(*taken)
+                if gs == 1:
+                    continue
+                rem_i = list(ws.points[i])
+                rem_j = list(ws.points[j])
+                for w in taken:
+                    rem_i.remove(w)
+                    rem_j.remove(-w)
+                if not any(x % gs == 0 for x in rem_i) or not any(x % gs == 0 for x in rem_j):
+                    report["divisor_propagation"] = (
+                        "sub-bundle %s of %s->%s (gcd %d) has no companion multiple"
+                        % (taken, i, j, gs)
+                    )
+    return report
+
+
 def test_lemma_filters_v5_passes():
     ws = v5()
     g = integral_multigraphs(ws)[0]
-    report = lemma_filters(ws, g)
-    assert report == {"multiple_edge_gcd": None, "divisor_propagation": None}
+    assert admissible_pairing(ws, g)
+    assert reference_lemma_filters(ws, g) == {"multiple_edge_gcd": None,
+                                              "divisor_propagation": None}
+
+
+def test_admissible_pairing_matches_the_reference_report():
+    from test_graphs import FIXTURE_SYSTEMS, instantiated_systems
+
+    seen = rejected = 0
+    for mode in ("all", "nonneg"):
+        for ws in FIXTURE_SYSTEMS + instantiated_systems():
+            for g in integral_multigraphs(ws, mode):
+                want = all(v is None for v in reference_lemma_filters(ws, g).values())
+                assert admissible_pairing(ws, g) == want, (ws.points, g.wedges)
+                seen += 1
+                rejected += not want
+    assert (seen, rejected) == (2474, 1249)
+
+
+def test_a_bundle_isolated_by_cycles_needs_coprime_weights():
+    # the bundle 0->1 (weights 2, 4) is smaller than n - 1 = 3 and every
+    # sub-bundle has a companion multiple; only the cycles around it reject it
+    g = WeightedMultigraph(4, (1, 3), ((0, 1, 2), (0, 1, 4), (0, 0, 2), (1, 1, 2)))
+    ws = g.weight_system()
+    assert reference_lemma_filters(ws, g) == {
+        "multiple_edge_gcd": "bundle 0->1 isolated by cycles has gcd 2",
+        "divisor_propagation": None}
+    assert not admissible_pairing(ws, g)
 
 
 # a 10-edge multigraph with one cycle and a divisor-2 magnitude labeling
@@ -644,3 +714,17 @@ def test_classify_deterministic():
     a = classify(minimal_profile(2), SearchOptions())
     b = classify(minimal_profile(2), SearchOptions())
     assert [f.to_json() for f in a.families] == [f.to_json() for f in b.families]
+
+
+def test_write_atomic_replaces_the_file_and_leaves_no_temporary(tmp_path):
+    path = tmp_path / "out.json"
+    path.write_text("old")
+    search.write_atomic(str(path), "new\n")
+    assert path.read_text() == "new\n"
+    umask = os.umask(0)
+    os.umask(umask)
+    assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+    with pytest.raises(TypeError):
+        search.write_atomic(str(path), b"not text")
+    assert path.read_text() == "new\n"
+    assert os.listdir(tmp_path) == ["out.json"]
