@@ -9,6 +9,7 @@ from .core import (
     RangeViolation,
     WeightSystem,
     WeightSystemError,
+    minimal_divisors,
     minimal_profile,
     validate_profile,
     weight_system_checks,
@@ -27,7 +28,6 @@ from .linalg import (
     graph_matrix,
     int_determinant,
     nullspace,
-    positive_integer_nullvector,
 )
 from .localization import (
     ChernReport,
@@ -64,7 +64,6 @@ from .search import (
     admissible_pairing,
     classify,
     magnitude_sum,
-    minimal_divisors,
     solve_weights,
     vet_instance,
 )

@@ -42,7 +42,6 @@ from .search import (
     SearchOptions,
     check_jobs,
     classify,
-    magnitude_sum,
     run_fingerprint,
     vet_instance,
     write_atomic,
@@ -125,10 +124,6 @@ def cmd_classify(args) -> int:
     except ValueError as exc:
         raise UsageError(exc) from exc
     profile = _profile_from_args(args)
-    total = magnitude_sum(profile)
-    if opts.bound_d is None and not profile.is_minimal and total < 0:
-        raise ProfileError("nonnegative mode refused: non-minimal profile with negative "
-                           "magnitude-sum target %d; use --bound-D" % total)
     cache_file = None
     if args.cache:
         try:

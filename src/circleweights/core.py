@@ -102,6 +102,13 @@ def minimal_profile(n: int) -> FixedPointProfile:
     return FixedPointProfile(n, tuple(range(n + 1)))
 
 
+def minimal_divisors(n: int) -> List[int]:
+    """Admissible first-Chern constants for a minimal profile: divisors of
+    n(n+1)^2/2 that are at most n+1, in descending order (cheapest first)."""
+    total = n * (n + 1) ** 2 // 2
+    return [c for c in range(n + 1, 0, -1) if total % c == 0]
+
+
 def _sorted_weights(ws: Iterable[int]) -> Tuple[int, ...]:
     return tuple(sorted(int(w) for w in ws))
 

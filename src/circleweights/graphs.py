@@ -210,7 +210,9 @@ def enumerate_pairings(ws: WeightSystem, mode: str = "all") -> List[WeightedMult
 def _pairings(ws: WeightSystem, allowed_for: Callable[[int], Callable[[int, int], bool]]
               ) -> List[WeightedMultigraph]:
     """The pairings of ``ws`` whose every edge (i, j) of weight w satisfies
-    ``allowed_for(w)(i, j)``, sorted by weighted edges."""
+    ``allowed_for(w)(i, j)``, sorted by weighted edges.  Each appears once:
+    a pairing takes its edges of weight w from one degree matrix, and
+    distinct degree matrices give distinct multisets of edges."""
     npts = ws.num_points
     values = sorted({abs(w) for p in ws.points for w in p})
     options_per_value: List[List[Tuple[WeightedEdge, ...]]] = []
@@ -231,12 +233,9 @@ def _pairings(ws: WeightSystem, allowed_for: Callable[[int], Callable[[int, int]
             opts.append(tuple(chunk))
         options_per_value.append(opts)
     lambdas = ws.profile.lambdas
-    seen: Dict[Tuple[WeightedEdge, ...], WeightedMultigraph] = {}
-    for combo in product(*options_per_value):
-        wedges = tuple(e for chunk in combo for e in chunk)
-        g = WeightedMultigraph(ws.n, lambdas, wedges)
-        seen.setdefault(g.wedges, g)
-    return [seen[k] for k in sorted(seen)]
+    pairings = [WeightedMultigraph(ws.n, lambdas, [e for chunk in combo for e in chunk])
+                for combo in product(*options_per_value)]
+    return sorted(pairings, key=lambda g: g.wedges)
 
 
 def magnitudes_from_weights(ws: WeightSystem, g: WeightedMultigraph) -> Tuple[Fraction, ...]:

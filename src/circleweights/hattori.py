@@ -25,7 +25,7 @@ from itertools import combinations
 from math import isqrt, prod
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .core import WeightSystem
+from .core import WeightSystem, minimal_divisors
 from .laurent import LaurentPolynomial, one_minus_t
 
 
@@ -189,10 +189,10 @@ def dim8_solver(c1: int, lmax: int = 100) -> List[Tuple[int, Fraction]]:
     """Rational solutions (l, m) with l in [1, lmax], m > 0, of the quartic
     constraint for the given first Chern constant.
 
-    C1 must divide 50 and lie in [1, 5], so C1 in {1, 2, 5}; C1 = 2 has no
+    C1 must be one of minimal_divisors(4) = [5, 2, 1]; C1 = 2 has no
     rational solutions at all.
     """
-    if not (1 <= c1 <= 5 and 50 % c1 == 0):
+    if c1 not in minimal_divisors(4):
         return []
     if c1 == 2:
         # combined with the vanishing identities the quartic forces

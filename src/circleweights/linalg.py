@@ -2,25 +2,24 @@
 decisions.
 
 Matrices are lists of integer rows.  Determinants and kernels come from one
-integer (fraction-free) elimination, :func:`echelon`; ``Fraction`` is used
-only in the Fourier-Motzkin elimination, whose back-substitution divides.
-No floating point is used anywhere.  The services are
+integer (fraction-free) elimination, :func:`echelon`; the positivity
+decision is an integer Fourier-Motzkin elimination.  Every entry is an int:
+no ``Fraction`` and no floating point anywhere.  The services are
 
 * :func:`nullspace` -- a primitive integer basis of the kernel, one vector
   per free column of the echelon form, so that output is deterministic;
-* :func:`positive_integer_nullvector` -- an exact decision whether the kernel
-  meets the open positive orthant, via Fourier-Motzkin elimination on strict
-  homogeneous inequalities, together with a small integer witness when it
-  does.
+* :func:`positive_kernel_exists` -- an exact yes/no decision whether the
+  kernel meets the open positive orthant (:func:`meets_positive_orthant`);
+* :func:`kernel_lattice_points` -- every kernel vector with entries in
+  [1, bound], the witnesses the search instantiates.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 from operator import index
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 
 def echelon(rows: Sequence[Sequence[int]]) -> Tuple[List[List[int]], List[int], int]:
@@ -127,115 +126,40 @@ def nullspace(rows: Sequence[Sequence[int]]) -> NullspaceDescription:
     return NullspaceDescription(ncols, rank, basis, free)
 
 
-# ---------------------------------------------------------------------------
-# Fourier-Motzkin on strict homogeneous inequalities  a . c > 0
-# ---------------------------------------------------------------------------
+def meets_positive_orthant(ns: NullspaceDescription) -> bool:
+    """Exact decision on a computed kernel: is some combination
+    sum_j c_j basis_j strictly positive?  A zero kernel never is.
 
-def _fm_feasible(ineqs: List[List[Fraction]], nvars: int):
-    """Decide feasibility of { c : a . c > 0 for all a }, all strict.
-
-    Returns None if infeasible, else a rational witness vector c, rebuilt by
-    back-substitution through the elimination stages.
+    Fourier-Motzkin elimination in integers on the strict homogeneous
+    inequalities sum_j basis_j[i] c_j > 0, one row per coordinate i.
+    Eliminating c_v keeps the rows without c_v and adds, for each row with
+    a positive coefficient at v and each with a negative one, the
+    combination by positive integer multipliers that cancels c_v, divided
+    by its gcd; the new system is feasible exactly when the old one is.  A
+    zero row reads 0 > 0, and once every variable is eliminated only zero
+    rows can be left.
     """
-    stages = []  # (var index, inequalities mentioning it)
-    current = [list(a) for a in ineqs]
-    for var in range(nvars - 1, -1, -1):
-        for a in current:
-            if all(x == 0 for x in a):
-                return None  # 0 > 0
-        lower = [a for a in current if a[var] > 0]
-        upper = [a for a in current if a[var] < 0]
-        rest = [a for a in current if a[var] == 0]
-        stages.append((var, lower, upper))
-        new = list(rest)
+    if ns.dim == 0:
+        return False
+    rows = {tuple(v[i] for v in ns.basis) for i in range(ns.ncols)}
+    zero = (0,) * ns.dim
+    for var in range(ns.dim - 1, -1, -1):
+        if zero in rows:
+            return False
+        lower = [a for a in rows if a[var] > 0]
+        upper = [a for a in rows if a[var] < 0]
+        rows = {a for a in rows if a[var] == 0}
         for lo in lower:
             for up in upper:
-                # lo . c > 0 and up . c > 0 combine (eliminating c_var) into
-                # lo[var] * up + (-up[var]) * lo  > 0, still strict.
-                coef_lo = -up[var]
-                coef_up = lo[var]
-                comb = [coef_lo * lo[j] + coef_up * up[j] for j in range(nvars)]
-                comb[var] = Fraction(0)
-                new.append(comb)
-        current = new
-    for a in current:
-        # only all-zero vectors can be left; they read 0 > 0
-        if all(x == 0 for x in a):
-            return None
-    c = [Fraction(0)] * nvars
-    for var, lower, upper in reversed(stages):
-        los = []
-        ups = []
-        for a in lower:
-            rhs = -sum(a[j] * c[j] for j in range(nvars) if j != var)
-            los.append(rhs / a[var])
-        for a in upper:
-            rhs = -sum(a[j] * c[j] for j in range(nvars) if j != var)
-            ups.append(rhs / a[var])
-        if los and ups:
-            lo, up = max(los), min(ups)
-            if not lo < up:
-                return None
-            c[var] = (lo + up) / 2
-        elif los:
-            c[var] = max(los) + 1
-        elif ups:
-            c[var] = min(ups) - 1
-        else:
-            c[var] = Fraction(1)
-    return c
-
-
-def positive_combination(ns: NullspaceDescription) -> Optional[List[Fraction]]:
-    """Exact decision on a computed kernel: rational coefficients c with
-    sum_j c_j basis_j strictly positive, or None when the kernel misses the
-    open positive orthant (a zero kernel always does)."""
-    if ns.dim == 0:
-        return None
-    # inequality for coordinate i of the candidate vector sum_j c_j basis_j
-    ineqs = [[Fraction(ns.basis[j][i]) for j in range(ns.dim)] for i in range(ns.ncols)]
-    return _fm_feasible(ineqs, ns.dim)
+                comb = [lo[var] * y - up[var] * x for x, y in zip(lo, up)]
+                g = gcd(*comb) or 1
+                rows.add(tuple(x // g for x in comb))
+    return not rows
 
 
 def positive_kernel_exists(rows: Sequence[Sequence[int]]) -> bool:
     """Exact decision: does the kernel meet the open positive orthant?"""
-    return positive_combination(nullspace(rows)) is not None
-
-
-def positive_integer_nullvector(rows: Sequence[Sequence[int]],
-                                search_bound: int = 6) -> Optional[Tuple[int, ...]]:
-    """A strictly positive integer kernel vector of the integer matrix
-    ``rows``, or None.
-
-    The feasibility decision (kernel meets the open positive orthant) is
-    exact, by Fourier-Motzkin elimination on the coordinates of a kernel
-    basis.  When feasible, small integer combinations of the basis (entries
-    up to ``search_bound``) are scanned for a lexicographically small witness;
-    failing that, the Fourier-Motzkin point is cleared of denominators.
-    """
-    ns = nullspace(rows)
-    c = positive_combination(ns)
-    if c is None:
-        return None
-    k = ns.dim
-
-    def from_coeffs(coeffs: Sequence[int]) -> Tuple[int, ...]:
-        return tuple(sum(coeffs[j] * ns.basis[j][i] for j in range(k)) for i in range(ns.ncols))
-
-    denom = lcm(*(x.denominator for x in c))
-    witness = _primitive(from_coeffs([int(x * denom) for x in c]))
-    if any(x <= 0 for x in witness):  # primitive scaling cannot flip an all-positive vector
-        witness = tuple(-x for x in witness)
-    best = witness
-    if k <= 3:
-        span = range(-search_bound, search_bound + 1)
-        for coeffs in product(span, repeat=k):
-            if all(x == 0 for x in coeffs):
-                continue
-            cand = from_coeffs(coeffs)
-            if all(x >= 1 for x in cand) and cand < best:
-                best = cand
-    return best
+    return meets_positive_orthant(nullspace(rows))
 
 
 # the most lattice points kernel_lattice_points scans: bound ** dim

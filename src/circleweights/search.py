@@ -24,7 +24,14 @@ from dataclasses import asdict, dataclass
 from math import gcd
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .core import FixedPointProfile, WeightSystem, validate_profile, weight_system_checks
+from .core import (
+    FixedPointProfile,
+    ProfileError,
+    WeightSystem,
+    minimal_divisors,
+    validate_profile,
+    weight_system_checks,
+)
 from .graphs import (
     Multigraph,
     WeightedMultigraph,
@@ -39,8 +46,8 @@ from .linalg import (
     graph_matrix,
     int_determinant,
     kernel_lattice_points,
+    meets_positive_orthant,
     nullspace,
-    positive_combination,
     positive_kernel_exists,
 )
 from .localization import chern_battery, expected_c1cn1, in_index_order, minimal_chern_constants
@@ -66,13 +73,6 @@ def magnitude_sum(profile: FixedPointProfile) -> int:
     if value.denominator != 1:
         raise NonIntegralSum("magnitude sum %s is not an integer" % (value,))
     return int(value)
-
-
-def minimal_divisors(n: int) -> List[int]:
-    """Admissible first-Chern constants for a minimal profile: divisors of
-    n(n+1)^2/2 that are at most n+1, in descending order (cheapest first)."""
-    total = n * (n + 1) ** 2 // 2
-    return [c for c in range(n + 1, 0, -1) if total % c == 0]
 
 
 # first-Chern constants allowed in dimension 8 under dim8_strict
@@ -354,7 +354,7 @@ def solve_weights(graph: Multigraph, magnitudes: Sequence[int]) -> Optional[Weig
         # the component matrix is square, so it is singular exactly when its
         # kernel is nonzero, and a zero kernel misses the positive orthant
         kernel = nullspace(_component_matrix(amat, mags, comp))
-        if positive_combination(kernel) is None:
+        if not meets_positive_orthant(kernel):
             return None
         kernels.append(kernel)
     return WeightFamily(graph, mags, kernels)
@@ -523,7 +523,7 @@ def search_graph(graph: Multigraph, profile: FixedPointProfile, opts: SearchOpti
                  divisor: Optional[int] = None) -> Tuple[List[WeightFamily], Dict[str, int]]:
     """Stage 2+3 for one graph (and one divisor branch when given): stream
     labelings with pruning and return the surviving weight families."""
-    counts = {"labelings": 0, "families": 0}
+    counts = {"labelings": 0}
     families: List[WeightFamily] = []
     budget = [opts.max_labelings] if opts.max_labelings is not None else None
     for lab in stream_labelings(graph, profile, opts, divisor=divisor, budget=budget):
@@ -531,7 +531,6 @@ def search_graph(graph: Multigraph, profile: FixedPointProfile, opts: SearchOpti
         fam = solve_weights(graph, lab)
         if fam is not None:
             families.append(fam)
-            counts["families"] += 1
     if budget is not None and budget[0] < 0:
         counts["truncated"] = 1
     return families, counts
@@ -706,9 +705,15 @@ def classify(profile: FixedPointProfile, opts: SearchOptions, jobs: int = 1,
     the JSON file ``checkpoint``.  That file records every finished block and
     is resumed from when it exists; CheckpointMismatch is raised, and the file
     left as it is, when it was written for another profile, other options or
-    other package source.  Raises ValueError when ``jobs`` is below 1."""
+    other package source.  Raises ValueError when ``jobs`` is below 1.
+    Before any block runs, magnitude_sum raises for an invalid profile or a
+    non-integral target, and ProfileError is raised when the nonnegative
+    search of a non-minimal profile has a negative target."""
     check_jobs(jobs)
-    validate_profile(profile)
+    total = magnitude_sum(profile)
+    if opts.bound_d is None and not profile.is_minimal and total < 0:
+        raise ProfileError("nonnegative mode refused: non-minimal profile with negative "
+                           "magnitude-sum target %d; use --bound-D" % total)
     graphs = enumerate_multigraphs(profile, mode=opts.pair_mode, dedup="reversal")
     blocks = [(gi, c) for gi in range(len(graphs)) for c in divisor_branches(profile, opts)]
     done = _search_blocks(profile, opts, graphs, blocks, jobs, checkpoint)

@@ -11,7 +11,7 @@ from circleweights.core import FixedPointProfile, minimal_profile
 from circleweights.fixtures import cp, grassmannian, s2xs2, v5, v22
 from circleweights.graphs import enumerate_multigraphs, enumerate_pairings, magnitudes_from_weights
 from circleweights.hattori import derive_levels, dim8_solver, exp_r_values, r_values_at_one
-from circleweights.linalg import positive_integer_nullvector
+from circleweights.linalg import kernel_lattice_points, nullspace, positive_kernel_exists
 from circleweights.localization import (
     abbv_sum,
     chern_battery,
@@ -154,7 +154,8 @@ def test_7_oracle_equivalence():
         got = {g.edges for g in enumerate_multigraphs(prof, mode="nonneg", dedup="none")}
         assert got == _brute_force_graphs(prof, "nonneg")
         assert len(got) == raw
-    # positive null vector vs exhaustive search
+    # positive kernel vectors vs exhaustive search: the lattice points and
+    # the positivity decision that classify uses
     import itertools
     import random
 
@@ -162,18 +163,13 @@ def test_7_oracle_equivalence():
     for _ in range(20):
         cols = rng.randint(1, 4)
         rows = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rng.randint(1, 3))]
-        brute = None
-        for v in itertools.product(range(1, 21), repeat=cols):
-            if all(sum(r[k] * v[k] for k in range(cols)) == 0 for r in rows):
-                brute = v
-                break
-        got = positive_integer_nullvector(rows, search_bound=20)
-        if brute is not None:
-            assert got is not None
-        elif got is not None:
-            assert max(got) > 20
+        brute = [v for v in itertools.product(range(1, 21), repeat=cols)
+                 if all(sum(r[k] * v[k] for k in range(cols)) == 0 for r in rows)]
+        assert kernel_lattice_points(nullspace(rows), 20) == brute
+        if brute:
+            assert positive_kernel_exists(rows)
     # index computation vs direct rational evaluation
     from test_hattori import test_projective_space_indices_match_oracle
 
     test_projective_space_indices_match_oracle()
-    _report("7 (oracle equivalence: enumeration, positivity witness, index sums)")
+    _report("7 (oracle equivalence: enumeration, positive kernel vectors, index sums)")

@@ -35,3 +35,21 @@ def test_unused_imports_finds_what_is_never_read():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imported_modules(source: str):
+    """The modules that the import statements of ``source`` name, anywhere
+    in it."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.add(node.module)
+    return found
+
+
+@pytest.mark.parametrize("name", ["linalg.py", "laurent.py"])
+def test_integer_only_layers_import_no_fractions(name):
+    # elimination, positivity and Laurent arithmetic run on ints alone
+    assert "fractions" not in imported_modules((SRC / name).read_text())

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from circleweights.linalg import (
     NullspaceDescription,
@@ -11,8 +11,8 @@ from circleweights.linalg import (
     graph_matrix,
     int_determinant,
     kernel_lattice_points,
+    meets_positive_orthant,
     nullspace,
-    positive_integer_nullvector,
     positive_kernel_exists,
 )
 
@@ -77,9 +77,9 @@ def test_nullspace_identity_and_zero():
 def test_positive_nullvector_square_graph():
     mat = graph_matrix(((0, 2), (0, 1), (1, 3), (2, 3)))
     shifted = [[v - (2 if h == m else 0) for m, v in enumerate(row)] for h, row in enumerate(mat)]
-    w = positive_integer_nullvector(shifted)
-    assert w == (1, 1, 1, 1)
+    assert positive_kernel_exists(shifted)
     ns = nullspace(shifted)
+    assert kernel_lattice_points(ns, 3)[0] == (1, 1, 1, 1)
     for v in ns.basis:
         assert v[0] == v[2] and v[1] == v[3]
 
@@ -87,25 +87,28 @@ def test_positive_nullvector_square_graph():
 def test_positive_nullvector_triangle():
     mat = graph_matrix(((0, 1), (0, 2), (1, 2)))
     shifted = [[v - (3 if h == m else 0) for m, v in enumerate(row)] for h, row in enumerate(mat)]
-    assert positive_integer_nullvector(shifted) == (1, 2, 1)
+    assert positive_kernel_exists(shifted)
+    assert kernel_lattice_points(nullspace(shifted), 3)[0] == (1, 2, 1)
 
 
 def test_no_positive_nullvector_for_identity():
     eye = [[int(i == j) for j in range(2)] for i in range(2)]
-    assert positive_integer_nullvector(eye) is None
+    assert kernel_lattice_points(nullspace(eye), 20) == []
     assert not positive_kernel_exists(eye)
 
 
-def _brute_force_positive(rows, bound=20):
+def brute_force_positive(rows, bound=20):
+    """Every kernel vector with entries in [1, bound], in product order."""
     ncols = len(rows[0])
-    for v in itertools.product(range(1, bound + 1), repeat=ncols):
-        if all(sum(row[k] * v[k] for k in range(ncols)) == 0 for row in rows):
-            return v
-    return None
+    return [v for v in itertools.product(range(1, bound + 1), repeat=ncols)
+            if all(sum(row[k] * v[k] for k in range(ncols)) == 0 for row in rows)]
 
 
 def test_positive_nullvector_matches_brute_force():
-    # oracle equivalence on small integer matrices (<= 4 columns)
+    # oracle equivalence on small integer matrices (<= 4 columns): the
+    # lattice points equal the brute-force set, and the decision agrees
+    # with it and with the Fraction reference (which also decides the
+    # kernels whose positive vectors all exceed the box)
     import random
 
     rng = random.Random(11)
@@ -114,23 +117,12 @@ def test_positive_nullvector_matches_brute_force():
         rows = rng.randint(1, 3)
         cols = rng.randint(1, 4)
         mat = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
-        brute = _brute_force_positive(mat, bound=20)
-        got = positive_integer_nullvector(mat, search_bound=20)
-        if brute is not None:
-            assert got is not None
-            assert positive_kernel_exists(mat)
-        if got is not None:
-            # witness must be a genuine positive null vector; if brute-force
-            # within [1,20]^cols found nothing, the witness must exceed it
-            assert all(x > 0 for x in got)
-            assert all(
-                sum(row[k] * got[k] for k in range(cols)) == 0 for row in mat
-            )
-            if brute is None:
-                assert max(got) > 20
-        else:
-            assert brute is None
-            assert not positive_kernel_exists(mat)
+        brute = brute_force_positive(mat, bound=20)
+        assert kernel_lattice_points(nullspace(mat), 20) == brute
+        exists = positive_kernel_exists(mat)
+        assert exists == (reference_positive_kernel_vector(mat) is not None)
+        if brute:
+            assert exists
         checked += 1
 
 
@@ -258,6 +250,78 @@ def reference_determinant(rows):
     return int(det) if len(pivots) == len(rows) else 0
 
 
+def reference_fm_feasible(ineqs, nvars):
+    """Decide feasibility of { c : a . c > 0 for all a }, all strict, by
+    Fourier-Motzkin elimination over Fraction.
+
+    Returns None if infeasible, else a rational witness vector c, rebuilt by
+    back-substitution through the elimination stages.
+    """
+    stages = []  # (var index, inequalities mentioning it)
+    current = [list(a) for a in ineqs]
+    for var in range(nvars - 1, -1, -1):
+        for a in current:
+            if all(x == 0 for x in a):
+                return None  # 0 > 0
+        lower = [a for a in current if a[var] > 0]
+        upper = [a for a in current if a[var] < 0]
+        rest = [a for a in current if a[var] == 0]
+        stages.append((var, lower, upper))
+        new = list(rest)
+        for lo in lower:
+            for up in upper:
+                # lo . c > 0 and up . c > 0 combine (eliminating c_var) into
+                # lo[var] * up + (-up[var]) * lo  > 0, still strict.
+                comb = [-up[var] * lo[j] + lo[var] * up[j] for j in range(nvars)]
+                comb[var] = F(0)
+                new.append(comb)
+        current = new
+    for a in current:
+        # only all-zero vectors can be left; they read 0 > 0
+        if all(x == 0 for x in a):
+            return None
+    c = [F(0)] * nvars
+    for var, lower, upper in reversed(stages):
+        los = []
+        ups = []
+        for a in lower:
+            rhs = -sum(a[j] * c[j] for j in range(nvars) if j != var)
+            los.append(rhs / a[var])
+        for a in upper:
+            rhs = -sum(a[j] * c[j] for j in range(nvars) if j != var)
+            ups.append(rhs / a[var])
+        if los and ups:
+            lo, up = max(los), min(ups)
+            if not lo < up:
+                return None
+            c[var] = (lo + up) / 2
+        elif los:
+            c[var] = max(los) + 1
+        elif ups:
+            c[var] = min(ups) - 1
+        else:
+            c[var] = F(1)
+    return c
+
+
+def reference_positive_kernel_vector(rows):
+    """A strictly positive rational kernel vector of ``rows``, or None when
+    the kernel misses the open positive orthant: the Fraction
+    Fourier-Motzkin witness on the Fraction reference kernel basis, checked
+    positive and annihilated by every row."""
+    ns = reference_nullspace(rows)
+    if ns.dim == 0:
+        return None
+    ineqs = [[F(ns.basis[j][i]) for j in range(ns.dim)] for i in range(ns.ncols)]
+    c = reference_fm_feasible(ineqs, ns.dim)
+    if c is None:
+        return None
+    vec = [sum(c[j] * ns.basis[j][i] for j in range(ns.dim)) for i in range(ns.ncols)]
+    assert all(x > 0 for x in vec)
+    assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows)
+    return vec
+
+
 @st.composite
 def integer_matrices(draw, square=False):
     """Small integer matrices, rectangular or square; half of them get a row
@@ -289,6 +353,20 @@ def test_nullspace_matches_fraction_reference(rows):
 @given(integer_matrices(square=True))
 def test_int_determinant_matches_fraction_reference(rows):
     assert int_determinant(rows) == reference_determinant(rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(integer_matrices(), kernel_cases().map(lambda case: case[0])))
+@example([[1, 0], [0, 1]])  # a zero kernel
+@example([[1, 1]])  # the kernel line through (1, -1)
+@example([[1, -1, 1]])  # w1 = w0 + w2: no basis vector is positive
+@example([[25, -1]])  # positive vectors, none with entries up to 20
+def test_positivity_matches_fraction_reference(rows):
+    # rows of integer_matrices() often leave a zero kernel; kernel_cases()
+    # often plants a positive kernel vector
+    want = reference_positive_kernel_vector(rows) is not None
+    assert meets_positive_orthant(nullspace(rows)) == want
+    assert positive_kernel_exists(rows) == want
 
 
 @pytest.mark.parametrize("entry", [F(1, 2), F(2), 0.5, 2.0])

@@ -9,7 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 import circleweights
 from circleweights import search
-from circleweights.core import FixedPointProfile, minimal_profile, weight_system_checks
+from circleweights.core import (
+    FixedPointProfile,
+    ProfileError,
+    minimal_profile,
+    weight_system_checks,
+)
 from circleweights.fixtures import cp, grassmannian, s2xs2, v5, v22
 from circleweights.graphs import (
     Multigraph,
@@ -23,8 +28,7 @@ from circleweights.linalg import (
     graph_matrix,
     int_determinant,
     kernel_lattice_points,
-    positive_combination,
-    positive_integer_nullvector,
+    nullspace,
     positive_kernel_exists,
 )
 from circleweights.search import (
@@ -41,7 +45,7 @@ from circleweights.search import (
     stream_labelings,
     vet_instance,
 )
-from test_linalg import reference_determinant, reference_nullspace
+from test_linalg import reference_determinant, reference_positive_kernel_vector
 
 S2XS2 = FixedPointProfile(2, (0, 1, 1, 2))
 TRIANGLE = Multigraph(2, (0, 1, 2), ((0, 1), (0, 2), (1, 2)))
@@ -288,7 +292,7 @@ def test_solve_triangle():
     fam = solve_weights(TRIANGLE, (3, 3, 3))
     assert fam is not None
     sub = component_matrix(TRIANGLE, (3, 3, 3), fam.graph.components()[0])
-    assert positive_integer_nullvector(sub, search_bound=3) == (1, 2, 1)
+    assert kernel_lattice_points(nullspace(sub), 3)[0] == (1, 2, 1)
     for v in fam.comp_kernels[0].basis:
         assert v[1] == v[0] + v[2]  # w(e02) = w(e01) + w(e12)
 
@@ -299,7 +303,7 @@ def test_solve_square():
     fam = solve_weights(SQUARE, (2, 2, 2, 2))
     assert fam is not None
     sub = component_matrix(SQUARE, (2, 2, 2, 2), fam.graph.components()[0])
-    assert positive_integer_nullvector(sub, search_bound=3) == (1, 1, 1, 1)
+    assert kernel_lattice_points(nullspace(sub), 3)[0] == (1, 1, 1, 1)
     for v in fam.comp_kernels[0].basis:
         assert v[0] == v[3] and v[1] == v[2]
 
@@ -316,7 +320,7 @@ def singular_with_positive_kernel(graph, labeling):
         sub = component_matrix(graph, labeling, comp)
         if reference_determinant(sub) != 0:
             return False
-        if positive_combination(reference_nullspace(sub)) is None:
+        if reference_positive_kernel_vector(sub) is None:
             return False
     return True
 
@@ -684,6 +688,22 @@ def test_classify_refuses_fewer_than_one_job():
             classify(minimal_profile(2), SearchOptions(), jobs=jobs)
 
 
+def test_classify_refuses_a_negative_nonnegative_target(monkeypatch):
+    # the nonnegative search of a non-minimal profile with target -4 has no
+    # labeling, so an empty, untruncated result would claim a complete
+    # search; the refusal, like an invalid profile's, comes before any block
+    blocks = []
+    monkeypatch.setattr(search, "_search_blocks", lambda *args: blocks.append(args))
+    profile = FixedPointProfile(4, (2, 2))
+    with pytest.raises(ProfileError, match="^nonnegative mode refused: .* target -4;"):
+        classify(profile, SearchOptions())
+    with pytest.raises(ProfileError):
+        classify(FixedPointProfile(3, (0, 1, 1, 3)), SearchOptions())
+    assert blocks == []
+    monkeypatch.undo()
+    assert classify(profile, SearchOptions(bound_d=1)).graphs_examined == 3
+
+
 def test_every_option_changes_the_fingerprint():
     other = {"bound_d": 2, "divisor_c": 3, "dim8_strict": True, "witness_bound": 11,
              "max_labelings": 1000}
@@ -697,8 +717,8 @@ def test_every_option_changes_the_fingerprint():
 
 def test_search_graph_audit_counts():
     fams, counts = search_graph(TRIANGLE, minimal_profile(2), SearchOptions(), divisor=3)
-    assert counts["labelings"] >= 1
-    assert len(fams) == counts["families"]
+    assert counts["labelings"] >= 1 and fams
+    assert sorted(counts) == ["labelings"]
 
 
 def test_import_loads_no_pool_machinery():
