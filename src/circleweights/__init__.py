@@ -58,7 +58,6 @@ from .search import (
     CheckpointMismatch,
     ClassificationResult,
     FamilyReport,
-    NonIntegralSum,
     SearchOptions,
     WeightFamily,
     admissible_pairing,

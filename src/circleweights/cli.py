@@ -38,7 +38,6 @@ from .localization import chern_battery, in_index_order, minimal_chern_constants
 from .search import (
     CheckpointMismatch,
     ClassificationResult,
-    NonIntegralSum,
     SearchOptions,
     check_jobs,
     classify,
@@ -317,7 +316,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (UsageError, CheckpointMismatch) as exc:
         print("schema error: %s" % exc, file=sys.stderr)
         return EXIT_SCHEMA
-    except (ProfileError, NonIntegralSum) as exc:
+    except ProfileError as exc:
         print("infeasible profile: %s" % exc, file=sys.stderr)
         return EXIT_INFEASIBLE
 

@@ -21,7 +21,7 @@ import itertools
 import json
 import os
 from dataclasses import asdict, dataclass
-from math import gcd
+from math import gcd, isqrt
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .core import (
@@ -55,10 +55,6 @@ from .hattori import ConsistencyFailure, derive_levels, r_values_at_one
 from .laurent import NotLaurent
 
 
-class NonIntegralSum(ValueError):
-    """The magnitude-sum formula gave a non-integer: unrealizable profile."""
-
-
 class CheckpointMismatch(Exception):
     """A checkpoint file was not written for this profile, these options and
     this package source, is not a checkpoint file at all (a directory, say),
@@ -67,12 +63,11 @@ class CheckpointMismatch(Exception):
 
 def magnitude_sum(profile: FixedPointProfile) -> int:
     """Sum of all edge magnitudes, an invariant of the profile alone:
-    sum_p N_p * (6 p (p-1) + (5n - 3n^2)/2); equals n(n+1)^2/2 when minimal."""
+    sum_p N_p * (6 p (p-1) + (5n - 3n^2)/2); equals n(n+1)^2/2 when minimal.
+    It is an integer for every n: n(5 - 3n) has the parity of n(1 - n), which
+    is even."""
     validate_profile(profile)
-    value = expected_c1cn1(profile)
-    if value.denominator != 1:
-        raise NonIntegralSum("magnitude sum %s is not an integer" % (value,))
-    return int(value)
+    return int(expected_c1cn1(profile))
 
 
 # first-Chern constants allowed in dimension 8 under dim8_strict
@@ -233,6 +228,31 @@ def _unit_edge_positions(graph: Multigraph) -> List[int]:
     return out
 
 
+def _quadratic_roots(q0: int, q1: int, q2: int, values: range) -> Sequence[int]:
+    """The v in ``values`` (a range with positive step) where
+    q0 + q1 v + q2 v^2 vanishes, ascending: all of ``values`` when the
+    quadratic is identically zero, else its integer roots there."""
+    if q2:
+        disc = q1 * q1 - 4 * q0 * q2
+        if disc < 0 or isqrt(disc) ** 2 != disc:
+            return []
+        roots = {(-q1 + s) // (2 * q2) for s in (-isqrt(disc), isqrt(disc))
+                 if (-q1 + s) % (2 * q2) == 0}
+    elif q1:
+        roots = {-q0 // q1} if q0 % q1 == 0 else set()
+    else:
+        return values if q0 == 0 else []
+    return sorted(v for v in roots if v in values)
+
+
+def _splits(total: int, a: range, b: range) -> range:
+    """The v in ``a`` with total - v in ``b``; both ranges have the positive
+    step of ``a`` or at most one value."""
+    if not a or not b or (total - a.start - b.start) % a.step:
+        return range(0)
+    return range(max(a.start, total - b[-1]), min(a[-1], total - b.start) + 1, a.step)
+
+
 def stream_labelings(graph: Multigraph, profile: FixedPointProfile, opts: SearchOptions,
                      divisor: Optional[int] = None,
                      budget: Optional[List[int]] = None,
@@ -250,9 +270,13 @@ def stream_labelings(graph: Multigraph, profile: FixedPointProfile, opts: Search
     down the tree, fixing one label per level; once all labels of a
     connected component are fixed, a nonzero determinant, or a singular
     matrix whose kernel misses the open positive orthant, prunes the
-    subtree.  ``budget`` is a one-element mutable cell bounding the explored
-    search-tree nodes (every value tried counts); the stream stops (leaving
-    budget[0] < 0) when spent.
+    subtree.  Below the point of the last component where at most two
+    positions with more than one value are left, the sum fixes the last of
+    them, so the determinant is a quadratic in the other: its integer roots
+    are the only leaves, and no loop runs there.  ``budget`` is a
+    one-element mutable cell bounding the explored search-tree nodes
+    (every value tried counts, also where the closed form skips the loop);
+    the stream stops (leaving budget[0] < 0) when spent.
     """
     total = magnitude_sum(profile)
     edges = graph.edges
@@ -278,7 +302,65 @@ def stream_labelings(graph: Multigraph, profile: FixedPointProfile, opts: Search
             bounds.append((-(-low // step) * step, total))
     min_rest = [sum(lo for lo, _ in bounds[idx + 1:]) for idx in range(len(order))]
     max_rest = [sum(hi for _, hi in bounds[idx + 1:]) for idx in range(len(order))]
+    values = [range(lo, hi + 1, step) for lo, hi in bounds]
+    last = len(order) - 1
+    # the closed form runs from the first position of the last component
+    # from which at most two positions with other than one value are left
+    last_start = len(order) - len(comps[-1]) if comps else 0
+    open_last = [idx for idx in range(last_start, len(order)) if len(values[idx]) != 1]
+    closed_from = open_last[-3] + 1 if len(open_last) > 2 else last_start
     labels = [0] * len(edges)
+
+    def tried(idx: int, remaining: int) -> Tuple[int, range, int]:
+        """The values the loop at ``idx`` tries, as (skip, live, stop): it
+        charges the ``skip`` smallest at once (they leave more than the later
+        positions can take), descends into each value of ``live``, and when
+        ``stop`` is 1 charges one more value, which leaves less than those
+        positions need, and stops."""
+        lo = values[idx].start
+        count = len(values[idx])
+        skip = min(count, max(0, -(-(remaining - max_rest[idx] - lo) // step)))
+        end = min(count, max(skip, (remaining - min_rest[idx] - lo) // step + 1))
+        return skip, values[idx][skip:end], int(end < count)
+
+    nodes: Dict[Tuple[int, int], int] = {}
+
+    def subtree_nodes(idx: int, remaining: int) -> int:
+        """The nodes the loop charges for the subtree of a node in the last
+        component.  Only the last position prunes there, and below it no
+        node is charged, so the count depends on (idx, remaining) alone."""
+        if (idx, remaining) not in nodes:
+            skip, live, stop = tried(idx, remaining)
+            below = sum(subtree_nodes(idx + 1, remaining - v) for v in live) if idx < last else 0
+            nodes[idx, remaining] = skip + len(live) + stop + below
+        return nodes[idx, remaining]
+
+    def closed_form(idx: int, remaining: int, poly: List[int]) -> Iterator[Tuple[int, ...]]:
+        """The leaves below a node from ``closed_from`` on.  With v the label
+        of the first position left with more than one value (of the last
+        position when none is), every label below is affine in v, the next
+        such position taking what the sum leaves; the determinant is then a
+        quadratic in v, whose roots are checked for a positive kernel."""
+        below = range(idx, len(order))
+        unknown = [p for p in below if len(values[p]) != 1] or [last]
+        target = remaining - sum(values[p][0] for p in below if p not in unknown)
+        lines = [(0, 1) if p == unknown[0] else (target, -1) if p in unknown
+                 else (values[p][0], 0) for p in below]
+        # the second unknown takes target - v; without one, that is 0
+        second = values[unknown[1]] if len(unknown) > 1 else range(1)
+        candidates = _splits(target, values[unknown[0]], second)
+        # fold the labels into the polynomial, lowest bit first; each entry
+        # is (c0, c1, c2) for c0 + c1 v + c2 v^2 (two labels at most depend
+        # on v, at two bits, so no entry reaches v^3)
+        quad = [(c, 0, 0) for c in poly]
+        for a, b in lines:
+            quad = [(c0 + a * d0, c1 + a * d1 + b * d0, c2 + a * d2 + b * d1)
+                    for (c0, c1, c2), (d0, d1, d2) in zip(quad[0::2], quad[1::2])]
+        for v in _quadratic_roots(*quad[0], candidates):
+            for p, (a, b) in zip(below, lines):
+                labels[order[p]] = a + b * v
+            if positive_kernel_exists(_component_matrix(amat, labels, boundaries[last])):
+                yield tuple(labels)
 
     def rec(idx: int, remaining: int, poly: List[int]) -> Iterator[Tuple[int, ...]]:
         if idx == len(order):
@@ -286,32 +368,32 @@ def stream_labelings(graph: Multigraph, profile: FixedPointProfile, opts: Search
                 yield tuple(labels)
             return
         poly = starts.get(idx, poly)
+        if idx >= closed_from and (budget is None or budget[0] >= subtree_nodes(idx, remaining)):
+            if budget is not None:
+                budget[0] -= subtree_nodes(idx, remaining)
+            yield from closed_form(idx, remaining, poly)
+            return
         # poly is multilinear in the labels still free in this component,
         # the label at this position being the lowest bit of the index
         const, linear = poly[0::2], poly[1::2]
-        lo, hi = bounds[idx]
-        values = range(lo, hi + 1, step)
-        # the values leaving more than the later positions can take are a
-        # prefix of the range: charge them to the budget at once
-        skip = min(len(values), max(0, -(-(remaining - max_rest[idx] - lo) // step)))
+        skip, live, stop = tried(idx, remaining)
         if budget is not None:
             if budget[0] < skip:
                 budget[0] = -1
                 return
             budget[0] -= skip
-        for v in values[skip:]:
+        for v in live:
             if budget is not None:
                 budget[0] -= 1
                 if budget[0] < 0:
                     return
-            rest = remaining - v
-            if rest < min_rest[idx]:
-                break
             labels[order[idx]] = v
             if idx in boundaries and (const[0] + v * linear[0] or not positive_kernel_exists(
                     _component_matrix(amat, labels, boundaries[idx]))):
                 continue
-            yield from rec(idx + 1, rest, [c + v * d for c, d in zip(const, linear)])
+            yield from rec(idx + 1, remaining - v, [c + v * d for c, d in zip(const, linear)])
+        if budget is not None:
+            budget[0] -= stop
 
     yield from rec(0, total, [])
 
@@ -360,6 +442,19 @@ def solve_weights(graph: Multigraph, magnitudes: Sequence[int]) -> Optional[Weig
     return WeightFamily(graph, mags, kernels)
 
 
+def _forests(ends: Sequence[Tuple[int, int]]) -> List[int]:
+    """The sets of the edges ``ends`` (pairs of vertices) that contain no
+    cycle, two parallel edges counting as one, as bitmasks over ``ends``.
+    Each forest is grown from one without edge p by edge p when that joins
+    two of its trees, which a map from each vertex to a name of its tree
+    tells apart."""
+    forests = [(0, {v: v for e in ends for v in e})]
+    for p, (i, j) in enumerate(ends):
+        forests += [(mask | 1 << p, {v: tree[i] if t == tree[j] else t for v, t in tree.items()})
+                    for mask, tree in forests if tree[i] != tree[j]]
+    return [mask for mask, _ in forests]
+
+
 def _component_checker(graph: Multigraph) -> List[List[int]]:
     """The component check of stream_labelings for ``graph``: the determinant
     of each component of A(Gamma) - diag(m) (graph.components() order) as a
@@ -368,15 +463,18 @@ def _component_checker(graph: Multigraph) -> List[List[int]]:
     standing for the component's p-th edge.  By the expansion
     det(A_c - diag(m)) = sum_S (-1)^|S| det A_c[E - S] prod_{k in S} m_k
     over the subsets S of the component's edges E, that coefficient is a
-    signed principal minor of A(Gamma): 2^|E| determinants per component."""
+    signed principal minor of A(Gamma).  A(Gamma) = B^T B for the signed
+    vertex-edge incidence matrix B, so a minor vanishes when its kept edges
+    E - S hold a cycle (Cauchy-Binet): only the forests need a determinant."""
     amat = graph_matrix(graph.edges)
     polys = []
     for comp in graph.components():
-        poly = []
-        for subset in range(1 << len(comp)):
-            kept = [k for p, k in enumerate(comp) if not subset >> p & 1]
-            minor = int_determinant([[amat[h][k] for k in kept] for h in kept])
-            poly.append(-minor if bin(subset).count("1") % 2 else minor)
+        poly = [0] * (1 << len(comp))
+        for kept in _forests([graph.edges[k] for k in comp]):
+            rows = [k for p, k in enumerate(comp) if kept >> p & 1]
+            minor = int_determinant([[amat[h][k] for k in rows] for h in rows])
+            subset = len(poly) - 1 - kept
+            poly[subset] = -minor if bin(subset).count("1") % 2 else minor
         polys.append(poly)
     return polys
 
@@ -706,9 +804,9 @@ def classify(profile: FixedPointProfile, opts: SearchOptions, jobs: int = 1,
     is resumed from when it exists; CheckpointMismatch is raised, and the file
     left as it is, when it was written for another profile, other options or
     other package source.  Raises ValueError when ``jobs`` is below 1.
-    Before any block runs, magnitude_sum raises for an invalid profile or a
-    non-integral target, and ProfileError is raised when the nonnegative
-    search of a non-minimal profile has a negative target."""
+    Before any block runs, magnitude_sum raises for an invalid profile, and
+    ProfileError is raised when the nonnegative search of a non-minimal
+    profile has a negative target."""
     check_jobs(jobs)
     total = magnitude_sum(profile)
     if opts.bound_d is None and not profile.is_minimal and total < 0:

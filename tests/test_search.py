@@ -1,11 +1,12 @@
 import dataclasses
 import itertools
+import math
 import os
 import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import circleweights
 from circleweights import search
@@ -23,6 +24,7 @@ from circleweights.graphs import (
     integral_multigraphs,
     magnitudes_from_weights,
 )
+from circleweights.localization import expected_c1cn1
 from circleweights.linalg import (
     LATTICE_BOX_LIMIT,
     graph_matrix,
@@ -57,6 +59,24 @@ def test_magnitude_sums():
     assert magnitude_sum(minimal_profile(2)) == 9
     assert magnitude_sum(minimal_profile(3)) == 24
     assert magnitude_sum(minimal_profile(4)) == 50
+
+
+def test_magnitude_sum_is_an_int_for_every_profile():
+    # every palindromic count vector (N_0, ..., N_n) with entries in 0..2 and
+    # at least two points, n <= 12: the formula's half-integer term
+    # n(5 - 3n)/2 is an integer, so nothing is truncated
+    profiles = 0
+    for n in range(1, 13):
+        for half in itertools.product(range(3), repeat=n // 2 + 1):
+            counts = half + half[::-1][(n + 1) % 2:]
+            lambdas = tuple(p for p in range(n + 1) for _ in range(counts[p]))
+            if len(lambdas) < 2:
+                continue
+            profile = FixedPointProfile(n, lambdas)
+            value = magnitude_sum(profile)
+            assert type(value) is int and value == expected_c1cn1(profile), profile
+            profiles += 1
+    assert profiles == 4350
 
 
 def test_minimal_divisors():
@@ -118,10 +138,12 @@ def test_labelings_respect_cycles():
 
 
 def reference_stream_labelings(graph, profile, opts, divisor=None, component_check=None,
-                               budget=None):
+                               budget=None, subtrees=None):
     """stream_labelings before its bounds became one rule: per-edge
     low/high/step dicts in four branches, and the bounds of the remaining
-    positions summed again at every node."""
+    positions summed again at every node.  A list ``subtrees`` receives
+    (position, budget on entry, budget on exit) for every node whose loop
+    ran to its end; the budget covered its subtree when the last is >= 0."""
     total = magnitude_sum(profile)
     edges = graph.edges
     noncycle = [k for k, e in enumerate(edges) if e[0] != e[1]]
@@ -167,6 +189,7 @@ def reference_stream_labelings(graph, profile, opts, divisor=None, component_che
             if remaining == 0:
                 yield tuple(labels[k] for k in range(len(edges)))
             return
+        entered = budget[0] if budget is not None else None
         k = order[idx]
         lo, hi, st = lows[k], highs[k], step[k]
         min_rest = sum(lows[kk] for kk in order[idx + 1:])
@@ -187,35 +210,47 @@ def reference_stream_labelings(graph, profile, opts, divisor=None, component_che
                     continue
             yield from rec(idx + 1, rest)
         labels[k] = 0
+        if subtrees is not None:
+            subtrees.append((idx, entered, budget[0]))
 
     yield from rec(0, total)
 
 
-def reference_component_checker(graph):
+def reference_component_checker(graph, singular=None):
     """The component check before the determinant became a polynomial carried
     down the search: one determinant per completed component, then the
-    positive-kernel test on the singular ones."""
+    positive-kernel test on the singular ones, each of which a list
+    ``singular`` counts."""
     amat = graph_matrix(graph.edges)
 
     def check(comp, labels):
         sub = search._component_matrix(amat, labels, comp)
-        return int_determinant(sub) == 0 and positive_kernel_exists(sub)
+        if int_determinant(sub) != 0:
+            return False
+        if singular is not None:
+            singular.append(1)
+        return positive_kernel_exists(sub)
 
     return check
 
 
-def test_stream_labelings_match_the_reference():
-    """The same labelings in the same order, and the same search-tree nodes
-    charged to the budget cell, as the reference stream with the reference
-    component check."""
+def test_stream_labelings_match_the_reference(monkeypatch):
+    """The same labelings in the same order, the same search-tree nodes
+    charged to the budget cell, and one positive-kernel test per singular
+    component, as the reference stream with the reference component check."""
+    tested = []
+    monkeypatch.setattr(search, "positive_kernel_exists",
+                        lambda rows: tested.append(1) or positive_kernel_exists(rows))
 
     def both(graph, profile, opts, divisor, budget):
-        cells = [budget], [budget]
+        cells, singular = ([budget], [budget]), []
+        tested.clear()
         got = list(stream_labelings(graph, profile, opts, divisor=divisor, budget=cells[0]))
         want = list(reference_stream_labelings(
             graph, profile, opts, divisor=divisor,
-            component_check=reference_component_checker(graph), budget=cells[1]))
-        assert (got, cells[0]) == (want, cells[1]), (profile, opts, graph.edges, divisor)
+            component_check=reference_component_checker(graph, singular), budget=cells[1]))
+        assert (got, cells[0], len(tested)) == (want, cells[1], len(singular)), (
+            profile, opts, graph.edges, divisor)
         return len(got)
 
     # every graph and divisor branch of d4, d6 and S^2 x S^2, nonnegative and
@@ -233,15 +268,64 @@ def test_stream_labelings_match_the_reference():
     # ... and every d8 graph of the branch C = 1 under a node budget
     profile = minimal_profile(4)
     opts = SearchOptions(dim8_strict=True, divisor_c=1)
-    for graph in enumerate_multigraphs(profile, mode=opts.pair_mode, dedup="reversal"):
+    for graph in D8_GRAPHS:
         labelings += both(graph, profile, opts, 1, 3000)
         streams += 1
     assert (streams, labelings) == (179, 206)
+    # The last two positions of a connected graph are in the closed form of
+    # stream_labelings, which charges a subtree in one step when the budget
+    # covers it.  On every fifth d8 graph that is connected: a budget of one
+    # node, and, for the node at the next-to-last position with the largest
+    # subtree that the reference covers within 3000 nodes, a budget ending
+    # inside that subtree and one ending exactly where it does.
+    connected = [g for g in D8_GRAPHS[::5] if len(g.components()) == 1]
+    for graph in connected:
+        subtrees = []
+        list(reference_stream_labelings(graph, profile, opts, divisor=1, budget=[3000],
+                                        component_check=reference_component_checker(graph),
+                                        subtrees=subtrees))
+        _, entered, left = max((t for t in subtrees
+                                if t[0] == len(graph.components()[0]) - 2 and t[2] >= 0),
+                               key=lambda t: t[1] - t[2])
+        assert entered - left >= 2
+        for budget in (1, 3000 - entered + (entered - left) // 2, 3000 - left):
+            both(graph, profile, opts, 1, budget)
+    assert len(connected) == 15
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(-4, 4), st.integers(-6, 6), st.integers(-3, 3), st.integers(-12, 12),
+       st.integers(0, 15), st.integers(1, 4))
+@example(0, 0, 0, -3, 7, 2)  # identically zero: every value
+@example(5, 0, 0, -3, 7, 2)  # a nonzero constant: none
+@example(-6, 3, 0, -3, 7, 1)  # linear, root 2 in range
+@example(-6, 3, 0, -3, 7, 3)  # linear, root 2 off the step lattice
+@example(6, 4, 0, -3, 7, 1)  # linear, no integer root
+@example(4, -4, 1, -5, 11, 1)  # double root 2
+@example(-2, 1, 1, -5, 11, 1)  # roots -2 and 1
+@example(-2, 0, 1, -5, 11, 1)  # irrational roots
+@example(-2, 0, 0, 0, 0, 1)  # empty range
+def test_quadratic_roots_match_brute_force(q0, q1, q2, start, count, step):
+    values = range(start, start + count * step, step)
+    got = search._quadratic_roots(q0, q1, q2, values)
+    assert list(got) == [v for v in values if q0 + q1 * v + q2 * v * v == 0]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(-20, 20), st.integers(-6, 6), st.integers(0, 6), st.integers(-6, 6),
+       st.integers(0, 6), st.integers(1, 4), st.booleans())
+def test_splits_match_brute_force(total, start_a, count_a, start_b, count_b, step, single):
+    a = range(start_a, start_a + count_a * step, step)
+    # b shares the step of a, or holds one value
+    b = range(start_b, start_b + 1) if single else range(start_b, start_b + count_b * step, step)
+    assert list(search._splits(total, a, b)) == [v for v in a if total - v in b]
 
 
 # every graph of the bounded search (all orientations) with n <= 3
 SMALL_GRAPHS = [g for profile in (minimal_profile(1), minimal_profile(2), minimal_profile(3), S2XS2)
                 for g in enumerate_multigraphs(profile, mode="all", dedup="reversal")]
+# every graph of the dimension-8 nonnegative search
+D8_GRAPHS = enumerate_multigraphs(minimal_profile(4), mode="nonneg", dedup="reversal")
 
 
 def specialised_determinants(graph, labels):
@@ -280,6 +364,57 @@ def test_determinant_polynomial_edge_cases():
     for graph in SMALL_GRAPHS:
         for comp, poly in zip(graph.components(), _component_checker(graph)):
             assert len(poly) == 2 ** len(comp) and poly[-1] == (-1) ** len(comp)
+
+
+def reference_component_polynomials(graph):
+    """_component_checker before it took only the forests: every one of the
+    2^|E| principal minors of each component by int_determinant."""
+    amat = graph_matrix(graph.edges)
+    polys = []
+    for comp in graph.components():
+        poly = []
+        for subset in range(1 << len(comp)):
+            kept = [k for p, k in enumerate(comp) if not subset >> p & 1]
+            minor = int_determinant([[amat[h][k] for k in kept] for h in kept])
+            poly.append(-minor if bin(subset).count("1") % 2 else minor)
+        polys.append(poly)
+    return polys
+
+
+def tree_vertex_counts(edges):
+    """The vertex counts of the connected pieces of ``edges`` when they form
+    a forest (|E| = |V| - #pieces), else None."""
+    pieces = []
+    for e in edges:
+        merged = set(e).union(*(p for p in pieces if p & set(e)))
+        pieces = [p for p in pieces if not p & set(e)] + [merged]
+    sizes = [len(p) for p in pieces]
+    return sizes if len(edges) == sum(sizes) - len(sizes) else None
+
+
+def test_component_checker_matches_the_full_minor_table():
+    assert len(D8_GRAPHS) == 75
+    for graph in SMALL_GRAPHS + D8_GRAPHS:
+        assert _component_checker(graph) == reference_component_polynomials(graph), graph.edges
+
+
+def test_minors_are_zero_off_forests_and_tree_products_on_them():
+    # Cauchy-Binet on A(Gamma) = B^T B: kept edges with a cycle have linearly
+    # dependent incidence columns, and a forest's minor counts the ways to
+    # drop one vertex from each tree (the matrix-tree theorem)
+    forest_dimensions = []
+    for graph in SMALL_GRAPHS + D8_GRAPHS:
+        for comp, poly in zip(graph.components(), _component_checker(graph)):
+            for subset, coef in enumerate(poly):
+                sizes = tree_vertex_counts(
+                    [graph.edges[k] for p, k in enumerate(comp) if not subset >> p & 1])
+                if sizes is None:
+                    assert coef == 0
+                else:
+                    assert coef == (-1) ** bin(subset).count("1") * math.prod(sizes) != 0
+                    forest_dimensions.append(graph.n)
+    # one determinant per forest: 9,556 of the 33,076 minors in dimension 8
+    assert forest_dimensions.count(4) == 9556
 
 
 def component_matrix(graph, magnitudes, comp):
