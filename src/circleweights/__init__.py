@@ -41,7 +41,6 @@ from .localization import (
 )
 from .laurent import LaurentPolynomial, NotLaurent
 from .hattori import (
-    ConsistencyFailure,
     LevelData,
     as_index,
     available_levels,

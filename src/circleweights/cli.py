@@ -154,6 +154,11 @@ def _load_ws(path: str) -> WeightSystem:
         raise UsageError(exc) from exc
 
 
+def _exact(values) -> str:
+    """A list of ints or fractions as exact values: [1, 2, 1/20]."""
+    return "[%s]" % ", ".join(map(str, values))
+
+
 def cmd_verify(args) -> int:
     ws = _load_ws(args.file)
     failures = weight_system_checks(ws)
@@ -164,13 +169,14 @@ def cmd_verify(args) -> int:
         _write_out("\n".join(lines) + "\n", args.out)
         return EXIT_INFEASIBLE
     report = chern_battery(ws)
-    lines.append("zero integrals: %s" % ("pass" if not report.zero_failures else
-                                         "FAIL %s" % report.zero_failures[:3]))
+    zero = ", ".join("%s = %s" % (_exact(md), value) for md, value in report.zero_failures[:3])
+    lines.append("zero integrals: %s" % ("FAIL " + zero if zero else "pass"))
     lines.append("c_n = %s (fixed points: %d)" % (report.c_n, ws.num_points))
     lines.append("c1*c_{n-1} = %s (expected %s)" % (report.c1_cn1, report.expected_c1_cn1))
     if in_index_order(ws):
-        lines.append("chern constants C_i: %s" % minimal_chern_constants(ws))
-        lines.append("reversed-action constants: %s" % minimal_chern_constants(ws.reversed()))
+        lines.append("chern constants C_i: %s" % _exact(minimal_chern_constants(ws)))
+        lines.append("reversed-action constants: %s"
+                     % _exact(minimal_chern_constants(ws.reversed())))
     verdict = vet_instance(ws, SearchOptions())
     lines.append("full battery: %s" % ("all-pass" if verdict is None else "FAIL at %s" % verdict))
     _write_out("\n".join(lines) + "\n", args.out)

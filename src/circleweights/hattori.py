@@ -25,12 +25,8 @@ from itertools import combinations
 from math import isqrt, prod
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .core import WeightSystem, minimal_divisors
+from .core import WeightSystem
 from .laurent import LaurentPolynomial, one_minus_t
-
-
-class ConsistencyFailure(ArithmeticError):
-    """The r_s decomposition failed to reproduce the phi_i."""
 
 
 def _denominator(weights: Iterable[int]) -> LaurentPolynomial:
@@ -101,20 +97,29 @@ def available_levels(ws: WeightSystem) -> List[LevelData]:
     return [lv for lv in levels if lv is not None]
 
 
-def _phi_numerator(a: Sequence[int], i: int) -> LaurentPolynomial:
-    """prod_{j != i} (1 - t^(a_i - a_j))."""
-    return prod((one_minus_t(a[i] - a[j]) for j in range(len(a)) if j != i),
-                start=LaurentPolynomial.one())
-
-
 def phi(ws: WeightSystem, levels: LevelData, i: int) -> LaurentPolynomial:
     """phi_i(t) = prod_{j != i} (1 - t^(a_i - a_j)) / prod_k (1 - t^(w_ik))."""
-    return _phi_numerator(levels.a, i).divexact(_denominator(ws.points[i]))
+    a = levels.a
+    numerator = prod((one_minus_t(a[i] - a[j]) for j in range(len(a)) if j != i),
+                     start=LaurentPolynomial.one())
+    return numerator.divexact(_denominator(ws.points[i]))
 
 
 def r_sequence(ws: WeightSystem, levels: LevelData) -> List[LaurentPolynomial]:
-    """The Laurent polynomials r_0, ..., r_N (N + 1 = number of fixed points),
-    verified against the identity phi_i = sum_s r_s t^(s a_i)."""
+    """The Laurent polynomials r_0, ..., r_N (N + 1 = number of fixed points).
+    Raises :class:`NotLaurent` when some r_s is not a Laurent polynomial.
+
+    They satisfy phi_k = sum_s r_s t^(s a_k) by construction.  Row s at
+    point i is (-1)^s e_s(t^(-a_j) : j != i), so for every k
+    sum_s row_s(i) t^(s a_k) = prod_{j != i} (1 - t^(a_k - a_j)), and
+
+        sum_s r_s t^(s a_k) = sum_i prod_{j != i} (1 - t^(a_k - a_j))
+                                    / prod_m (1 - t^(w_im)).
+
+    For i != k the product has the factor j = k, 1 - t^0 = 0, so only the
+    term i = k is left, and it is phi_k.  The identity therefore holds
+    exactly once the divisions that give the r_s are exact.
+    """
     npts = ws.num_points
     a = levels.a
     rows = []
@@ -127,19 +132,11 @@ def r_sequence(ws: WeightSystem, levels: LevelData) -> List[LaurentPolynomial]:
                 inner = inner + LaurentPolynomial.term(sign, -sum(a[j] for j in subset))
             row.append(inner)
         rows.append(row)
-    denoms = [_denominator(p) for p in ws.points]
-    rs = _fixed_point_sums(rows, denoms)
-    for i in range(npts):
-        recon = LaurentPolynomial.zero()
-        for s, r in enumerate(rs):
-            recon = recon + r.shift(s * a[i])
-        # recon == phi_i, checked without a division: denoms[i] is nonzero
-        if recon * denoms[i] != _phi_numerator(a, i):
-            raise ConsistencyFailure("r_s decomposition does not reproduce phi_%d" % i)
-    return rs
+    return _fixed_point_sums(rows, [_denominator(p) for p in ws.points])
 
 
 def r_values_at_one(ws: WeightSystem, levels: LevelData) -> List[int]:
+    """r_0(1), ..., r_N(1); raises :class:`NotLaurent` as r_sequence does."""
     return [r.eval_one() for r in r_sequence(ws, levels)]
 
 
@@ -156,6 +153,12 @@ def cp_check(ws: WeightSystem, levels: LevelData) -> bool:
 # ---------------------------------------------------------------------------
 # Dimension-8 Diophantine consequences (n = 4, five fixed points)
 # ---------------------------------------------------------------------------
+
+# The first Chern constants left in dimension 8: of minimal_divisors(4) =
+# [5, 2, 1], C1 = 2 fails because the quartic, with the vanishing
+# identities, forces m = (97 +- sqrt(97)) / 48, which is never rational.
+DIM8_CONSTANTS = (1, 5)
+
 
 def todd_quartic(c1: int, l: int, m: Fraction) -> Fraction:
     """l^2 (-C1^4 + 4 C1^2 m + 3 m^2) - 675, which must vanish for genuine
@@ -187,16 +190,10 @@ def _sqrt_fraction(x: Fraction) -> Optional[Fraction]:
 
 def dim8_solver(c1: int, lmax: int = 100) -> List[Tuple[int, Fraction]]:
     """Rational solutions (l, m) with l in [1, lmax], m > 0, of the quartic
-    constraint for the given first Chern constant.
-
-    C1 must be one of minimal_divisors(4) = [5, 2, 1]; C1 = 2 has no
-    rational solutions at all.
+    constraint for the given first Chern constant; none unless C1 is in
+    DIM8_CONSTANTS.
     """
-    if c1 not in minimal_divisors(4):
-        return []
-    if c1 == 2:
-        # combined with the vanishing identities the quartic forces
-        # m = (97 +- sqrt(97)) / 48, never rational
+    if c1 not in DIM8_CONSTANTS:
         return []
     # for c1 = 5 the volume identity pins the symplectic volume to 1, so l = 1
     l_range = [1] if c1 == 5 else range(1, lmax + 1)

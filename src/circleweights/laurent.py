@@ -20,16 +20,9 @@ class NotLaurent(ArithmeticError):
 
 def _make(coeffs: Dict[int, int]) -> "LaurentPolynomial":
     """A polynomial from a dict of int exponents and int values, dropping
-    zeros."""
+    zeros; the one internal constructor."""
     p = LaurentPolynomial.__new__(LaurentPolynomial)
     p.coeffs = {e: c for e, c in coeffs.items() if c}
-    return p
-
-
-def _wrap(coeffs: Dict[int, int]) -> "LaurentPolynomial":
-    """A polynomial taking ``coeffs`` as it is: nonzero ints."""
-    p = LaurentPolynomial.__new__(LaurentPolynomial)
-    p.coeffs = coeffs
     return p
 
 
@@ -54,11 +47,11 @@ class LaurentPolynomial:
 
     @classmethod
     def one(cls) -> "LaurentPolynomial":
-        return _wrap({0: 1})
+        return _make({0: 1})
 
     @classmethod
     def zero(cls) -> "LaurentPolynomial":
-        return _wrap({})
+        return _make({})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -80,7 +73,7 @@ class LaurentPolynomial:
         return _make(out)
 
     def __neg__(self) -> "LaurentPolynomial":
-        return _wrap({e: -c for e, c in self.coeffs.items()})
+        return _make({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other) -> "LaurentPolynomial":
         if isinstance(other, int):
@@ -103,7 +96,7 @@ class LaurentPolynomial:
 
     def shift(self, e: int) -> "LaurentPolynomial":
         """Multiply by t^e."""
-        return _wrap({k + e: c for k, c in self.coeffs.items()})
+        return _make({k + e: c for k, c in self.coeffs.items()})
 
     def min_exp(self) -> int:
         return min(self.coeffs)
@@ -149,7 +142,7 @@ class LaurentPolynomial:
                 rem[de + e] -= q * dc
         if any(rem[:dmax]):
             raise NotLaurent("nonzero remainder in exact division")
-        return _wrap(quot)
+        return _make(quot)
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -170,4 +163,4 @@ def one_minus_t(exp: int) -> LaurentPolynomial:
     """The factor 1 - t^exp (exp must be nonzero)."""
     if exp == 0:
         raise ValueError("1 - t^0 is identically zero")
-    return _wrap({0: 1, int(exp): -1})
+    return _make({0: 1, int(exp): -1})

@@ -61,17 +61,14 @@ def zero_multidegrees(n: int) -> List[Tuple[int, ...]]:
     return sorted(set(out), key=lambda c: (len(c), c))
 
 
-def expected_c1cn1(ws_or_profile) -> Fraction:
+def expected_c1cn1(ws_or_profile) -> int:
     """The value of the c_1 c_{n-1} Chern number forced by the index counts:
-    sum_p N_p * (6 p (p - 1) + (5 n - 3 n^2) / 2)."""
+    sum_p N_p * (6 p (p - 1) + n (5 - 3 n) / 2).  It is an integer for
+    every n: n(5 - 3n) has the parity of n(1 - n), which is even."""
     profile = ws_or_profile.profile if isinstance(ws_or_profile, WeightSystem) else ws_or_profile
     n = profile.n
-    counts = profile.counts
-    return sum(
-        (Fraction(counts[p]) * (6 * p * (p - 1) + Fraction(5 * n - 3 * n * n, 2))
-         for p in range(n + 1)),
-        Fraction(0),
-    )
+    return sum(count * (6 * p * (p - 1) + n * (5 - 3 * n) // 2)
+               for p, count in enumerate(profile.counts))
 
 
 def chi_y_coefficients(ws: WeightSystem) -> Tuple[int, ...]:
@@ -88,7 +85,7 @@ class ChernReport:
     zero_failures: List[Tuple[Tuple[int, ...], Fraction]]
     c_n: Fraction
     c1_cn1: Fraction
-    expected_c1_cn1: Fraction
+    expected_c1_cn1: int
     chi_y: Tuple[int, ...]
 
     @property

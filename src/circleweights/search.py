@@ -17,6 +17,7 @@ Pipeline, per fixed-point profile:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
@@ -51,7 +52,7 @@ from .linalg import (
     positive_kernel_exists,
 )
 from .localization import chern_battery, expected_c1cn1, in_index_order, minimal_chern_constants
-from .hattori import ConsistencyFailure, derive_levels, r_values_at_one
+from .hattori import DIM8_CONSTANTS, derive_levels, r_values_at_one
 from .laurent import NotLaurent
 
 
@@ -62,16 +63,11 @@ class CheckpointMismatch(Exception):
 
 
 def magnitude_sum(profile: FixedPointProfile) -> int:
-    """Sum of all edge magnitudes, an invariant of the profile alone:
-    sum_p N_p * (6 p (p-1) + (5n - 3n^2)/2); equals n(n+1)^2/2 when minimal.
-    It is an integer for every n: n(5 - 3n) has the parity of n(1 - n), which
-    is even."""
+    """Sum of all edge magnitudes, an invariant of the profile alone: the
+    c_1 c_{n-1} target expected_c1cn1 of a valid profile; n(n+1)^2/2 when
+    minimal."""
     validate_profile(profile)
-    return int(expected_c1cn1(profile))
-
-
-# first-Chern constants allowed in dimension 8 under dim8_strict
-DIM8_CONSTANTS = (1, 5)
+    return expected_c1cn1(profile)
 
 
 @dataclass(frozen=True)
@@ -245,14 +241,6 @@ def _quadratic_roots(q0: int, q1: int, q2: int, values: range) -> Sequence[int]:
     return sorted(v for v in roots if v in values)
 
 
-def _splits(total: int, a: range, b: range) -> range:
-    """The v in ``a`` with total - v in ``b``; both ranges have the positive
-    step of ``a`` or at most one value."""
-    if not a or not b or (total - a.start - b.start) % a.step:
-        return range(0)
-    return range(max(a.start, total - b[-1]), min(a[-1], total - b.start) + 1, a.step)
-
-
 def stream_labelings(graph: Multigraph, profile: FixedPointProfile, opts: SearchOptions,
                      divisor: Optional[int] = None,
                      budget: Optional[List[int]] = None,
@@ -323,17 +311,14 @@ def stream_labelings(graph: Multigraph, profile: FixedPointProfile, opts: Search
         end = min(count, max(skip, (remaining - min_rest[idx] - lo) // step + 1))
         return skip, values[idx][skip:end], int(end < count)
 
-    nodes: Dict[Tuple[int, int], int] = {}
-
+    @functools.cache
     def subtree_nodes(idx: int, remaining: int) -> int:
         """The nodes the loop charges for the subtree of a node in the last
         component.  Only the last position prunes there, and below it no
         node is charged, so the count depends on (idx, remaining) alone."""
-        if (idx, remaining) not in nodes:
-            skip, live, stop = tried(idx, remaining)
-            below = sum(subtree_nodes(idx + 1, remaining - v) for v in live) if idx < last else 0
-            nodes[idx, remaining] = skip + len(live) + stop + below
-        return nodes[idx, remaining]
+        skip, live, stop = tried(idx, remaining)
+        below = sum(subtree_nodes(idx + 1, remaining - v) for v in live) if idx < last else 0
+        return skip + len(live) + stop + below
 
     def closed_form(idx: int, remaining: int, poly: List[int]) -> Iterator[Tuple[int, ...]]:
         """The leaves below a node from ``closed_from`` on.  With v the label
@@ -348,7 +333,6 @@ def stream_labelings(graph: Multigraph, profile: FixedPointProfile, opts: Search
                  else (values[p][0], 0) for p in below]
         # the second unknown takes target - v; without one, that is 0
         second = values[unknown[1]] if len(unknown) > 1 else range(1)
-        candidates = _splits(target, values[unknown[0]], second)
         # fold the labels into the polynomial, lowest bit first; each entry
         # is (c0, c1, c2) for c0 + c1 v + c2 v^2 (two labels at most depend
         # on v, at two bits, so no entry reaches v^3)
@@ -356,7 +340,9 @@ def stream_labelings(graph: Multigraph, profile: FixedPointProfile, opts: Search
         for a, b in lines:
             quad = [(c0 + a * d0, c1 + a * d1 + b * d0, c2 + a * d2 + b * d1)
                     for (c0, c1, c2), (d0, d1, d2) in zip(quad[0::2], quad[1::2])]
-        for v in _quadratic_roots(*quad[0], candidates):
+        for v in _quadratic_roots(*quad[0], values[unknown[0]]):
+            if target - v not in second:
+                continue
             for p, (a, b) in zip(below, lines):
                 labels[order[p]] = a + b * v
             if positive_kernel_exists(_component_matrix(amat, labels, boundaries[last])):
@@ -552,7 +538,7 @@ def vet_instance(ws: WeightSystem, opts: SearchOptions) -> Optional[str]:
             return "index_levels"
         try:
             rvals = r_values_at_one(ws, levels)
-        except (NotLaurent, ConsistencyFailure):
+        except NotLaurent:
             return "index_laurent"
         l0 = n + 1 - c1
         if rvals[0] != 1:
@@ -635,8 +621,8 @@ def search_graph(graph: Multigraph, profile: FixedPointProfile, opts: SearchOpti
 
 
 def _signatures(ws: WeightSystem, pair_mode: str) -> List[Tuple[Tuple, Tuple[int, ...]]]:
-    """Canonical (graph edges, integer magnitudes) signatures over all
-    admissible pairings of the instance."""
+    """Canonical (graph edges, integer magnitudes) signatures over every
+    integral pairing of the instance, admissible or not."""
     sigs = []
     for g in integral_multigraphs(ws, mode=pair_mode):
         mags = magnitudes_from_weights(ws, g)

@@ -96,16 +96,20 @@ def test_fixture_bad_parameters(capsys):
 def test_verify_pass_and_fail(tmp_path, capsys):
     ws_file = tmp_path / "v5.json"
     run(["fixture", "v5", "--out", str(ws_file)], capsys)
-    code, _, _ = run(["verify", str(ws_file)], capsys)
+    code, out, _ = run(["verify", str(ws_file)], capsys)
     assert code == 0
+    assert "chern constants C_i: [1, 2, 20, 40]" in out.splitlines()
+    assert "Fraction(" not in out
 
     bad = tmp_path / "bad.json"
     data = json.loads(ws_file.read_text())
     data["points"][0]["weights"] = [2, 4, 6]
     data["points"][0]["lambda"] = 0
     bad.write_text(json.dumps(data))
-    code, _, _ = run(["verify", str(bad)], capsys)
+    code, out, _ = run(["verify", str(bad)], capsys)
     assert code == 3
+    assert "zero integrals: FAIL [] = -7/48, [1] = -3/4, [2] = -11/12" in out.splitlines()
+    assert "Fraction(" not in out
 
 
 def test_verify_schema_error(tmp_path, capsys):

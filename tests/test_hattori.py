@@ -1,14 +1,14 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from circleweights import hattori
-from circleweights.fixtures import cp, grassmannian, v5, v22
+from circleweights import hattori, search
+from circleweights.fixtures import IneffectiveParameters, cp, grassmannian, v5, v22
 from circleweights.hattori import (
-    ConsistencyFailure,
     as_index,
     available_levels,
     cp_check,
@@ -19,7 +19,7 @@ from circleweights.hattori import (
     r_values_at_one,
     todd_quartic,
 )
-from circleweights.laurent import LaurentPolynomial, one_minus_t
+from circleweights.laurent import LaurentPolynomial, NotLaurent, one_minus_t
 
 
 def reference_as_index(terms):
@@ -46,7 +46,7 @@ def reference_as_index(terms):
 
 
 def reference_r_sequence(ws, levels):
-    """r_sequence before the shared fixed-point sum (without the phi check):
+    """r_sequence before the shared fixed-point sum:
     r_s = (-1)^s sum_i e_s(t^(-a_j), j != i) / prod_k (1 - t^(w_ik))."""
     npts, a = ws.num_points, levels.a
     denoms = []
@@ -215,20 +215,41 @@ def test_r_sequence_reconstructs_phi():
             assert recon.coeffs == phi(ws, lv, i).coeffs
 
 
-@pytest.mark.parametrize("s", range(4))
-def test_r_sequence_refuses_a_corrupted_r(monkeypatch, s):
-    # each point's phi_i(t) = sum_s r_s(t) t^(s a_i) is checked, so an r_s
-    # off by one must raise
-    real = hattori._fixed_point_sums
+def _effective(fixture, xi):
+    try:
+        return fixture(xi)
+    except IneffectiveParameters:
+        return None
 
-    def corrupted(rows, denoms):
-        rs = real(rows, denoms)
-        rs[s] = rs[s] + LaurentPolynomial.one()
-        return rs
 
-    monkeypatch.setattr(hattori, "_fixed_point_sums", corrupted)
-    with pytest.raises(ConsistencyFailure):
-        r_sequence(v5(), derive_levels(v5(), 2))
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.lists(st.integers(-6, 6), min_size=2, max_size=5, unique=True).map(
+        lambda xs: _effective(cp, sorted(xs, reverse=True))),
+    st.lists(st.integers(1, 6), min_size=2, max_size=3, unique=True).map(
+        lambda xs: _effective(grassmannian, sorted(xs, reverse=True))),
+))
+def test_r_sequence_decomposes_phi(ws):
+    # phi_i = sum_s r_s t^(s a_i) holds by construction whenever r_sequence
+    # returns; checked without a division: the sum times prod_k (1 - t^(w_ik))
+    # is prod_{j != i} (1 - t^(a_i - a_j))
+    assume(ws is not None)
+    for lv in available_levels(ws):
+        try:
+            rs = r_sequence(ws, lv)
+        except NotLaurent:
+            continue
+        for i, weights in enumerate(ws.points):
+            total = sum((r.shift(s * lv.a[i]) for s, r in enumerate(rs)), LaurentPolynomial.zero())
+            denominator = prod((one_minus_t(w) for w in weights), start=LaurentPolynomial.one())
+            numerator = prod((one_minus_t(lv.a[i] - a) for j, a in enumerate(lv.a) if j != i),
+                             start=LaurentPolynomial.one())
+            assert total * denominator == numerator, (ws.points, lv, i)
+
+
+def test_dim8_constants_have_one_home():
+    assert hattori.DIM8_CONSTANTS == (1, 5)
+    assert search.DIM8_CONSTANTS is hattori.DIM8_CONSTANTS
 
 
 def test_r_sequence_stays_in_integers():
