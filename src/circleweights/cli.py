@@ -220,7 +220,7 @@ def cmd_hattori(args) -> int:
             lines.append("k0=%d: index is not a Laurent polynomial" % lv.k0)
             continue
         lines.append("k0=%d d=%d a=%s r(1)=%s"
-                     % (lv.k0, lv.d, list(lv.a), [str(v) for v in rvals]))
+                     % (lv.k0, lv.d, list(lv.a), rvals))
     _write_out("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

@@ -19,14 +19,16 @@ for s > l0, and their sum computes the symplectic volume.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import isqrt, prod
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .core import WeightSystem
-from .laurent import LaurentPolynomial, one_minus_t
+from .laurent import LaurentPolynomial, cyclotomic, one_minus_t
 
 
 def _denominator(weights: Iterable[int]) -> LaurentPolynomial:
@@ -35,22 +37,54 @@ def _denominator(weights: Iterable[int]) -> LaurentPolynomial:
 
 
 def _fixed_point_sums(rows: Sequence[Sequence[LaurentPolynomial]],
-                      denoms: Sequence[LaurentPolynomial]) -> List[LaurentPolynomial]:
-    """For each row, sum_i row[i] / denoms[i] exactly: every row over one
-    common denominator, built once.  Raises :class:`NotLaurent` when a sum
-    is not a Laurent polynomial."""
-    one = LaurentPolynomial.one()
-    total_den = prod(denoms, start=one)
-    # the product of the denominators other than the i-th
-    others = [prod((d for j, d in enumerate(denoms) if j != i), start=one)
-              for i in range(len(denoms))]
+                      weights: Sequence[Sequence[int]]) -> List[LaurentPolynomial]:
+    """For each row, sum_i row[i] / D_i exactly, where D_i = prod_k (1 - t^(w_ik))
+    over the weights at point i.  Raises :class:`NotLaurent` when a sum is not
+    a Laurent polynomial, and ValueError on a zero weight.
+
+    Each factor splits into cyclotomic polynomials: 1 - t^w = -prod_{d | w}
+    Phi_d for w > 0 and t^(-u) prod_{d | u} Phi_d for w = -u < 0.  So
+    D_i = (-1)^(p_i) t^(-u_i) prod_d Phi_d^(mult_i(d)), with p_i the number
+    of positive weights at i, u_i the sum of the magnitudes of its negative
+    ones and mult_i(d) the number of its weights that d divides.  All rows
+    go over one common denominator, the lcm L = prod_d Phi_d^(m_d) with
+    m_d = max_i mult_i(d), and the cofactor of point i,
+
+        L / D_i = (-1)^(p_i) t^(u_i) prod_d Phi_d^(m_d - mult_i(d)),
+
+    is built by multiplication alone.  The sum is N / L with N = sum_i
+    row[i] L / D_i: the same rational function as over prod_i D_i, so it is
+    a Laurent polynomial exactly when L divides N in Z[t, 1/t].  L is monic
+    (a product of Phi_d), so one exact division by L per row decides what
+    the division by the full product decided, and raises NotLaurent in the
+    same cases.
+    """
+    mults = []
+    for ws in weights:
+        if 0 in ws:
+            raise ValueError("1 - t^0 is identically zero")
+        mults.append(Counter(d for w in ws for d in _divisors(abs(w))))
+    lcm_mults = {d: max(m[d] for m in mults) for d in set().union(*mults)}
+    lcm = prod((cyclotomic(d) for d, k in lcm_mults.items() for _ in range(k)),
+               start=LaurentPolynomial.one())
+    cofactors = []
+    for ws, mult in zip(weights, mults):
+        unit = LaurentPolynomial.term(-1 if sum(w > 0 for w in ws) % 2 else 1)
+        cofactors.append(prod((cyclotomic(d) for d, k in lcm_mults.items() for _ in range(k - mult[d])),
+                              start=unit.shift(-sum(w for w in ws if w < 0))))
     out = []
     for row in rows:
         num = LaurentPolynomial.zero()
-        for value, other in zip(row, others):
-            num = num + value * other
-        out.append(num.divexact(total_den))
+        for value, cofactor in zip(row, cofactors):
+            num = num + value * cofactor
+        out.append(num.divexact(lcm))
     return out
+
+
+@cache
+def _divisors(u: int) -> Tuple[int, ...]:
+    """The positive divisors of u >= 1."""
+    return tuple(d for d in range(1, u + 1) if u % d == 0)
 
 
 def as_index(terms: Sequence[Tuple[LaurentPolynomial, Sequence[int]]]) -> LaurentPolynomial:
@@ -61,7 +95,7 @@ def as_index(terms: Sequence[Tuple[LaurentPolynomial, Sequence[int]]]) -> Lauren
     remainder raises :class:`NotLaurent`.
     """
     row = [LaurentPolynomial.term(v, 0) if isinstance(v, int) else v for v, _ in terms]
-    return _fixed_point_sums([row], [_denominator(-w for w in ws) for _, ws in terms])[0]
+    return _fixed_point_sums([row], [[-w for w in ws] for _, ws in terms])[0]
 
 
 @dataclass(frozen=True)
@@ -132,7 +166,7 @@ def r_sequence(ws: WeightSystem, levels: LevelData) -> List[LaurentPolynomial]:
                 inner = inner + LaurentPolynomial.term(sign, -sum(a[j] for j in subset))
             row.append(inner)
         rows.append(row)
-    return _fixed_point_sums(rows, [_denominator(p) for p in ws.points])
+    return _fixed_point_sums(rows, ws.points)
 
 
 def r_values_at_one(ws: WeightSystem, levels: LevelData) -> List[int]:

@@ -176,7 +176,8 @@ def test_hattori_subcommand(tmp_path, capsys):
     run(["fixture", "v5", "--out", str(ws_file)], capsys)
     code, out, _ = run(["hattori", str(ws_file), "--k0", "2"], capsys)
     assert code == 0
-    assert "k0=2" in out and "d=0" in out
+    assert out == "k0=2 d=0 a=[3, 2, -2, -3] r(1)=[1, 3, 1, 0]\n"
+    assert "'" not in out
 
 
 def test_hattori_dim8(capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from circleweights import hattori, search
+from circleweights.core import WeightSystem
 from circleweights.fixtures import IneffectiveParameters, cp, grassmannian, v5, v22
 from circleweights.hattori import (
     as_index,
@@ -222,13 +223,17 @@ def _effective(fixture, xi):
         return None
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.one_of(
+# cp with n <= 4 and grassmannian with k <= 3, or None when ineffective
+SYSTEMS = st.one_of(
     st.lists(st.integers(-6, 6), min_size=2, max_size=5, unique=True).map(
         lambda xs: _effective(cp, sorted(xs, reverse=True))),
     st.lists(st.integers(1, 6), min_size=2, max_size=3, unique=True).map(
         lambda xs: _effective(grassmannian, sorted(xs, reverse=True))),
-))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SYSTEMS)
 def test_r_sequence_decomposes_phi(ws):
     # phi_i = sum_s r_s t^(s a_i) holds by construction whenever r_sequence
     # returns; checked without a division: the sum times prod_k (1 - t^(w_ik))
@@ -245,6 +250,53 @@ def test_r_sequence_decomposes_phi(ws):
             numerator = prod((one_minus_t(lv.a[i] - a) for j, a in enumerate(lv.a) if j != i),
                              start=LaurentPolynomial.one())
             assert total * denominator == numerator, (ws.points, lv, i)
+
+
+def _moved(ws, point, slot, delta):
+    """A copy of ``ws`` with one weight moved by ``delta``."""
+    pts = [list(p) for p in ws.points]
+    pts[point % len(pts)][slot % ws.n] += delta
+    return WeightSystem(ws.n, tuple(tuple(p) for p in pts))
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the class of the NotLaurent or ValueError it raises."""
+    try:
+        return fn(*args)
+    except (NotLaurent, ValueError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(SYSTEMS, st.none() | st.tuples(st.integers(0, 7), st.integers(0, 7),
+                                      st.sampled_from([-2, -1, 1, 2])))
+def test_fixed_point_sums_match_the_full_product(ws, move):
+    # the sums over the cyclotomic lcm against the oracles that divide by the
+    # product of all the point denominators: equal lists, or NotLaurent on
+    # both sides, for every level of the system and of a copy with one weight
+    # moved; a weight moved to 0 raises ValueError on both sides
+    assume(ws is not None)
+    if move is not None:
+        ws = _moved(ws, *move)
+    for k0 in range(1, ws.num_points + 1):
+        lv = derive_levels(ws, k0)
+        if lv is None:
+            continue
+        got = _outcome(r_sequence, ws, lv)
+        assert got == _outcome(reference_r_sequence, ws, lv), (ws.points, lv)
+        assert got is not ValueError or any(0 in p for p in ws.points)
+        terms = [(_lp(k0 * a), p) for a, p in zip(lv.a, ws.points)]
+        assert _outcome(as_index, terms) == _outcome(reference_as_index, terms), (ws.points, lv)
+
+
+def test_a_zero_weight_raises_value_error():
+    ws = WeightSystem(2, ((0, 1), (-1, 1), (-1, -1)))
+    lv = derive_levels(ws, 1)
+    assert lv is not None
+    with pytest.raises(ValueError):
+        r_sequence(ws, lv)
+    with pytest.raises(ValueError):
+        as_index([(_lp(0), (1, 0)), (_lp(0), (-1, -1))])
 
 
 def test_dim8_constants_have_one_home():

@@ -1,9 +1,10 @@
 from fractions import Fraction as F
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, strategies as st
 
-from circleweights.laurent import LaurentPolynomial, NotLaurent, one_minus_t
+from circleweights.laurent import LaurentPolynomial, NotLaurent, cyclotomic, one_minus_t
 
 
 def test_basic_arithmetic():
@@ -174,3 +175,20 @@ def test_non_integer_coefficients_and_divisors_are_refused():
     two_minus_t = LaurentPolynomial({0: 2, 1: -1})
     assert (two_minus_t * LaurentPolynomial({0: 1, 1: 1})).divexact(two_minus_t) == \
         LaurentPolynomial({0: 1, 1: 1})
+
+
+@pytest.mark.parametrize("m", range(1, 61))
+def test_cyclotomic_factors_t_to_the_m_minus_one(m):
+    # prod_{d | m} Phi_d = t^m - 1; deg Phi_m = phi(m); Phi_m is monic in Z[t]
+    phi_m = cyclotomic(m)
+    divisors = [d for d in range(1, m + 1) if m % d == 0]
+    assert prod((cyclotomic(d) for d in divisors), start=LaurentPolynomial.one()) \
+        == LaurentPolynomial({m: 1, 0: -1})
+    assert phi_m.max_exp() == sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)
+    assert phi_m.min_exp() == 0 and phi_m.coeffs[phi_m.max_exp()] == 1
+    assert all(type(c) is int for c in phi_m.coeffs.values())
+
+
+def test_cyclotomic_refuses_d_below_one():
+    with pytest.raises(ValueError):
+        cyclotomic(0)
