@@ -56,7 +56,6 @@ from .hattori import (
 from .search import (
     CheckpointMismatch,
     ClassificationResult,
-    FamilyReport,
     SearchOptions,
     WeightFamily,
     admissible_pairing,

@@ -12,7 +12,8 @@ Subcommands:
 * ``scan-c1eq1`` -- volume scan for the dimension-8 constant-1 branch
 
 Exit codes: 0 success, 2 schema error, 3 infeasible profile / failed verify.
-Commands raise their refusals; ``main`` prints each as one stderr line.
+Commands and the argument parser raise their refusals; ``main`` prints each
+as one stderr line.
 """
 
 from __future__ import annotations
@@ -53,6 +54,14 @@ EXIT_INFEASIBLE = 3
 
 class UsageError(Exception):
     """Arguments that do not describe a run; reported as a schema error."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser (its subcommand parsers too) that raises its
+    refusals as UsageError, for ``main`` to print as one line."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def _profile_from_args(args) -> FixedPointProfile:
@@ -98,7 +107,7 @@ def _human_table(result: ClassificationResult) -> str:
         lines.append("family %d: edges %s" % (t + 1, list(fam.graph.edges)))
         lines.append("  magnitudes %s  (kernel dimension %d, %d vetted instances)"
                      % (list(fam.magnitudes), fam.kernel_dim(), len(fam.instances)))
-        for i, exprs in enumerate(fam.family.parametric_weights()):
+        for i, exprs in enumerate(fam.parametric_weights()):
             lines.append("  P%d: {%s}" % (i, ", ".join(exprs)))
     return "\n".join(lines) + "\n"
 
@@ -256,8 +265,8 @@ def cmd_scan_c1eq1(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="circleweights",
-                                 description="classification of circle-action isotropy weights")
+    ap = _Parser(prog="circleweights",
+                 description="classification of circle-action isotropy weights")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     def profile_flags(p):
@@ -281,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--resume", help="checkpoint file")
     p.add_argument("--cache", help="cache directory")
-    p.add_argument("--witness-bound", type=int, default=12)
+    p.add_argument("--witness-bound", type=int, default=SearchOptions.witness_bound)
     p.add_argument("--max-labelings", type=int,
                    help="search-tree node budget; truncates huge branches")
     p.set_defaults(func=cmd_classify)
@@ -315,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_out(args.out)
         return args.func(args)
     except (UsageError, CheckpointMismatch) as exc:

@@ -216,22 +216,8 @@ def graph_matrix(edges: Sequence[Tuple[int, int]]) -> List[List[int]]:
         a[h][m] = delta(source(e_h), e_m) - delta(target(e_h), e_m).
 
     Rows and columns of cycles vanish; the matrix is symmetric with 2s on the
-    diagonal at non-cycle edges.
+    diagonal at non-cycle edges.  For non-cycle edges e_h = (i, j) and
+    e_m = (k, l) this reads a[h][m] = [i=k] - [i=l] - [j=k] + [j=l].
     """
-    def delta(v: int, e: Tuple[int, int]) -> int:
-        i, j = e
-        if i == j:
-            return 0
-        if v == i:
-            return 1
-        if v == j:
-            return -1
-        return 0
-
-    rows = []
-    for (i, j) in edges:
-        if i == j:
-            rows.append([0] * len(edges))
-        else:
-            rows.append([delta(i, e) - delta(j, e) for e in edges])
-    return rows
+    return [[0 if i == j or k == l else (i == k) - (i == l) - (j == k) + (j == l)
+             for k, l in edges] for i, j in edges]

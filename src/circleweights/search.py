@@ -21,7 +21,8 @@ import functools
 import itertools
 import json
 import os
-from dataclasses import asdict, dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 from math import gcd, isqrt
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -38,7 +39,6 @@ from .graphs import (
     WeightedMultigraph,
     enumerate_multigraphs,
     integral_multigraphs,
-    magnitudes_from_weights,
     union_find,
 )
 from . import linalg
@@ -114,13 +114,29 @@ class SearchOptions:
 @dataclass
 class WeightFamily:
     """A graph with a magnitude labeling whose linear system is singular with
-    a positive kernel; weights of the edges form the kernel (cycles free)."""
+    a positive kernel; weights of the edges form the kernel (cycles free).
+    ``instances`` holds the vetted instances of a classified family, sorted
+    by their points; a search candidate has none."""
 
     graph: Multigraph
     magnitudes: Tuple[int, ...]
     comp_kernels: List[NullspaceDescription]
+    instances: List[WeightSystem] = field(default_factory=list)
 
-    def witness_instances(self, bound: int = 12,
+    def kernel_dim(self) -> int:
+        return sum(k.dim for k in self.comp_kernels)
+
+    def to_json(self) -> dict:
+        return {
+            "graph": self.graph.to_json(),
+            "magnitudes": list(self.magnitudes),
+            "kernel_dim": self.kernel_dim(),
+            "parametric_weights": self.parametric_weights(),
+            "instance_count": len(self.instances),
+            "sample_instances": [ws.to_json() for ws in self.instances[:5]],
+        }
+
+    def witness_instances(self, bound: int,
                           cycle_bound: int = 4) -> List[Optional[WeightSystem]]:
         """Every weight system whose component weights are kernel lattice
         points (entries in [1, bound], shrunk while the box of a kernel
@@ -156,47 +172,36 @@ class WeightFamily:
 
     def parametric_weights(self) -> List[List[str]]:
         """Human-readable parametric weights at each point: edge weights are
-        linear forms in free parameters b[1], b[2], ... (cycles get c[k])."""
+        linear forms in free parameters b[1], b[2], ... (cycles get c[k]),
+        each printed at the edge's source and, negated, at its target."""
         edges = self.graph.edges
-        exprs = ["" for _ in edges]
-        pnum = 0
+        # each edge's weight as (coefficient, parameter) pairs
+        forms: List[List[Tuple[int, str]]] = [[] for _ in edges]
+        names = ("b[%d]" % t for t in itertools.count(1))
         for comp, ker in zip(self.graph.components(), self.comp_kernels):
-            names = ["b[%d]" % (pnum + t + 1) for t in range(ker.dim)]
-            pnum += ker.dim
-            for pos, k in enumerate(comp):
-                terms = []
-                for t, vecb in enumerate(ker.basis):
-                    c = vecb[pos]
-                    if c == 0:
-                        continue
-                    if c == 1:
-                        terms.append("+" + names[t])
-                    elif c == -1:
-                        terms.append("-" + names[t])
-                    else:
-                        terms.append("%+d*%s" % (c, names[t]))
-                expr = "".join(terms).lstrip("+") or "0"
-                exprs[k] = expr
-        cnum = 0
-        for k, e in enumerate(edges):
-            if e[0] == e[1]:
-                cnum += 1
-                exprs[k] = "c[%d]" % cnum
-        def negate(expr: str) -> str:
-            if expr.startswith("-") and "+" not in expr and "-" not in expr[1:]:
-                return expr[1:]
-            if "+" in expr or "-" in expr[1:]:
-                return "-(%s)" % expr
-            return "-" + expr
-
+            # zip draws a name only for a basis vector: the next component
+            # continues the numbering
+            for vec, name in zip(ker.basis, names):
+                for k, c in zip(comp, vec):
+                    if c:
+                        forms[k].append((c, name))
+        for t, k in enumerate((k for k, (i, j) in enumerate(edges) if i == j), 1):
+            forms[k] = [(1, "c[%d]" % t)]
         points: List[List[str]] = [[] for _ in self.graph.lambdas]
-        for k, (i, j) in enumerate(edges):
-            if i == j:
-                points[i].extend([exprs[k], negate(exprs[k])])
-            else:
-                points[i].append(exprs[k])
-                points[j].append(negate(exprs[k]))
+        for (i, j), form in zip(edges, forms):
+            points[i].append(_show_form(form))
+            points[j].append(_show_form(form, -1))
         return points
+
+
+def _show_form(form: Sequence[Tuple[int, str]], sign: int = 1) -> str:
+    """``sign`` times the linear form ``form``: "b[1]-2*b[2]"; a negated sum
+    of several terms is printed as "-(...)"."""
+    if sign < 0 and len(form) > 1:
+        return "-(%s)" % _show_form(form)
+    text = "".join("+" + p if sign * c == 1 else "-" + p if sign * c == -1
+                   else "%+d*%s" % (sign * c, p) for c, p in form)
+    return text.lstrip("+") or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -557,41 +562,12 @@ def vet_instance(ws: WeightSystem, opts: SearchOptions) -> Optional[str]:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class FamilyReport:
-    """A surviving family, canonically presented."""
-
-    family: WeightFamily
-    instances: List[WeightSystem]
-
-    @property
-    def graph(self) -> Multigraph:
-        return self.family.graph
-
-    @property
-    def magnitudes(self) -> Tuple[int, ...]:
-        return self.family.magnitudes
-
-    def kernel_dim(self) -> int:
-        return sum(k.dim for k in self.family.comp_kernels)
-
-    def to_json(self) -> dict:
-        return {
-            "graph": self.graph.to_json(),
-            "magnitudes": list(self.magnitudes),
-            "kernel_dim": self.kernel_dim(),
-            "parametric_weights": self.family.parametric_weights(),
-            "instance_count": len(self.instances),
-            "sample_instances": [ws.to_json() for ws in self.instances[:5]],
-        }
-
-
-@dataclass
 class ClassificationResult:
     profile: FixedPointProfile
     options: SearchOptions
     graphs_examined: int
     audit: Dict
-    families: List[FamilyReport]
+    families: List[WeightFamily]
 
     def to_json(self) -> dict:
         return {
@@ -622,12 +598,14 @@ def search_graph(graph: Multigraph, profile: FixedPointProfile, opts: SearchOpti
 
 def _signatures(ws: WeightSystem, pair_mode: str) -> List[Tuple[Tuple, Tuple[int, ...]]]:
     """Canonical (graph edges, integer magnitudes) signatures over every
-    integral pairing of the instance, admissible or not."""
+    integral pairing of the instance, admissible or not.  An integral
+    pairing divides each difference of weight sums s_i - s_j exactly by
+    its edge weight (a cycle's difference is 0)."""
+    sums = ws.weight_sums()
     sigs = []
     for g in integral_multigraphs(ws, mode=pair_mode):
-        mags = magnitudes_from_weights(ws, g)
         edges = tuple((i, j) for i, j, _ in g.wedges)
-        sigs.append((edges, tuple(int(m) for m in mags)))
+        sigs.append((edges, tuple((sums[i] - sums[j]) // w for i, j, w in g.wedges)))
     # Pairings with extra cycles blur the family structure (any two systems
     # sharing their extremal weights produce the same all-cycles signature),
     # so keep only the signatures with as few cycles as possible.
@@ -802,7 +780,7 @@ def classify(profile: FixedPointProfile, opts: SearchOptions, jobs: int = 1,
     blocks = [(gi, c) for gi in range(len(graphs)) for c in divisor_branches(profile, opts)]
     done = _search_blocks(profile, opts, graphs, blocks, jobs, checkpoint)
     audit: Dict = {"graphs": {gi: {"labelings": 0, "families": 0} for gi in range(len(graphs))},
-                   "rejections": {}, "instances": 0, "passing": 0}
+                   "rejections": Counter(), "instances": 0, "passing": 0}
     candidates: Dict[Tuple[Tuple, Tuple[int, ...]], WeightFamily] = {}
     for gi, c in blocks:
         fams, counts = done[gi, c]
@@ -821,12 +799,12 @@ def classify(profile: FixedPointProfile, opts: SearchOptions, jobs: int = 1,
     # families of an orbit have the same instances, so they add the first
     # one's rejections; their passing instances are in ``passing`` already.
     passing: Dict[WeightSystem, List[Tuple[Tuple, Tuple[int, ...]]]] = {}
-    orbit_rejections: Dict[Tuple[Tuple, Tuple[int, ...]], Dict[str, int]] = {}
+    orbit_rejections: Dict[Tuple[Tuple, Tuple[int, ...]], Counter] = {}
     for key in sorted(candidates):
         orbit = _orbit_key(*key)
         rejected = orbit_rejections.get(orbit)
         if rejected is None:
-            rejected = orbit_rejections[orbit] = {}
+            rejected = orbit_rejections[orbit] = Counter()
             for inst in candidates[key].witness_instances(opts.witness_bound):
                 if inst in passing:
                     continue
@@ -834,38 +812,35 @@ def classify(profile: FixedPointProfile, opts: SearchOptions, jobs: int = 1,
                 if verdict is None:
                     passing[inst] = _signatures(inst, opts.pair_mode)
                 else:
-                    rejected[verdict] = rejected.get(verdict, 0) + 1
-        for verdict, count in rejected.items():
-            audit["rejections"][verdict] = audit["rejections"].get(verdict, 0) + count
-        audit["instances"] += sum(rejected.values())
+                    rejected[verdict] += 1
+        audit["rejections"].update(rejected)
+        audit["instances"] += rejected.total()
     audit["instances"] += len(passing)
     audit["passing"] = len(passing)
     # signatures shared by instances link their families
     find = union_find(passing.values())
     groups: Dict = {}
     for inst, sigs in passing.items():
-        instances, votes = groups.setdefault(find(sigs[0]), ([], {}))
+        instances, votes = groups.setdefault(find(sigs[0]), ([], Counter()))
         instances.append(inst)
-        for s in sigs:
-            votes[s] = votes.get(s, 0) + 1
-    reports: List[FamilyReport] = []
+        votes.update(sigs)
+    families: List[WeightFamily] = []
     for instances, votes in groups.values():
         # the most voted signature, then the one with fewest cycles
         edges, mags = min(votes, key=lambda s: (-votes[s], sum(1 for i, j in s[0] if i == j), s))
-        rep_graph = Multigraph(profile.n, profile.lambdas, edges)
         # w > 0 solves (A w)_h = m_h w_h for every integral pairing, so every
         # component of a signature has a positive kernel vector
-        fam = candidates.get((edges, mags)) or solve_weights(rep_graph, mags)
+        fam = solve_weights(Multigraph(profile.n, profile.lambdas, edges), mags)
         if fam is None:
             raise RuntimeError("signature %s %s of passing instances has no weight family"
                                % (edges, mags))
-        reports.append(FamilyReport(family=fam,
-                                    instances=sorted(instances, key=lambda w: w.points)))
-    reports.sort(key=lambda r: (r.graph.edges, r.magnitudes))
+        fam.instances = sorted(instances, key=lambda w: w.points)
+        families.append(fam)
+    families.sort(key=lambda f: (f.graph.edges, f.magnitudes))
     return ClassificationResult(
         profile=profile,
         options=opts,
         graphs_examined=len(graphs),
         audit=audit,
-        families=reports,
+        families=families,
     )

@@ -36,7 +36,7 @@ def test_1_dimension_4():
     assert fam.graph.edges == ((0, 1), (0, 2), (1, 2))
     assert fam.magnitudes == (3, 3, 3)
     # the null-space relation w(e02) = w(e01) + w(e12)
-    for v in fam.family.comp_kernels[0].basis:
+    for v in fam.comp_kernels[0].basis:
         assert v[1] == v[0] + v[2]
     assert cp((2, 1, 0)) in fam.instances
     assert time.time() - t0 < 1.0

@@ -59,6 +59,11 @@ def test_enumerate_infeasible_profile(capsys):
     ["hattori", "v5.json", "--k0", "2", "--lmax", "5"],
     ["fixture", "v22", "--a", "3", "--b", "7"],
     ["fixture", "cp", "--xi", "3,x"],
+    # refusals argparse makes itself
+    ["classify", "--n", "x"],
+    ["classify", "--n", "2", "--bogus"],
+    [],
+    ["fixture", "nope"],
 ])
 def test_profile_without_n_is_a_schema_error(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -76,6 +81,14 @@ def test_infeasible_profile_is_one_line_and_exit_three(argv, message, capsys):
     code, out, err = run(argv, capsys)
     assert code == 3
     assert out == "" and err.startswith(message) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["classify", "--help"]])
+def test_help_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: circleweights")
 
 
 def test_fixture_roundtrip(tmp_path, capsys):

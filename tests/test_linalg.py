@@ -5,6 +5,8 @@ from math import gcd, lcm
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from circleweights.core import FixedPointProfile, minimal_profile
+from circleweights.graphs import enumerate_multigraphs
 from circleweights.linalg import (
     NullspaceDescription,
     echelon,
@@ -54,6 +56,31 @@ def test_graph_matrix_symmetric_random():
                 assert all(v == 0 for v in rows[h])
             else:
                 assert rows[h][h] == 2
+
+
+def reference_graph_matrix(edges):
+    """graph_matrix by its definition: a[h][m] = delta(source(e_h), e_m) -
+    delta(target(e_h), e_m), delta(v, e) being +1 where e starts at v, -1
+    where it ends there and 0 otherwise (and on cycles)."""
+    def delta(v, e):
+        i, j = e
+        if i == j:
+            return 0
+        return 1 if v == i else -1 if v == j else 0
+
+    return [[0] * len(edges) if i == j else [delta(i, e) - delta(j, e) for e in edges]
+            for i, j in edges]
+
+
+@pytest.mark.parametrize("profile, mode, classes", [
+    (minimal_profile(4), "nonneg", 75),
+    (FixedPointProfile(2, (0, 1, 1, 2)), "all", 6),
+])
+def test_graph_matrix_matches_the_delta_definition(profile, mode, classes):
+    graphs = enumerate_multigraphs(profile, mode=mode)
+    assert len(graphs) == classes
+    for graph in graphs:
+        assert graph_matrix(graph.edges) == reference_graph_matrix(graph.edges), graph.edges
 
 
 def test_nullspace_rank_one_example():

@@ -644,6 +644,71 @@ def test_stage4_matches_the_reference(run, monkeypatch):
     assert recorded == passing
 
 
+def reference_parametric_weights(fam):
+    """WeightFamily.parametric_weights before each edge's linear form was
+    built once: the far end's entry made by editing the printed string."""
+    edges = fam.graph.edges
+    exprs = ["" for _ in edges]
+    pnum = 0
+    for comp, ker in zip(fam.graph.components(), fam.comp_kernels):
+        names = ["b[%d]" % (pnum + t + 1) for t in range(ker.dim)]
+        pnum += ker.dim
+        for pos, k in enumerate(comp):
+            terms = []
+            for t, vecb in enumerate(ker.basis):
+                c = vecb[pos]
+                if c == 0:
+                    continue
+                if c == 1:
+                    terms.append("+" + names[t])
+                elif c == -1:
+                    terms.append("-" + names[t])
+                else:
+                    terms.append("%+d*%s" % (c, names[t]))
+            exprs[k] = "".join(terms).lstrip("+") or "0"
+    cnum = 0
+    for k, e in enumerate(edges):
+        if e[0] == e[1]:
+            cnum += 1
+            exprs[k] = "c[%d]" % cnum
+
+    def negate(expr):
+        if expr.startswith("-") and "+" not in expr and "-" not in expr[1:]:
+            return expr[1:]
+        if "+" in expr or "-" in expr[1:]:
+            return "-(%s)" % expr
+        return "-" + expr
+
+    points = [[] for _ in fam.graph.lambdas]
+    for k, (i, j) in enumerate(edges):
+        if i == j:
+            points[i].extend([exprs[k], negate(exprs[k])])
+        else:
+            points[i].append(exprs[k])
+            points[j].append(negate(exprs[k]))
+    return points
+
+
+# candidate families (all, with cycles) of searches covering cycle parameters
+PARAMETRIC_RUNS = {
+    "d4": (minimal_profile(2), SearchOptions(), (3, 2)),
+    "d6": (minimal_profile(3), SearchOptions(), (72, 42)),
+    "s2xs2": (S2XS2, SearchOptions(), (20, 6)),
+    "s2xs2_bounded3": (S2XS2, SearchOptions(bound_d=3), (36, 6)),
+    "d6_nonminimal_budget": (FixedPointProfile(3, (0, 1, 1, 2, 2, 3)),
+                             SearchOptions(max_labelings=2000), (25, 23)),
+}
+
+
+@pytest.mark.parametrize("run", sorted(PARAMETRIC_RUNS))
+def test_parametric_weights_match_the_reference(run):
+    profile, opts, counts = PARAMETRIC_RUNS[run]
+    fams = list(classify_candidates(profile, opts).values())
+    assert (len(fams), sum(1 for f in fams if f.graph.cycles())) == counts
+    for fam in fams:
+        assert fam.parametric_weights() == reference_parametric_weights(fam), fam.graph.edges
+
+
 def test_witness_instances_reproduce_magnitudes():
     fam = solve_weights(TRIANGLE, (3, 3, 3))
     graphs = reference_weighted_graphs(fam, 4, 2)
