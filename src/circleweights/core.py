@@ -17,10 +17,11 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
-from typing import Iterable, List, Tuple
+from typing import List, Tuple
 
 
 class ProfileError(ValueError):
@@ -47,7 +48,7 @@ class FixedPointProfile:
     lambdas: Tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "lambdas", tuple(int(x) for x in self.lambdas))
+        object.__setattr__(self, "lambdas", tuple(map(int, self.lambdas)))
 
     @property
     def num_points(self) -> int:
@@ -109,10 +110,6 @@ def minimal_divisors(n: int) -> List[int]:
     return [c for c in range(n + 1, 0, -1) if total % c == 0]
 
 
-def _sorted_weights(ws: Iterable[int]) -> Tuple[int, ...]:
-    return tuple(sorted(int(w) for w in ws))
-
-
 @dataclass(frozen=True)
 class WeightSystem:
     """Isotropy weights at every fixed point, in profile order.
@@ -126,7 +123,7 @@ class WeightSystem:
     points: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(_sorted_weights(p) for p in self.points))
+        object.__setattr__(self, "points", tuple([tuple(sorted(map(int, p))) for p in self.points]))
 
     @property
     def num_points(self) -> int:
@@ -134,16 +131,17 @@ class WeightSystem:
 
     @cached_property
     def profile(self) -> FixedPointProfile:
-        return FixedPointProfile(self.n, tuple(sum(1 for w in p if w < 0) for p in self.points))
+        # the weights at a point are sorted: its index is where 0 would go
+        return FixedPointProfile(self.n, tuple([bisect_left(p, 0) for p in self.points]))
 
     def weight_sums(self) -> Tuple[int, ...]:
         """Sum of the weights at each fixed point (the c_1^{S^1} values)."""
-        return tuple(sum(p) for p in self.points)
+        return tuple(map(sum, self.points))
 
     def reversed(self) -> "WeightSystem":
         """Weight system of the reversed action: negate all weights and list
         points so that indices are again weakly increasing (reverse order)."""
-        return WeightSystem(self.n, tuple(_sorted_weights(-w for w in p) for p in reversed(self.points)))
+        return WeightSystem(self.n, tuple(tuple(-w for w in p) for p in reversed(self.points)))
 
     def to_json(self) -> dict:
         return {
@@ -159,11 +157,11 @@ class WeightSystem:
             n = int(data["n"])
             pts = []
             for rec in data["points"]:
-                weights = _sorted_weights(rec["weights"])
+                weights = sorted(map(int, rec["weights"]))
                 lam = int(rec["lambda"])
                 if sum(1 for w in weights if w < 0) != lam:
                     raise WeightSystemError(
-                        "declared index %d does not match weights %s" % (lam, list(weights))
+                        "declared index %d does not match weights %s" % (lam, weights)
                     )
                 pts.append(weights)
         except (KeyError, TypeError) as exc:
@@ -183,20 +181,22 @@ def weight_system_checks(ws: WeightSystem) -> List[str]:
     * the profile passes :func:`validate_profile`.
     """
     failures: List[str] = []
+    flat: List[int] = []
     for i, p in enumerate(ws.points):
         if len(p) != ws.n:
             failures.append("point %d carries %d weights, expected %d" % (i, len(p), ws.n))
-        if any(w == 0 for w in p):
+        if 0 in p:
             failures.append("point %d has a zero weight" % i)
-        g = 0
-        for w in p:
-            g = gcd(g, abs(w))
+        g = gcd(*p)
         if g != 1:
             failures.append("weights at point %d have gcd %d (action not effective)" % (i, g))
-    pos = sorted(w for p in ws.points for w in p if w > 0)
-    neg = sorted(-w for p in ws.points for w in p if w < 0)
-    if pos != neg:
-        failures.append("positive weights %s do not pair with negative weights" % pos)
+        flat += p
+    # the multiset of weights is symmetric under negation exactly when its
+    # sorted list reads, negated, the same backwards
+    flat.sort()
+    if flat != [-w for w in reversed(flat)]:
+        failures.append("positive weights %s do not pair with negative weights"
+                        % [w for w in flat if w > 0])
     try:
         validate_profile(ws.profile)
     except ProfileError as exc:

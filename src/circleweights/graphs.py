@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Sequence, Tuple
 
@@ -251,13 +252,18 @@ def magnitudes_from_weights(ws: WeightSystem, g: WeightedMultigraph) -> Tuple[Fr
     return tuple(out)
 
 
+@lru_cache(maxsize=1)
 def integral_multigraphs(ws: WeightSystem, mode: str = "all") -> List[WeightedMultigraph]:
     """Pairings of ``ws`` whose every non-cycle edge (i, j) of weight w is
     integral and congruent: its magnitude is an integer (the computable
     relaxation of geometric integrality), and the weight multisets at i and j
     agree modulo w (the fixed-point set of the order-w cyclic subgroup joins
     the endpoints, forcing equal residues).  Both tests look at one edge at
-    a time, so they prune the pairing enumeration edge by edge."""
+    a time, so they prune the pairing enumeration edge by edge.
+
+    The last result is kept: asked again with the same arguments, as for
+    the signatures of an instance that passed vetting, it returns the same
+    list, which callers must not change."""
     orient = _edge_filter(ws.profile.lambdas, mode)
     sums = ws.weight_sums()
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import prod
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .core import WeightSystem
 from .graphs import WeightedMultigraph, magnitudes_from_weights
@@ -101,17 +101,31 @@ def in_index_order(ws: WeightSystem) -> bool:
     return ws.profile.lambdas == tuple(range(ws.n + 1))
 
 
+def chern_constant_parts(ws: WeightSystem) -> Iterator[Tuple[int, int, int, int]]:
+    """For i = 1, ..., N, the integer numerator and denominator of C_i (see
+    :func:`minimal_chern_constants`), then those of C_i of the reversed
+    action, for ``ws`` in index order with points P_0, ..., P_N.
+
+    Point i of the reversed action is -P_{N-i}: its weight sum is -s_{N-i}
+    and its negative weights are the negated positive weights of P_{N-i}.
+    So its C_i is prod_{k>N-i} (s_k - s_{N-i}) / prod_{w>0 in P_{N-i}} (-w),
+    read from the weights of ``ws``; no reversed system is built."""
+    sums = ws.weight_sums()
+    points = ws.points
+    top = len(points) - 1
+    for i in range(1, top + 1):
+        k = top - i
+        yield (prod([sums[i] - s for s in sums[:i]]), prod([w for w in points[i] if w < 0]),
+               prod([s - sums[k] for s in sums[k + 1:]]), prod([-w for w in points[k] if w > 0]))
+
+
 def minimal_chern_constants(ws: WeightSystem) -> List[Fraction]:
     """The constants C_i = prod_{j<i} (s_i - s_j) / Lambda_i^- of a minimal
     weight system (s_i = weight sum, Lambda_i^- = product of the negative
     weights at P_i); C_0 = 1.  For geometric data each C_i is a positive
-    integer and C_1 divides n(n+1)^2/2."""
-    sums = ws.weight_sums()
-    out = [Fraction(1)]
-    for i in range(1, ws.num_points):
-        num = prod(sums[i] - sums[j] for j in range(i))
-        out.append(Fraction(num, prod(w for w in ws.points[i] if w < 0)))
-    return out
+    integer and C_1 divides n(n+1)^2/2.  The values are the exact quotients
+    of the integer parts from :func:`chern_constant_parts`."""
+    return [Fraction(1)] + [Fraction(num, den) for num, den, _, _ in chern_constant_parts(ws)]
 
 
 def chern_battery(ws: WeightSystem) -> ChernReport:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 import os
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -51,7 +52,7 @@ from .linalg import (
     nullspace,
     positive_kernel_exists,
 )
-from .localization import chern_battery, expected_c1cn1, in_index_order, minimal_chern_constants
+from .localization import chern_battery, chern_constant_parts, expected_c1cn1, in_index_order
 from .hattori import DIM8_CONSTANTS, derive_levels, r_values_at_one
 from .laurent import NotLaurent
 
@@ -155,20 +156,30 @@ class WeightFamily:
                 return []
             comp_choices.append(pts)
         edges = self.graph.edges
-        cycles = [e for e in edges if e[0] == e[1]]
-        cycle_choices = [[(w,) for w in range(1, cycle_bound + 1)]] * len(cycles)
-        # (source, target) of each weight of a flattened product entry
-        ends = [edges[k] for comp in self.graph.components() for k in comp] + cycles
         npts = self.graph.num_points
-        out = []
-        for combo in itertools.product(*comp_choices, *cycle_choices):
+
+        def share(ends, weights) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...]]:
+            """The weights that edges ``ends`` of weights ``weights`` put at
+            each fixed point, and the gcd of each point's share."""
             pts: List[List[int]] = [[] for _ in range(npts)]
-            for (i, j), w in zip(ends, itertools.chain.from_iterable(combo)):
+            for (i, j), w in zip(ends, weights):
                 pts[i].append(w)
                 pts[j].append(-w)
-            out.append(WeightSystem(self.graph.n, pts) if all(gcd(*p) == 1 for p in pts)
-                       else None)
-        return out
+            return tuple(map(tuple, pts)), tuple(gcd(*p) for p in pts)
+
+        factors = [[share([edges[k] for k in comp], pt) for pt in choices]
+                   for comp, choices in zip(self.graph.components(), comp_choices)]
+        factors += [[share([e], (w,)) for w in range(1, cycle_bound + 1)]
+                    for e in edges if e[0] == e[1]]
+        def fold(combos, factor):
+            # itertools.product order; each entry carries its weights and
+            # their gcd at every point, and only the output is ever stored
+            return ((tuple(map(operator.add, pa, pb)), tuple(map(gcd, ga, gb)))
+                    for pa, ga in combos for pb, gb in factor)
+
+        ones = (1,) * npts
+        return [WeightSystem(self.graph.n, pts) if gs == ones else None
+                for pts, gs in functools.reduce(fold, factors, [(((),) * npts, (0,) * npts)])]
 
     def parametric_weights(self) -> List[List[str]]:
         """Human-readable parametric weights at each point: edge weights are
@@ -522,14 +533,16 @@ def vet_instance(ws: WeightSystem, opts: SearchOptions) -> Optional[str]:
         sums = ws.weight_sums()
         if any(a <= b for a, b in zip(sums, sums[1:])):
             return "monotone_sums"
-        consts = minimal_chern_constants(ws)
-        if any(c.denominator != 1 or c <= 0 for c in consts):
-            return "chern_constants"
-        if minimal_chern_constants(ws.reversed()) != consts:
-            return "chern_constants"
-        c1 = int(consts[1])
-        if c1 not in minimal_divisors(n):
-            return "chern_constants"
+        # each C_i a positive integer equal to the reversed action's C_i,
+        # and C_1 admissible; decided in integers, at the first failure
+        for num, den, rnum, rden in chern_constant_parts(ws):
+            c, r = divmod(num, den)
+            if r or c <= 0 or rnum != c * rden:
+                return "chern_constants"
+            if c1 is None:
+                c1 = c
+                if c1 not in minimal_divisors(n):
+                    return "chern_constants"
         if opts.dim8_strict and n == 4 and c1 not in DIM8_CONSTANTS:
             return "dim8_strict"
     if not any(admissible_pairing(ws, g) for g in integral_multigraphs(ws, mode=opts.pair_mode)):

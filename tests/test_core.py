@@ -1,11 +1,13 @@
 import json
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from circleweights.core import (
     BalanceViolation,
     FixedPointProfile,
+    ProfileError,
     RangeViolation,
     WeightSystem,
     minimal_profile,
@@ -94,3 +96,72 @@ def test_cp_weight_sums_decrease():
     sums = list(ws.weight_sums())
     assert sums == sorted(sums, reverse=True)
     assert len(set(sums)) == len(sums)
+
+
+def reference_weight_system_checks(ws):
+    """weight_system_checks before it made one pass over each point: a
+    gcd loop per point, and sorted positive and negated negative weights."""
+    failures = []
+    for i, p in enumerate(ws.points):
+        if len(p) != ws.n:
+            failures.append("point %d carries %d weights, expected %d" % (i, len(p), ws.n))
+        if any(w == 0 for w in p):
+            failures.append("point %d has a zero weight" % i)
+        g = 0
+        for w in p:
+            g = gcd(g, abs(w))
+        if g != 1:
+            failures.append("weights at point %d have gcd %d (action not effective)" % (i, g))
+    pos = sorted(w for p in ws.points for w in p if w > 0)
+    neg = sorted(-w for p in ws.points for w in p if w < 0)
+    if pos != neg:
+        failures.append("positive weights %s do not pair with negative weights" % pos)
+    try:
+        validate_profile(ws.profile)
+    except ProfileError as exc:
+        failures.append(str(exc))
+    return failures
+
+
+@st.composite
+def weight_systems(draw):
+    """Weight systems of 0 to 4 weights per point on 2 to 5 points: paired
+    ones, built from random weighted edges (so the counts per point and the
+    profile vary), some scaled by a common factor, and unpaired ones."""
+    n = draw(st.integers(0, 4))
+    npts = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        pts = [draw(st.lists(st.integers(-6, 6), max_size=4)) for _ in range(npts)]
+    else:
+        pts = [[] for _ in range(npts)]
+        scale = draw(st.sampled_from([1, 1, 2, 3]))
+        for _ in range(draw(st.integers(0, 2 * npts))):
+            i, j = draw(st.integers(0, npts - 1)), draw(st.integers(0, npts - 1))
+            w = scale * draw(st.integers(0, 5))
+            pts[i].append(w)
+            pts[j].append(-w)
+    return WeightSystem(n, tuple(map(tuple, pts)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(weight_systems())
+@example(WeightSystem(2, ((0, 1), (-1, 1), (-1, -1))))  # a zero weight
+@example(WeightSystem(2, ((1, 2, 3), (-1, 1), (-3, -2, -1))))  # a wrong weight count
+@example(WeightSystem(2, ((2, 4), (-2, 2), (-4, -2))))  # gcd above 1
+@example(WeightSystem(2, ((1, 2), (-1, 1), (-2, -2))))  # unpaired weights
+@example(WeightSystem(2, ((1, 2), (-1, 2), (-2, 1), (-1, -2), (-2, -1))))  # unbalanced profile
+def test_weight_system_checks_match_the_reference(ws):
+    assert weight_system_checks(ws) == reference_weight_system_checks(ws)
+
+
+def test_the_reference_examples_fail_as_named():
+    # each @example above trips its own check, in either implementation
+    cases = {
+        "zero weight": WeightSystem(2, ((0, 1), (-1, 1), (-1, -1))),
+        "carries 3 weights": WeightSystem(2, ((1, 2, 3), (-1, 1), (-3, -2, -1))),
+        "gcd 2": WeightSystem(2, ((2, 4), (-2, 2), (-4, -2))),
+        "do not pair": WeightSystem(2, ((1, 2), (-1, 1), (-2, -2))),
+        "sum of indices": WeightSystem(2, ((1, 2), (-1, 2), (-2, 1), (-1, -2), (-2, -1))),
+    }
+    for phrase, ws in cases.items():
+        assert any(phrase in f for f in weight_system_checks(ws)), (phrase, ws.points)

@@ -4,19 +4,23 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import circleweights
 from circleweights import search
 from circleweights.core import (
     FixedPointProfile,
     ProfileError,
+    WeightSystem,
     minimal_profile,
     weight_system_checks,
 )
 from circleweights.fixtures import cp, grassmannian, s2xs2, v5, v22
+from circleweights.hattori import DIM8_CONSTANTS, derive_levels
 from circleweights.graphs import (
     Multigraph,
     WeightedMultigraph,
@@ -24,7 +28,12 @@ from circleweights.graphs import (
     integral_multigraphs,
     magnitudes_from_weights,
 )
-from circleweights.localization import expected_c1cn1
+from circleweights.localization import (
+    chern_constant_parts,
+    expected_c1cn1,
+    in_index_order,
+    minimal_chern_constants,
+)
 from circleweights.linalg import (
     LATTICE_BOX_LIMIT,
     graph_matrix,
@@ -47,6 +56,7 @@ from circleweights.search import (
     stream_labelings,
     vet_instance,
 )
+from test_hattori import SYSTEMS
 from test_linalg import reference_determinant, reference_positive_kernel_vector
 
 S2XS2 = FixedPointProfile(2, (0, 1, 1, 2))
@@ -828,10 +838,167 @@ def test_vet_fixtures_pass():
 
 
 def test_vet_rejects_scaled_weights():
-    from circleweights.core import WeightSystem
-
     ws = WeightSystem(2, ((2, 4), (-2, 2), (-4, -2)))
     assert vet_instance(ws, SearchOptions()) is not None
+
+
+def reference_minimal_chern_constants(ws):
+    """minimal_chern_constants before it read integer parts: each C_i a
+    Fraction built from the weight sums."""
+    sums = ws.weight_sums()
+    out = [Fraction(1)]
+    for i in range(1, ws.num_points):
+        num = math.prod(sums[i] - sums[j] for j in range(i))
+        out.append(Fraction(num, math.prod(w for w in ws.points[i] if w < 0)))
+    return out
+
+
+def reference_vet_prefix(ws, opts):
+    """vet_instance up to its pairing filter before the Chern-constant rules
+    were decided in integers: (the Chern sub-rule that fails, the verdict,
+    C_1).  A verdict of None means the instance goes on to the pairings."""
+    if weight_system_checks(ws):
+        return None, "structural", None
+    if not in_index_order(ws):
+        return None, None, None
+    sums = ws.weight_sums()
+    if any(a <= b for a, b in zip(sums, sums[1:])):
+        return chern_sub_rule(ws), "monotone_sums", None
+    rule = chern_sub_rule(ws)
+    if rule is not None:
+        return rule, "chern_constants", None
+    c1 = int(reference_minimal_chern_constants(ws)[1])
+    if opts.dim8_strict and ws.n == 4 and c1 not in DIM8_CONSTANTS:
+        return None, "dim8_strict", c1
+    return None, None, c1
+
+
+def chern_sub_rule(ws):
+    """The first Chern-constant rule the Fraction code fails on ``ws``, in
+    index order, or None."""
+    consts = reference_minimal_chern_constants(ws)
+    if any(c.denominator != 1 for c in consts):
+        return "non-integral"
+    if any(c <= 0 for c in consts):
+        return "non-positive"
+    if reference_minimal_chern_constants(ws.reversed()) != consts:
+        return "reversed mismatch"
+    if consts[1] not in minimal_divisors(ws.n):
+        return "divisor"
+    return None
+
+
+def vet_and_c1(ws, opts):
+    """vet_instance's verdict, and the C_1 it hands to the index battery
+    (None when the battery does not run)."""
+    seen = []
+
+    def recording(ws, c1):
+        seen.append(c1)
+        return derive_levels(ws, c1)
+
+    with mock.patch.object(search, "derive_levels", recording):
+        verdict = vet_instance(ws, opts)
+    return verdict, (seen[0] if seen else None)
+
+
+def check_chern_rules(ws, opts):
+    """vet_instance and chern_constant_parts against the Fraction code on
+    ``ws``; returns the Chern sub-rule that the Fraction code fails, if any."""
+    rule, want, c1 = reference_vet_prefix(ws, opts)
+    verdict, got_c1 = vet_and_c1(ws, opts)
+    if want is not None:
+        assert verdict == want, ws.points
+    else:
+        assert verdict not in ("structural", "monotone_sums", "chern_constants", "dim8_strict")
+        assert got_c1 in (None, c1), ws.points
+    if in_index_order(ws) and not any(0 in p for p in ws.points):
+        parts = [(Fraction(a, b), Fraction(c, d)) for a, b, c, d in chern_constant_parts(ws)]
+        assert parts == list(zip(reference_minimal_chern_constants(ws)[1:],
+                                 reference_minimal_chern_constants(ws.reversed())[1:]))
+        assert minimal_chern_constants(ws) == reference_minimal_chern_constants(ws)
+    return rule, verdict, got_c1
+
+
+def shifted_pair(ws, pick, delta):
+    """A copy of ``ws`` with the ``pick``-th matched pair +w, -w (counted
+    over the positions of +w and -w) moved to +(w + delta), -(w + delta); None
+    when w + delta is not positive."""
+    pts = [list(p) for p in ws.points]
+    pairs = [(i, a, j, b) for i, p in enumerate(pts) for a, w in enumerate(p) if w > 0
+             for j, q in enumerate(pts) for b, x in enumerate(q) if x == -w]
+    i, a, j, b = pairs[pick % len(pairs)]
+    w = pts[i][a] + delta
+    if w <= 0:
+        return None
+    pts[i][a], pts[j][b] = w, -w
+    return WeightSystem(ws.n, pts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(SYSTEMS, st.none() | st.tuples(st.integers(0, 60), st.sampled_from([-2, -1, 1, 2])),
+       st.booleans())
+def test_chern_rules_match_the_fraction_code(ws, shift, dim8_strict):
+    assume(ws is not None)
+    if shift is not None:
+        ws = shifted_pair(ws, *shift)
+        assume(ws is not None)
+    rule, verdict, c1 = check_chern_rules(ws, SearchOptions(dim8_strict=dim8_strict))
+    if shift is None:
+        # the fixtures pass the whole battery, with the C_1 of the Fraction code
+        assert (rule, verdict) == (None, None) and c1 is not None
+
+
+def test_every_chern_rule_fires_on_shifted_fixtures():
+    # the Chern verdicts and C_1 of vet_instance equal the Fraction code's on
+    # small fixtures and on every copy with one matched pair moved by 1 or 2.
+    # A non-positive C_i comes with non-monotone weight sums (s_i - s_j and
+    # the i negative weights at point i both have the sign (-1)^i), so it
+    # fires only where monotone_sums rejects first.
+    fixtures = [cp(xi) for xi in ((2, 1, 0), (3, 1, 0), (3, 2, 0), (3, 2, 1, 0), (4, 2, 1, 0))]
+    fixtures += [grassmannian((2, 1)), grassmannian((3, 1))]
+    fired = {}
+    for ws in fixtures:
+        for shift in [None] + [(k, d) for k in range(4 * ws.n) for d in (-2, -1, 1, 2)]:
+            inst = ws if shift is None else shifted_pair(ws, *shift)
+            if inst is None:
+                continue
+            rule, verdict, _ = check_chern_rules(inst, SearchOptions())
+            fired.setdefault((rule, verdict), inst)
+    assert ("non-integral", "chern_constants") in fired
+    assert ("non-positive", "monotone_sums") in fired
+    assert ("reversed mismatch", "chern_constants") in fired
+    assert ("divisor", "chern_constants") in fired
+    assert not any(rule == "non-positive" for rule, verdict in fired if verdict != "monotone_sums")
+
+
+def test_a_passing_instance_reuses_its_pairing_list(monkeypatch):
+    # the last integral_multigraphs list is kept, per system and mode: one
+    # mode never gets the other's list
+    for ws in (cp((3, 2, 1, 0)), grassmannian((2, 1)), v5()):
+        fresh = {mode: integral_multigraphs.__wrapped__(ws, mode) for mode in ("all", "nonneg")}
+        assert fresh["all"] != fresh["nonneg"]
+        for mode in ("all", "nonneg", "nonneg", "all", "all", "nonneg"):
+            got = integral_multigraphs(ws, mode=mode)
+            assert got == fresh[mode] and got is integral_multigraphs(ws, mode=mode)
+            other = "all" if mode == "nonneg" else "nonneg"
+            assert integral_multigraphs(ws, mode=other) is not got
+    # d6: the signatures classify records for its passing instances, and
+    # their verdicts, equal those of a fresh enumeration per call
+    recorded = {}
+    signatures = search._signatures
+
+    def recording(ws, pair_mode):
+        recorded[ws] = signatures(ws, pair_mode)
+        return recorded[ws]
+
+    monkeypatch.setattr(search, "_signatures", recording)
+    result = classify(minimal_profile(3), SearchOptions())
+    assert len(recorded) == result.audit["passing"] == 220
+    monkeypatch.setattr(search, "integral_multigraphs", integral_multigraphs.__wrapped__)
+    for ws, sigs in recorded.items():
+        assert vet_instance(ws, SearchOptions()) is None
+        assert signatures(ws, "nonneg") == sigs
 
 
 def test_classify_dim4():
