@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 
 class ProfileError(ValueError):
@@ -197,8 +197,18 @@ def weight_system_checks(ws: WeightSystem) -> List[str]:
     if flat != [-w for w in reversed(flat)]:
         failures.append("positive weights %s do not pair with negative weights"
                         % [w for w in flat if w > 0])
-    try:
-        validate_profile(ws.profile)
-    except ProfileError as exc:
-        failures.append(str(exc))
+    failure = _profile_failure(ws.profile)
+    if failure is not None:
+        failures.append(failure)
     return failures
+
+
+@lru_cache(maxsize=32)
+def _profile_failure(profile: FixedPointProfile) -> Optional[str]:
+    """The message :func:`validate_profile` raises for ``profile``, or None;
+    memoized, as every instance of a search shares its profile."""
+    try:
+        validate_profile(profile)
+    except ProfileError as exc:
+        return str(exc)
+    return None

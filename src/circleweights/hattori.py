@@ -23,12 +23,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
 from math import isqrt, prod
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .core import WeightSystem
-from .laurent import LaurentPolynomial, cyclotomic, one_minus_t
+from .laurent import LaurentPolynomial, one_minus_t
 
 
 def _denominator(weights: Iterable[int]) -> LaurentPolynomial:
@@ -36,49 +35,88 @@ def _denominator(weights: Iterable[int]) -> LaurentPolynomial:
     return prod((one_minus_t(int(w)) for w in weights), start=LaurentPolynomial.one())
 
 
-def _fixed_point_sums(rows: Sequence[Sequence[LaurentPolynomial]],
+def _fixed_point_sums(rows: Sequence[Sequence[Dict[int, int]]],
                       weights: Sequence[Sequence[int]]) -> List[LaurentPolynomial]:
-    """For each row, sum_i row[i] / D_i exactly, where D_i = prod_k (1 - t^(w_ik))
-    over the weights at point i.  Raises :class:`NotLaurent` when a sum is not
-    a Laurent polynomial, and ValueError on a zero weight.
+    """For each row, sum_i row[i] / D_i exactly, where row[i] maps exponents
+    to int coefficients and D_i = prod_k (1 - t^(w_ik)) over the weights at
+    point i.  Raises :class:`NotLaurent` when a sum is not a Laurent
+    polynomial, and ValueError on a zero weight.
 
-    Each factor splits into cyclotomic polynomials: 1 - t^w = -prod_{d | w}
-    Phi_d for w > 0 and t^(-u) prod_{d | u} Phi_d for w = -u < 0.  So
-    D_i = (-1)^(p_i) t^(-u_i) prod_d Phi_d^(mult_i(d)), with p_i the number
-    of positive weights at i, u_i the sum of the magnitudes of its negative
-    ones and mult_i(d) the number of its weights that d divides.  All rows
-    go over one common denominator, the lcm L = prod_d Phi_d^(m_d) with
-    m_d = max_i mult_i(d), and the cofactor of point i,
+    As 1 - t^(-u) = -t^(-u) (1 - t^u),
+    D_i = (-1)^(q_i) t^(-u_i) prod_k (1 - t^|w_ik|), with q_i the number of
+    negative weights at i and u_i the sum of their magnitudes.  All rows go
+    over one common denominator, the lcm L of the D_i (:func:`_lcm`), and
+    the cofactor of point i,
 
-        L / D_i = (-1)^(p_i) t^(u_i) prod_d Phi_d^(m_d - mult_i(d)),
+        L / D_i = (-1)^(q_i) t^(u_i) L / prod_k (1 - t^|w_ik|),
 
-    is built by multiplication alone.  The sum is N / L with N = sum_i
-    row[i] L / D_i: the same rational function as over prod_i D_i, so it is
-    a Laurent polynomial exactly when L divides N in Z[t, 1/t].  L is monic
-    (a product of Phi_d), so one exact division by L per row decides what
+    is L divided exactly by its binomials.  The sum is N / L with
+    N = sum_i row[i] L / D_i: the same rational function as over
+    prod_i D_i, so it is a Laurent polynomial exactly when L divides N in
+    Z[t, 1/t].  L is monic, so one exact division by L per row decides what
     the division by the full product decided, and raises NotLaurent in the
     same cases.
     """
-    mults = []
+    lcm = _lcm(weights)
+    # (lowest exponent, coefficients) of each cofactor L / D_i
+    cofactors = []
+    for ws in weights:
+        c = list(lcm) if sum(w < 0 for w in ws) % 2 == 0 else [-y for y in lcm]
+        _divide_binomials(c, map(abs, ws))
+        cofactors.append((-sum(w for w in ws if w < 0), c))
+    divisor = LaurentPolynomial.from_dense(0, lcm)
+    out = []
+    for row in rows:
+        terms = [(e + low, x, c) for value, (low, c) in zip(row, cofactors)
+                 for e, x in value.items()]
+        base = min((e for e, _, _ in terms), default=0)
+        num = [0] * max((e + len(c) - base for e, _, c in terms), default=0)
+        for e, x, c in terms:
+            for k, y in enumerate(c, e - base):
+                num[k] += x * y
+        out.append(LaurentPolynomial.from_dense(base, num).divexact(divisor))
+    return out
+
+
+def _lcm(weights: Sequence[Sequence[int]]) -> List[int]:
+    """Dense coefficients, from t^0 up, of the monic lcm of the
+    prod_k (1 - t^|w_ik|) over the points i; ValueError on a zero weight.
+
+    1 - t^u = -prod_{d | u} Phi_d, so that product is
+    +-prod_d Phi_d^(mult_i(d)), mult_i(d) the number of weights at i that
+    d divides, and the lcm is L = prod_d Phi_d^(m_d), m_d = max_i mult_i(d).
+    As t^e - 1 = prod_{d | e} Phi_d, L = prod_e (t^e - 1)^(x_e) once
+    sum_{e : d | e} x_e = m_d for every d; the x_e solve from the largest d
+    down, and the binomials with x_e < 0 divide.  Over a dense list a
+    product by 1 - t^e is the running difference c[k] -= c[k - e], a
+    quotient the running sum c[k] += c[k - e].
+    """
+    mults = Counter()
     for ws in weights:
         if 0 in ws:
             raise ValueError("1 - t^0 is identically zero")
-        mults.append(Counter(d for w in ws for d in _divisors(abs(w))))
-    lcm_mults = {d: max(m[d] for m in mults) for d in set().union(*mults)}
-    lcm = prod((cyclotomic(d) for d, k in lcm_mults.items() for _ in range(k)),
-               start=LaurentPolynomial.one())
-    cofactors = []
-    for ws, mult in zip(weights, mults):
-        unit = LaurentPolynomial.term(-1 if sum(w > 0 for w in ws) % 2 else 1)
-        cofactors.append(prod((cyclotomic(d) for d, k in lcm_mults.items() for _ in range(k - mult[d])),
-                              start=unit.shift(-sum(w for w in ws if w < 0))))
-    out = []
-    for row in rows:
-        num = LaurentPolynomial.zero()
-        for value, cofactor in zip(row, cofactors):
-            num = num + value * cofactor
-        out.append(num.divexact(lcm))
-    return out
+        mults |= Counter(d for w in ws for d in _divisors(abs(w)))
+    powers: Dict[int, int] = {}
+    for d in sorted(mults, reverse=True):
+        powers[d] = mults[d] - sum(x for e, x in powers.items() if e % d == 0)
+    # L = (-1)^(m_1) prod_e (1 - t^e)^(x_e), as sum_e x_e = m_1
+    lcm = [1] if mults[1] % 2 == 0 else [-1]
+    for e, x in powers.items():
+        for _ in range(x):
+            lcm += [0] * e
+            for k in range(len(lcm) - 1, e - 1, -1):
+                lcm[k] -= lcm[k - e]
+    _divide_binomials(lcm, [e for e, x in powers.items() for _ in range(-x)])
+    return lcm
+
+
+def _divide_binomials(c: List[int], exps: Iterable[int]) -> None:
+    """Divide the dense polynomial c in place by 1 - t^u for each u in
+    ``exps``; every division must be exact."""
+    for u in exps:
+        for k in range(u, len(c)):
+            c[k] += c[k - u]
+        del c[len(c) - u:]
 
 
 @cache
@@ -94,7 +132,7 @@ def as_index(terms: Sequence[Tuple[LaurentPolynomial, Sequence[int]]]) -> Lauren
     The result must lie in Z[t, 1/t] for genuine index data; a nonzero
     remainder raises :class:`NotLaurent`.
     """
-    row = [LaurentPolynomial.term(v, 0) if isinstance(v, int) else v for v, _ in terms]
+    row = [{0: v} if isinstance(v, int) else v.coeffs for v, _ in terms]
     return _fixed_point_sums([row], [[-w for w in ws] for _, ws in terms])[0]
 
 
@@ -154,19 +192,21 @@ def r_sequence(ws: WeightSystem, levels: LevelData) -> List[LaurentPolynomial]:
     term i = k is left, and it is phi_k.  The identity therefore holds
     exactly once the divisions that give the r_s are exact.
     """
-    npts = ws.num_points
     a = levels.a
-    rows = []
-    for s in range(npts):
-        sign = -1 if s % 2 else 1
-        row = []
-        for i in range(npts):
-            inner = LaurentPolynomial.zero()
-            for subset in combinations([j for j in range(npts) if j != i], s):
-                inner = inner + LaurentPolynomial.term(sign, -sum(a[j] for j in subset))
-            row.append(inner)
-        rows.append(row)
-    return _fixed_point_sums(rows, ws.points)
+    # column i holds the coefficients of X^0, ..., X^N in
+    # prod_{j != i} (1 - X t^(-a_j)), built one factor at a time
+    columns = []
+    for i in range(len(a)):
+        gen = [{0: 1}]
+        for j, aj in enumerate(a):
+            if j != i:
+                gen.append({})
+                for s in range(len(gen) - 1, 0, -1):
+                    out = gen[s]
+                    for e, c in gen[s - 1].items():
+                        out[e - aj] = out.get(e - aj, 0) - c
+        columns.append(gen)
+    return _fixed_point_sums(list(zip(*columns)), ws.points)
 
 
 def r_values_at_one(ws: WeightSystem, levels: LevelData) -> List[int]:

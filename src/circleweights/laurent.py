@@ -2,7 +2,7 @@
 
 Coefficients are ints and exponents are arbitrary (possibly negative)
 integers.  Every divisor the index battery builds is a product of
-cyclotomic polynomials Phi_d (:func:`cyclotomic`), each monic, so its
+cyclotomic polynomials Phi_d, each monic, so its
 leading coefficient is +-1 and division stays in Z[t, 1/t]: dividing by a
 polynomial whose leading coefficient is not +-1 raises ValueError, and
 dividing by one that does not divide the numerator raises
@@ -11,8 +11,6 @@ dividing by one that does not divide the numerator raises
 
 from __future__ import annotations
 
-from functools import cache
-from math import prod
 from operator import index
 from typing import Dict
 
@@ -47,6 +45,11 @@ class LaurentPolynomial:
     @classmethod
     def term(cls, coeff, exp: int = 0) -> "LaurentPolynomial":
         return cls({int(exp): coeff})
+
+    @classmethod
+    def from_dense(cls, low: int, coeffs) -> "LaurentPolynomial":
+        """sum_k coeffs[k] t^(low + k), from a sequence of ints."""
+        return _make({low + k: c for k, c in enumerate(coeffs)})
 
     @classmethod
     def one(cls) -> "LaurentPolynomial":
@@ -168,13 +171,3 @@ def one_minus_t(exp: int) -> LaurentPolynomial:
         raise ValueError("1 - t^0 is identically zero")
     return _make({0: 1, int(exp): -1})
 
-
-@cache
-def cyclotomic(d: int) -> LaurentPolynomial:
-    """The cyclotomic polynomial Phi_d (d >= 1), from t^d - 1 = prod_{e | d}
-    Phi_e.  Memoized on d: callers must not mutate the result."""
-    if d < 1:
-        raise ValueError("Phi_d needs d >= 1, got %d" % d)
-    smaller = prod((cyclotomic(e) for e in range(1, d) if d % e == 0),
-                   start=LaurentPolynomial.one())
-    return _make({0: -1, d: 1}).divexact(smaller)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import prod
+from math import lcm, prod
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .core import WeightSystem
@@ -28,26 +28,40 @@ class ShapePrecondition(ValueError):
     """The multigraph does not have the shape required by the formula."""
 
 
-def elementary_symmetric(values: Sequence[int], k: int) -> int:
-    """sigma_k of a sequence of integers, exactly."""
+def _symmetric_functions(values: Sequence[int], k: int) -> List[int]:
+    """sigma_0, ..., sigma_k of a sequence of integers, exactly."""
     coeffs = [1] + [0] * k
     for v in values:
-        for i in range(min(k, len(coeffs) - 1), 0, -1):
+        for i in range(k, 0, -1):
             coeffs[i] += v * coeffs[i - 1]
-    return coeffs[k]
+    return coeffs
+
+
+def _over_lcm(ws: WeightSystem, top: int) -> Tuple[List[Tuple[int, List[int]]], int]:
+    """The points over one denominator: the lcm L of the products of the
+    weights at each point, and for each point the pair (L / that product,
+    sigma_0..sigma_top of its weights).  A localization sum is then
+    sum_i (L / prod(W_i)) prod_k sigma_{j_k}(W_i), over L."""
+    products = []
+    for p in ws.points:
+        if 0 in p:
+            raise DegenerateWeights("zero weight at a fixed point")
+        products.append(prod(p))
+    den = lcm(*products)
+    return [(den // e, _symmetric_functions(p, top)) for e, p in zip(products, ws.points)], den
+
+
+def _numerator(points: List[Tuple[int, List[int]]], multidegree: Sequence[int]) -> int:
+    return sum(c * prod([sigma[j] for j in multidegree]) for c, sigma in points)
 
 
 def abbv_sum(ws: WeightSystem, multidegree: Sequence[int]) -> Fraction:
     """The localization sum  sum_i  prod_k sigma_{j_k}(W_i) / sigma_n(W_i)
     for a multidegree (j_1, ..., j_r); the empty multidegree gives
-    sum_i 1/sigma_n(W_i)."""
-    total = Fraction(0)
-    for p in ws.points:
-        if any(w == 0 for w in p):
-            raise DegenerateWeights("zero weight at a fixed point")
-        num = prod(elementary_symmetric(p, j) for j in multidegree)
-        total += Fraction(num, prod(p))
-    return total
+    sum_i 1/sigma_n(W_i).  Summed in integers over one denominator (see
+    :func:`_over_lcm`)."""
+    points, den = _over_lcm(ws, max(multidegree, default=0))
+    return Fraction(_numerator(points, multidegree), den)
 
 
 def zero_multidegrees(n: int) -> List[Tuple[int, ...]]:
@@ -129,15 +143,18 @@ def minimal_chern_constants(ws: WeightSystem) -> List[Fraction]:
 
 
 def chern_battery(ws: WeightSystem) -> ChernReport:
-    """Run every localization identity available for ``ws`` and report."""
+    """Run every localization identity available for ``ws`` and report.
+    Each sum is an int numerator over one denominator (see
+    :func:`_over_lcm`); a Fraction is built only for a value reported."""
     n = ws.n
+    points, den = _over_lcm(ws, n)
     failures = []
     for md in zero_multidegrees(n):
-        val = abbv_sum(ws, md)
-        if val != 0:
-            failures.append((md, val))
-    c_n = abbv_sum(ws, (n,))
-    c1_cn1 = abbv_sum(ws, (1, n - 1)) if n >= 2 else c_n
+        num = _numerator(points, md)
+        if num:
+            failures.append((md, Fraction(num, den)))
+    c_n = Fraction(_numerator(points, (n,)), den)
+    c1_cn1 = Fraction(_numerator(points, (1, n - 1)), den) if n >= 2 else c_n
     return ChernReport(
         n=n,
         zero_failures=failures,

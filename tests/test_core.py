@@ -4,6 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from circleweights import core
 from circleweights.core import (
     BalanceViolation,
     FixedPointProfile,
@@ -164,4 +165,26 @@ def test_the_reference_examples_fail_as_named():
         "sum of indices": WeightSystem(2, ((1, 2), (-1, 2), (-2, 1), (-1, -2), (-2, -1))),
     }
     for phrase, ws in cases.items():
+        assert any(phrase in f for f in weight_system_checks(ws)), (phrase, ws.points)
+
+
+def test_profile_failures_are_decided_once_per_profile():
+    # weight_system_checks reads each profile's failure from a memo: systems
+    # repeated and interleaved get the failures of the uncached reference,
+    # and each distinct profile is validated once
+    systems = [
+        v5(),
+        cp((3, 2, 1, 0)),  # the same profile as v5
+        WeightSystem(2, ((1, 2), (-1, 2), (-2, 1), (-1, -2), (-2, -1))),  # unbalanced
+        WeightSystem(2, ((1, 2), (-1, -2, -3), (-2, 1))),  # an index above n
+        WeightSystem(1, ((1,),)),  # one fixed point
+        WeightSystem(2, ((1, 2), (-1, 2), (-2, 1), (-1, -2))),  # S^2 x S^2 profile
+    ]
+    core._profile_failure.cache_clear()
+    for _ in range(3):
+        for ws in systems:
+            assert weight_system_checks(ws) == reference_weight_system_checks(ws), ws.points
+    info = core._profile_failure.cache_info()
+    assert info.misses == 5 and info.hits == 3 * len(systems) - 5
+    for ws, phrase in zip(systems[2:5], ("sum of indices", "out of range", "at least two")):
         assert any(phrase in f for f in weight_system_checks(ws)), (phrase, ws.points)

@@ -10,6 +10,7 @@ from circleweights import hattori, search
 from circleweights.core import WeightSystem
 from circleweights.fixtures import IneffectiveParameters, cp, grassmannian, v5, v22
 from circleweights.hattori import (
+    _lcm,
     as_index,
     available_levels,
     cp_check,
@@ -21,6 +22,7 @@ from circleweights.hattori import (
     todd_quartic,
 )
 from circleweights.laurent import LaurentPolynomial, NotLaurent, one_minus_t
+from test_laurent import cyclotomic
 
 
 def reference_as_index(terms):
@@ -286,6 +288,56 @@ def test_fixed_point_sums_match_the_full_product(ws, move):
         assert got == _outcome(reference_r_sequence, ws, lv), (ws.points, lv)
         assert got is not ValueError or any(0 in p for p in ws.points)
         terms = [(_lp(k0 * a), p) for a, p in zip(lv.a, ws.points)]
+        assert _outcome(as_index, terms) == _outcome(reference_as_index, terms), (ws.points, lv)
+
+
+@settings(max_examples=80, deadline=None)
+@given(SYSTEMS, st.none() | st.tuples(st.integers(0, 7), st.integers(0, 7),
+                                      st.sampled_from([-2, -1, 1, 2])))
+def test_the_lcm_is_the_cyclotomic_product(ws, move):
+    # the lcm built from binomials is prod_d Phi_d^(m_d), m_d the largest
+    # number of weights at one point that d divides
+    assume(ws is not None)
+    if move is not None:
+        ws = _moved(ws, *move)
+    if any(0 in p for p in ws.points):
+        with pytest.raises(ValueError):
+            _lcm(ws.points)
+        return
+    mults = {}
+    for p in ws.points:
+        for d in range(1, max(map(abs, p)) + 1):
+            mults[d] = max(mults.get(d, 0), sum(w % d == 0 for w in p))
+    want = prod((cyclotomic(d) for d, m in mults.items() for _ in range(m)),
+                start=LaurentPolynomial.one())
+    assert LaurentPolynomial.from_dense(0, _lcm(ws.points)) == want, ws.points
+
+
+# weights of the sizes vet_stream draws: CP^4 with its top weight in 16..30,
+# and the dimension-10 Grassmannian (three generators, top weight 6)
+STREAM_SIZED = {
+    "cp16": cp((16, 11, 6, 3, 0)),
+    "cp23": cp((23, 17, 8, 5, 0)),
+    "cp30": cp((30, 29, 14, 1, 0)),
+    "gr651": grassmannian((6, 5, 1)),
+    "gr641": grassmannian((6, 4, 1)),
+}
+# copies with the largest weight at point 1 moved up by one
+STREAM_SIZED.update({name + "-moved": _moved(STREAM_SIZED[name], 1, -1, 1)
+                     for name in ("cp16", "gr651")})
+
+
+@pytest.mark.parametrize("ws", STREAM_SIZED.values(), ids=STREAM_SIZED.keys())
+def test_fixed_point_sums_match_the_full_product_at_stream_sizes(ws):
+    # as test_fixed_point_sums_match_the_full_product, on fixed systems with
+    # the larger weights of the benchmark stream, at every level they have
+    levels = [derive_levels(ws, k0) for k0 in range(1, ws.num_points + 1)]
+    levels = [lv for lv in levels if lv is not None]
+    assert levels
+    for lv in levels:
+        got = _outcome(r_sequence, ws, lv)
+        assert got == _outcome(reference_r_sequence, ws, lv), (ws.points, lv)
+        terms = [(_lp(lv.k0 * a), p) for a, p in zip(lv.a, ws.points)]
         assert _outcome(as_index, terms) == _outcome(reference_as_index, terms), (ws.points, lv)
 
 

@@ -1,10 +1,23 @@
 from fractions import Fraction as F
+from functools import cache
 from math import gcd, prod
 
 import pytest
 from hypothesis import given, strategies as st
 
-from circleweights.laurent import LaurentPolynomial, NotLaurent, cyclotomic, one_minus_t
+from circleweights.laurent import LaurentPolynomial, NotLaurent, one_minus_t
+
+
+@cache
+def cyclotomic(d: int) -> LaurentPolynomial:
+    """The cyclotomic polynomial Phi_d (d >= 1), from t^d - 1 = prod_{e | d}
+    Phi_e; the oracle for the lcm that the index battery builds from
+    binomials.  Memoized on d: callers must not mutate the result."""
+    if d < 1:
+        raise ValueError("Phi_d needs d >= 1, got %d" % d)
+    smaller = prod((cyclotomic(e) for e in range(1, d) if d % e == 0),
+                   start=LaurentPolynomial.one())
+    return LaurentPolynomial({0: -1, d: 1}).divexact(smaller)
 
 
 def test_basic_arithmetic():

@@ -1,6 +1,8 @@
 from fractions import Fraction as F
+from math import prod
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from circleweights.core import WeightSystem
 from circleweights.fixtures import FIXTURES, cp, grassmannian, s2xs2, v5, v22
@@ -17,6 +19,7 @@ from circleweights.localization import (
     minimal_chern_constants,
     zero_multidegrees,
 )
+from test_hattori import SYSTEMS, _moved
 
 ALL_FIXTURES = [
     cp((2, 1, 0)),
@@ -154,3 +157,73 @@ def test_ineffective_fixture_parameters_rejected():
 
     with pytest.raises(IneffectiveParameters):
         s2xs2(2, 4)
+
+
+def reference_elementary_symmetric(values, k):
+    """sigma_k of a sequence of integers."""
+    coeffs = [1] + [0] * k
+    for v in values:
+        for i in range(k, 0, -1):
+            coeffs[i] += v * coeffs[i - 1]
+    return coeffs[k]
+
+
+def reference_abbv_sum(ws, multidegree):
+    """abbv_sum as a Fraction sum, one point at a time."""
+    total = F(0)
+    for p in ws.points:
+        if any(w == 0 for w in p):
+            raise DegenerateWeights("zero weight at a fixed point")
+        num = prod(reference_elementary_symmetric(p, j) for j in multidegree)
+        total += F(num, prod(p))
+    return total
+
+
+def reference_chern_battery(ws):
+    """chern_battery before it summed in integers: one Fraction sum per
+    multidegree; returns (zero failures, c_n, c1_cn1)."""
+    n = ws.n
+    failures = []
+    for md in zero_multidegrees(n):
+        val = reference_abbv_sum(ws, md)
+        if val != 0:
+            failures.append((md, val))
+    c_n = reference_abbv_sum(ws, (n,))
+    c1_cn1 = reference_abbv_sum(ws, (1, n - 1)) if n >= 2 else c_n
+    return failures, c_n, c1_cn1
+
+
+@settings(max_examples=150, deadline=None)
+@given(SYSTEMS, st.none() | st.tuples(st.integers(0, 7), st.integers(0, 7),
+                                      st.sampled_from([-2, -1, 1, 2])))
+def test_chern_battery_matches_the_fraction_sums(ws, move):
+    # the same failing multidegrees in the same order with the same values,
+    # c_n and c1*c_{n-1}, and so the same verdict, on cp and grassmannian
+    # systems and copies with one weight moved; a weight moved to 0 raises
+    # DegenerateWeights in both
+    assume(ws is not None)
+    if move is not None:
+        ws = _moved(ws, *move)
+    try:
+        want = reference_chern_battery(ws)
+    except DegenerateWeights:
+        with pytest.raises(DegenerateWeights):
+            chern_battery(ws)
+        return
+    report = chern_battery(ws)
+    assert (report.zero_failures, report.c_n, report.c1_cn1) == want, ws.points
+    assert all(type(v) is F for _, v in report.zero_failures)
+    assert type(report.c_n) is F and type(report.c1_cn1) is F
+    assert report.ok == (not want[0] and want[2] == expected_c1cn1(ws)
+                         and want[1] == sum(chi_y_coefficients(ws)))
+    for md in zero_multidegrees(ws.n) + [(ws.n,), (1, ws.n - 1)]:
+        assert abbv_sum(ws, md) == reference_abbv_sum(ws, md), (ws.points, md)
+
+
+def test_moved_fixtures_report_failures_in_order():
+    # a moved v5 weight breaks several zero integrals: reported in
+    # zero_multidegrees order, with the values of the Fraction sums
+    ws = _moved(v5(), 1, 0, -1)
+    report = chern_battery(ws)
+    assert len(report.zero_failures) > 1 and not report.ok
+    assert (report.zero_failures, report.c_n, report.c1_cn1) == reference_chern_battery(ws)
