@@ -32,10 +32,8 @@ from .linalg import (
 from .localization import (
     ChernReport,
     DegenerateWeights,
-    ShapePrecondition,
     abbv_sum,
     chern_battery,
-    complete_graph_c1n,
     expected_c1cn1,
     minimal_chern_constants,
 )

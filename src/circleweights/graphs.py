@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Sequence, Tuple
 
 from .core import FixedPointProfile, WeightSystem, validate_profile
 
@@ -130,37 +130,38 @@ class WeightedMultigraph:
         return WeightSystem(self.n, tuple(tuple(sorted(p)) for p in pts))
 
 
-def _degree_matrices(row_sums: Sequence[int], col_sums: Sequence[int],
-                     allowed) -> Iterator[List[List[int]]]:
-    """All nonnegative integer matrices with the given row/column sums, zero
-    outside ``allowed(i, j)`` positions."""
-    npts = len(row_sums)
+def _edge_multisets(out_deg: Sequence[int], in_deg: Sequence[int],
+                    allowed: Callable[[int, int], bool]) -> List[Tuple[Edge, ...]]:
+    """Every multiset of edges (i, j), each with ``allowed(i, j)``, in which
+    i is the source of out_deg[i] edges and j the target of in_deg[j], as a
+    sorted tuple.  The cells (i, j) that can carry edges are walked in
+    row-major order, each taking a count; the last cell of a row takes what
+    the row has left, and the last cell of a column what the column has."""
+    npts = len(out_deg)
+    cells = [(i, j) for i in range(npts) if out_deg[i]
+             for j in range(npts) if in_deg[j] and allowed(i, j)]
+    last_row = {i: k for k, (i, _) in enumerate(cells)}
+    last_col = {j: k for k, (_, j) in enumerate(cells)}
+    # a row or column with degree but no cell cannot be filled
+    if len(last_row) < npts - out_deg.count(0) or len(last_col) < npts - in_deg.count(0):
+        return []
+    row, col = list(out_deg), list(in_deg)
+    found: List[Tuple[Edge, ...]] = []
 
-    def rows(i: int, remaining_cols: List[int]) -> Iterator[List[List[int]]]:
-        if i == npts:
-            if all(c == 0 for c in remaining_cols):
-                yield []
+    def walk(k: int, edges: Tuple[Edge, ...]) -> None:
+        if k == len(cells):
+            found.append(edges)
             return
-        cols = [j for j in range(npts) if allowed(i, j) and remaining_cols[j] > 0]
+        i, j = cells[k]
+        r, c = row[i], col[j]
+        for v in range(max(r if last_row[i] == k else 0, c if last_col[j] == k else 0),
+                       min(r, c) + 1):
+            row[i], col[j] = r - v, c - v
+            walk(k + 1, edges + ((i, j),) * v)
+        row[i], col[j] = r, c
 
-        def fill(pos: int, left: int, row: List[int]) -> Iterator[List[int]]:
-            if pos == len(cols):
-                if left == 0:
-                    yield row[:]
-                return
-            j = cols[pos]
-            hi = min(left, remaining_cols[j])
-            for v in range(hi + 1):
-                row[j] = v
-                yield from fill(pos + 1, left - v, row)
-            row[j] = 0
-
-        for row in fill(0, row_sums[i], [0] * npts):
-            rem = [remaining_cols[j] - row[j] for j in range(npts)]
-            for tail in rows(i + 1, rem):
-                yield [row] + tail
-
-    yield from rows(0, list(col_sums))
+    walk(0, ())
+    return found
 
 
 def _edge_filter(lambdas: Sequence[int], mode: str):
@@ -186,12 +187,8 @@ def enumerate_multigraphs(profile: FixedPointProfile, mode: str = "nonneg",
     out_deg = [n - lam for lam in profile.lambdas]
     in_deg = list(profile.lambdas)
     seen: Dict[Tuple[Edge, ...], Multigraph] = {}
-    for mat in _degree_matrices(out_deg, in_deg, allowed):
-        edges: List[Edge] = []
-        for i in range(profile.num_points):
-            for j in range(profile.num_points):
-                edges.extend([(i, j)] * mat[i][j])
-        g = Multigraph(n, profile.lambdas, tuple(edges))
+    for edges in _edge_multisets(out_deg, in_deg, allowed):
+        g = Multigraph(n, profile.lambdas, edges)
         seen.setdefault(g.canonical_key(dedup), g)
     return [seen[k] for k in sorted(seen)]
 
@@ -212,11 +209,10 @@ def _pairings(ws: WeightSystem, allowed_for: Callable[[int], Callable[[int, int]
               ) -> List[WeightedMultigraph]:
     """The pairings of ``ws`` whose every edge (i, j) of weight w satisfies
     ``allowed_for(w)(i, j)``, sorted by weighted edges.  Each appears once:
-    a pairing takes its edges of weight w from one degree matrix, and
-    distinct degree matrices give distinct multisets of edges."""
-    npts = ws.num_points
+    a pairing takes its edges of weight w from one edge multiset, which
+    runs from the points carrying +w to those carrying -w."""
     values = sorted({abs(w) for p in ws.points for w in p})
-    options_per_value: List[List[Tuple[WeightedEdge, ...]]] = []
+    options_per_value: List[List[Tuple[Edge, ...]]] = []
     for w in values:
         pos = [sum(1 for x in p if x == w) for p in ws.points]
         neg = [sum(1 for x in p if x == -w) for p in ws.points]
@@ -225,16 +221,10 @@ def _pairings(ws: WeightSystem, allowed_for: Callable[[int], Callable[[int, int]
                 "weight %d occurs %d times positively but %d times negatively"
                 % (w, sum(pos), sum(neg))
             )
-        opts = []
-        for mat in _degree_matrices(pos, neg, allowed_for(w)):
-            chunk: List[WeightedEdge] = []
-            for i in range(npts):
-                for j in range(npts):
-                    chunk.extend([(i, j, w)] * mat[i][j])
-            opts.append(tuple(chunk))
-        options_per_value.append(opts)
+        options_per_value.append(_edge_multisets(pos, neg, allowed_for(w)))
     lambdas = ws.profile.lambdas
-    pairings = [WeightedMultigraph(ws.n, lambdas, [e for chunk in combo for e in chunk])
+    pairings = [WeightedMultigraph(ws.n, lambdas,
+                                   [(i, j, w) for w, edges in zip(values, combo) for i, j in edges])
                 for combo in product(*options_per_value)]
     return sorted(pairings, key=lambda g: g.wedges)
 

@@ -12,20 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import lcm, prod
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from .core import WeightSystem
-from .graphs import WeightedMultigraph, magnitudes_from_weights
 
 
 class DegenerateWeights(ValueError):
     """A fixed point carries a zero weight, so localization denominators vanish."""
-
-
-class ShapePrecondition(ValueError):
-    """The multigraph does not have the shape required by the formula."""
 
 
 def _symmetric_functions(values: Sequence[int], k: int) -> List[int]:
@@ -64,15 +60,17 @@ def abbv_sum(ws: WeightSystem, multidegree: Sequence[int]) -> Fraction:
     return Fraction(_numerator(points, multidegree), den)
 
 
-def zero_multidegrees(n: int) -> List[Tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def zero_multidegrees(n: int) -> Tuple[Tuple[int, ...], ...]:
     """All multidegrees (j_1 <= ... <= j_r, j_k >= 1) of total degree < n,
-    including the empty one."""
+    including the empty one.  Built once per n, as a tuple, which no caller
+    can change."""
     out: List[Tuple[int, ...]] = [()]
     for r in range(1, n):
         for combo in combinations_with_replacement(range(1, n), r):
             if sum(combo) < n:
                 out.append(combo)
-    return sorted(set(out), key=lambda c: (len(c), c))
+    return tuple(sorted(set(out), key=lambda c: (len(c), c)))
 
 
 def expected_c1cn1(ws_or_profile) -> int:
@@ -163,36 +161,3 @@ def chern_battery(ws: WeightSystem) -> ChernReport:
         expected_c1_cn1=expected_c1cn1(ws),
         chi_y=chi_y_coefficients(ws),
     )
-
-
-def complete_graph_c1n(ws: WeightSystem, g: WeightedMultigraph) -> Fraction:
-    """c_1^n via edge magnitudes: if some vertex of ``g`` meets n distinct
-    non-cycle edges (one to every other vertex), the integral equals the
-    product of their magnitudes.  Cross-checked against the localization
-    evaluation sum_i s_i^n / sigma_n(W_i)."""
-    mags = magnitudes_from_weights(ws, g)
-    by_vertex: Dict[int, List[int]] = {}
-    for k, (i, j, _) in enumerate(g.wedges):
-        if i != j:
-            by_vertex.setdefault(i, []).append(k)
-            by_vertex.setdefault(j, []).append(k)
-    pivot = None
-    for v, ks in sorted(by_vertex.items()):
-        others = {g.wedges[k][0] if g.wedges[k][1] == v else g.wedges[k][1] for k in ks}
-        if len(ks) == ws.n and len(others) == ws.n:
-            pivot = v
-            break
-    if pivot is None:
-        raise ShapePrecondition("no vertex meets n distinct non-cycle edges")
-    product = prod((mags[k] for k in by_vertex[pivot]), start=Fraction(1))
-    direct = abbv_sum(ws, (1,) * ws.n)
-    if direct != product:
-        raise ShapePrecondition(
-            "magnitude product %s disagrees with localization value %s" % (product, direct)
-        )
-    return product
-
-
-def c1n_upper_bound(n: int) -> Fraction:
-    """((n^2 + n + 2) / 2)^n, the bound accompanying complete_graph_c1n."""
-    return Fraction(n * n + n + 2, 2) ** n

@@ -534,10 +534,13 @@ def vet_instance(ws: WeightSystem, opts: SearchOptions) -> Optional[str]:
         if any(a <= b for a, b in zip(sums, sums[1:])):
             return "monotone_sums"
         # each C_i a positive integer equal to the reversed action's C_i,
-        # and C_1 admissible; decided in integers, at the first failure
+        # and C_1 admissible; decided in integers, at the first failure.
+        # An integral C_i is positive: s_0 > ... > s_N here, so
+        # prod_{j<i} (s_i - s_j) has sign (-1)^i, and so has the product of
+        # the i negative weights at P_i.
         for num, den, rnum, rden in chern_constant_parts(ws):
             c, r = divmod(num, den)
-            if r or c <= 0 or rnum != c * rden:
+            if r or rnum != c * rden:
                 return "chern_constants"
             if c1 is None:
                 c1 = c

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +9,8 @@ from circleweights.core import FixedPointProfile, WeightSystem, minimal_profile
 from circleweights.fixtures import cp, grassmannian, s2xs2, v5, v22
 from circleweights.graphs import (
     Multigraph,
+    _edge_filter,
+    _edge_multisets,
     enumerate_multigraphs,
     enumerate_pairings,
     integral_multigraphs,
@@ -35,6 +38,78 @@ def test_counts_dim6():
 def test_counts_dim8():
     graphs = enumerate_multigraphs(minimal_profile(4), mode="nonneg", dedup="reversal")
     assert len(graphs) == 75
+
+
+def reference_edge_multisets(row_sums, col_sums, allowed):
+    """The degree-matrix generator _edge_multisets replaced: every
+    nonnegative integer matrix with the given row and column sums, zero
+    outside ``allowed(i, j)``, filled row by row; each matrix is unpacked to
+    its sorted tuple of edges (i, j)."""
+    npts = len(row_sums)
+
+    def rows(i, remaining_cols):
+        if i == npts:
+            if all(c == 0 for c in remaining_cols):
+                yield []
+            return
+        cols = [j for j in range(npts) if allowed(i, j) and remaining_cols[j] > 0]
+
+        def fill(pos, left, row):
+            if pos == len(cols):
+                if left == 0:
+                    yield row[:]
+                return
+            j = cols[pos]
+            for v in range(min(left, remaining_cols[j]) + 1):
+                row[j] = v
+                yield from fill(pos + 1, left - v, row)
+            row[j] = 0
+
+        for row in fill(0, row_sums[i], [0] * npts):
+            rem = [remaining_cols[j] - row[j] for j in range(npts)]
+            for tail in rows(i + 1, rem):
+                yield [row] + tail
+
+    return [tuple((i, j) for i in range(npts) for j in range(npts) for _ in range(mat[i][j]))
+            for mat in rows(0, list(col_sums))]
+
+
+def test_edge_multisets_match_degree_matrices():
+    # seeded cases on 2-6 points with degrees 0-4 (at most 8 edges, to keep
+    # the reference fast), under each orientation mode and a random mask;
+    # the lists agree in order too, which decides the representative that
+    # enumerate_multigraphs keeps of each reversal class
+    rng = random.Random(21)
+    cycles = empty_row = cases = 0
+    while cases < 150:
+        npts = rng.randint(2, 6)
+        out_deg = [rng.randint(0, 4) for _ in range(npts)]
+        if sum(out_deg) > 8:
+            continue
+        in_deg = [0] * npts
+        for _ in range(sum(out_deg)):
+            in_deg[rng.choice([j for j in range(npts) if in_deg[j] < 4])] += 1
+        lambdas = sorted(rng.randint(0, 3) for _ in range(npts))
+        mask = {(i, j) for i in range(npts) for j in range(npts) if rng.random() < 0.6}
+        filters = [_edge_filter(lambdas, mode) for mode in ("all", "nonneg", "positive")]
+        for allowed in filters + [lambda i, j: (i, j) in mask]:
+            want = reference_edge_multisets(out_deg, in_deg, allowed)
+            assert _edge_multisets(out_deg, in_deg, allowed) == want, (out_deg, in_deg)
+            cycles += any(i == j for edges in want for i, j in edges)
+            empty_row += any(d and not any(allowed(i, j) for j in range(npts) if in_deg[j])
+                             for i, d in enumerate(out_deg))
+        cases += 1
+    assert cycles and empty_row
+    # a row, then a column, with degree but no allowed cell: nothing
+    assert _edge_multisets([1, 1], [1, 1], lambda i, j: i == 0) == []
+    assert _edge_multisets([1, 1], [1, 1], lambda i, j: j == 0) == []
+    assert _edge_multisets([0, 0], [0, 0], lambda i, j: True) == [()]
+    # unequal totals: the rows, or the columns, cannot all be emptied
+    for out_deg, in_deg in (([1, 0], [1, 1]), ([1, 1], [0, 1])):
+        assert _edge_multisets(out_deg, in_deg, lambda i, j: True) == []
+        assert reference_edge_multisets(out_deg, in_deg, lambda i, j: True) == []
+    # beyond the reach of the random cases: dimension 10, 6 points
+    assert len(enumerate_multigraphs(minimal_profile(5))) == 2475
 
 
 def _brute_force_graphs(profile, mode):

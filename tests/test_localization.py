@@ -6,15 +6,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from circleweights.core import WeightSystem
 from circleweights.fixtures import FIXTURES, cp, grassmannian, s2xs2, v5, v22
-from circleweights.graphs import integral_multigraphs
 from circleweights.localization import (
     DegenerateWeights,
-    ShapePrecondition,
     abbv_sum,
-    c1n_upper_bound,
     chern_battery,
     chi_y_coefficients,
-    complete_graph_c1n,
     expected_c1cn1,
     minimal_chern_constants,
     zero_multidegrees,
@@ -122,23 +118,6 @@ def test_degenerate_weights_guard():
         abbv_sum(ws, (1, 1))
 
 
-def test_complete_graph_c1n():
-    ws = cp((2, 1, 0))
-    g = integral_multigraphs(ws)[0]
-    assert complete_graph_c1n(ws, g) == 9
-    ws4 = cp((4, 3, 2, 1, 0))
-    g4 = integral_multigraphs(ws4)[0]
-    assert complete_graph_c1n(ws4, g4) == 625
-    assert complete_graph_c1n(ws4, g4) <= c1n_upper_bound(4)
-
-
-def test_complete_graph_c1n_needs_full_vertex():
-    ws = s2xs2(3, 4)
-    g = integral_multigraphs(ws)[0]
-    with pytest.raises(ShapePrecondition):
-        complete_graph_c1n(ws, g)
-
-
 def test_fixture_registry():
     assert set(FIXTURES) == {"cp", "grassmannian", "v5", "v22", "s2xs2"}
     assert FIXTURES["v5"]().points == ((1, 2, 3), (-1, 1, 4), (-4, -1, 1), (-3, -2, -1))
@@ -216,7 +195,7 @@ def test_chern_battery_matches_the_fraction_sums(ws, move):
     assert type(report.c_n) is F and type(report.c1_cn1) is F
     assert report.ok == (not want[0] and want[2] == expected_c1cn1(ws)
                          and want[1] == sum(chi_y_coefficients(ws)))
-    for md in zero_multidegrees(ws.n) + [(ws.n,), (1, ws.n - 1)]:
+    for md in list(zero_multidegrees(ws.n)) + [(ws.n,), (1, ws.n - 1)]:
         assert abbv_sum(ws, md) == reference_abbv_sum(ws, md), (ws.points, md)
 
 
