@@ -253,15 +253,6 @@ def exp_r_values(c1: int, l: int, m: Fraction) -> List[Fraction]:
     ]
 
 
-def _sqrt_fraction(x: Fraction) -> Optional[Fraction]:
-    if x < 0:
-        return None
-    pn, pd = isqrt(x.numerator), isqrt(x.denominator)
-    if pn * pn == x.numerator and pd * pd == x.denominator:
-        return Fraction(pn, pd)
-    return None
-
-
 def dim8_solver(c1: int, lmax: int = 100) -> List[Tuple[int, Fraction]]:
     """Rational solutions (l, m) with l in [1, lmax], m > 0, of the quartic
     constraint for the given first Chern constant; none unless C1 is in
@@ -273,15 +264,11 @@ def dim8_solver(c1: int, lmax: int = 100) -> List[Tuple[int, Fraction]]:
     l_range = [1] if c1 == 5 else range(1, lmax + 1)
     out: List[Tuple[int, Fraction]] = []
     for l in l_range:
-        # solve 3 m^2 + 4 C1^2 m - (C1^4 + 675 / l^2) = 0 ... rearranged from
-        # the quartic: 3 m^2 + 4 C1^2 m = C1^4 + 675 / l^2
-        rhs = Fraction(c1) ** 4 + Fraction(675, l * l)
-        disc = Fraction(4 * c1 ** 2) ** 2 + 12 * rhs
-        root = _sqrt_fraction(disc)
-        if root is None:
-            continue
-        for sign in (1, -1):
-            m = (-Fraction(4 * c1 ** 2) + sign * root) / 6
-            if m > 0:
-                out.append((l, m))
+        # 3 m^2 + 4 C1^2 m = C1^4 + 675 / l^2, from the quartic: l^2 times its
+        # discriminant is 28 C1^4 l^2 + 8100, so m is rational exactly when that
+        # is a square, and then m = (root - 4 C1^2 l) / (6 l) is the root above 0
+        disc = 28 * c1 ** 4 * l * l + 8100
+        root = isqrt(disc)
+        if root * root == disc and root > 4 * c1 * c1 * l:
+            out.append((l, Fraction(root - 4 * c1 * c1 * l, 6 * l)))
     return out

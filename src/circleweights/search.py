@@ -457,6 +457,7 @@ def _forests(ends: Sequence[Tuple[int, int]]) -> List[int]:
     return [mask for mask, _ in forests]
 
 
+@functools.lru_cache(maxsize=1)
 def _component_checker(graph: Multigraph) -> List[List[int]]:
     """The component check of stream_labelings for ``graph``: the determinant
     of each component of A(Gamma) - diag(m) (graph.components() order) as a
@@ -467,7 +468,9 @@ def _component_checker(graph: Multigraph) -> List[List[int]]:
     over the subsets S of the component's edges E, that coefficient is a
     signed principal minor of A(Gamma).  A(Gamma) = B^T B for the signed
     vertex-edge incidence matrix B, so a minor vanishes when its kept edges
-    E - S hold a cycle (Cauchy-Binet): only the forests need a determinant."""
+    E - S hold a cycle (Cauchy-Binet): only the forests need a determinant.
+    The last graph's polynomials are cached, so the divisor branches of one
+    graph build them once; callers must not change the lists."""
     amat = graph_matrix(graph.edges)
     polys = []
     for comp in graph.components():
@@ -490,34 +493,39 @@ def admissible_pairing(ws: WeightSystem, g: WeightedMultigraph) -> bool:
     arithmetic lemmas on its bundles of parallel edges; False at the first
     failing rule:
       multiple_edge_gcd   a bundle of size >= n-1, or one whose endpoints
-                          carry nothing but cycles besides it, has coprime
+                          carry nothing but cycles besides it (both have as
+                          many non-cycle edges as the bundle), has coprime
                           weights;
       divisor_propagation for every sub-bundle with gcd g > 1, both
                           endpoints carry another weight divisible by g.
     The first-Chern-constant rules do not depend on the pairing; vet_instance
     checks them once, before it tries any pairing.
+
+    divisor_propagation fails exactly when, for some d >= 2 dividing two of
+    the bundle's weights, an endpoint carries at most t multiples of d, the
+    t = |T| weights of the bundle that d divides (``g`` pairs the weights
+    of ``ws``, so each endpoint carries T).  A sub-bundle S with gcd d > 1
+    fails when it holds every multiple of d at an endpoint, which then
+    carries |S| <= t of them; conversely S = T fails, as gcd(T), a multiple
+    of d, has no multiple there outside T.  When d qualifies, so does the
+    gcd of any two weights of T, a multiple of d: only those gcds are tried.
     """
     bundles: Dict[Tuple[int, int], List[int]] = {}
+    degree = [0] * len(g.lambdas)  # non-cycle edges at each point
     for (i, j, w) in g.wedges:
         if i != j:
             bundles.setdefault((i, j), []).append(w)
+            degree[i] += 1
+            degree[j] += 1
     for (i, j), wsb in bundles.items():
         if len(wsb) < 2:
             continue
-        if gcd(*wsb) != 1 and (len(wsb) >= ws.n - 1 or all(
-                e[0] == e[1] for e in g.wedges if e[:2] != (i, j) and (i in e[:2] or j in e[:2]))):
+        if gcd(*wsb) != 1 and (len(wsb) >= ws.n - 1 or degree[i] == degree[j] == len(wsb)):
             return False
-        for size in range(2, len(wsb) + 1):
-            for taken in itertools.combinations(wsb, size):
-                gs = gcd(*taken)
-                if gs == 1:
-                    continue
-                rem_i, rem_j = list(ws.points[i]), list(ws.points[j])
-                for w in taken:
-                    rem_i.remove(w)
-                    rem_j.remove(-w)
-                if not any(x % gs == 0 for x in rem_i) or not any(x % gs == 0 for x in rem_j):
-                    return False
+        for d in set(itertools.starmap(gcd, itertools.combinations(wsb, 2))) - {1}:
+            t = sum(1 for w in wsb if w % d == 0)
+            if any(sum(1 for x in ws.points[p] if x % d == 0) <= t for p in (i, j)):
+                return False
     return True
 
 
@@ -595,20 +603,24 @@ class ClassificationResult:
         }
 
 
-def search_graph(graph: Multigraph, profile: FixedPointProfile, opts: SearchOptions,
-                 divisor: Optional[int] = None) -> Tuple[List[WeightFamily], Dict[str, int]]:
-    """Stage 2+3 for one graph (and one divisor branch when given): stream
-    labelings with pruning and return the surviving weight families."""
+def search_graph(graph: Multigraph, profile: FixedPointProfile,
+                 opts: SearchOptions) -> Tuple[List[WeightFamily], Dict[str, int]]:
+    """Stages 2 and 3 for one graph: stream the labelings of every divisor
+    branch, in divisor_branches order and each under a fresh node budget of
+    ``opts.max_labelings``, and return the weight families they solve to, in
+    branch order, with the counts: ``labelings`` streamed and, when some
+    branch ran out of budget, ``truncated`` 1."""
     counts = {"labelings": 0}
     families: List[WeightFamily] = []
-    budget = [opts.max_labelings] if opts.max_labelings is not None else None
-    for lab in stream_labelings(graph, profile, opts, divisor=divisor, budget=budget):
-        counts["labelings"] += 1
-        fam = solve_weights(graph, lab)
-        if fam is not None:
-            families.append(fam)
-    if budget is not None and budget[0] < 0:
-        counts["truncated"] = 1
+    for divisor in divisor_branches(profile, opts):
+        budget = [opts.max_labelings] if opts.max_labelings is not None else None
+        for lab in stream_labelings(graph, profile, opts, divisor=divisor, budget=budget):
+            counts["labelings"] += 1
+            fam = solve_weights(graph, lab)
+            if fam is not None:
+                families.append(fam)
+        if budget is not None and budget[0] < 0:
+            counts["truncated"] = 1
     return families, counts
 
 
@@ -650,19 +662,13 @@ def run_fingerprint(profile: FixedPointProfile, opts: SearchOptions) -> str:
     return hashlib.sha256(key_src.encode()).hexdigest()[:24]
 
 
-Block = Tuple[int, Optional[int]]  # (graph index, divisor branch)
-BlockResult = Tuple[List[WeightFamily], Dict[str, int]]  # search_graph's output
+GraphResult = Tuple[List[WeightFamily], Dict[str, int]]  # search_graph's output
 
 
-def _block_key(block: Block) -> str:
-    gi, c = block
-    return "%d:%s" % (gi, "-" if c is None else c)
-
-
-def _load_checkpoint(path: str, fingerprint: str, graphs: List[Multigraph],
-                     blocks: List[Block]) -> Dict[Block, BlockResult]:
-    """The blocks recorded in checkpoint file ``path`` (none when it does not
-    exist), re-solved from their stored magnitudes."""
+def _load_checkpoint(path: str, fingerprint: str,
+                     graphs: List[Multigraph]) -> Dict[int, GraphResult]:
+    """The graphs recorded in checkpoint file ``path`` (none when it does not
+    exist), by index, re-solved from their stored magnitudes."""
     folder = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(folder):
         raise CheckpointMismatch("checkpoint %s: directory %s does not exist" % (path, folder))
@@ -681,11 +687,10 @@ def _load_checkpoint(path: str, fingerprint: str, graphs: List[Multigraph],
             "checkpoint %s has fingerprint %s, this run %s: it was written for other "
             "inputs or other source" % (path, found, fingerprint))
     done = {}
-    for block in blocks:
-        rec = data["blocks"].get(_block_key(block))
+    for gi, graph in enumerate(graphs):
+        rec = data["blocks"].get(str(gi))
         if rec is not None:
-            graph = graphs[block[0]]
-            done[block] = ([solve_weights(graph, m) for m in rec["families"]], rec["counts"])
+            done[gi] = ([solve_weights(graph, m) for m in rec["families"]], rec["counts"])
     return done
 
 
@@ -709,33 +714,31 @@ def write_atomic(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _save_checkpoint(path: str, fingerprint: str, done: Dict[Block, BlockResult]) -> None:
-    """Replace ``path`` with the finished blocks: the magnitudes of each
-    block's families and its search counts."""
-    blocks = {_block_key(block): {"families": [list(f.magnitudes) for f in fams],
-                                  "counts": counts}
-              for block, (fams, counts) in done.items()}
+def _save_checkpoint(path: str, fingerprint: str, done: Dict[int, GraphResult]) -> None:
+    """Replace ``path`` with the finished graphs, keyed by graph index: the
+    magnitudes of each graph's families, over all its divisor branches, and
+    its search counts."""
+    blocks = {str(gi): {"families": [list(f.magnitudes) for f in fams], "counts": counts}
+              for gi, (fams, counts) in done.items()}
     write_atomic(path, json.dumps({"fingerprint": fingerprint, "blocks": blocks}))
 
 
-def _search_block(payload) -> BlockResult:
-    """One block; at module level so that a spawned worker can unpickle it."""
-    graph, profile, opts, divisor = payload
-    return search_graph(graph, profile, opts, divisor=divisor)
+def _search_block(payload) -> GraphResult:
+    """One graph; at module level so that a spawned worker can unpickle it."""
+    return search_graph(*payload)
 
 
 def _search_blocks(profile: FixedPointProfile, opts: SearchOptions, graphs: List[Multigraph],
-                   blocks: List[Block], jobs: int,
-                   checkpoint: Optional[str]) -> Dict[Block, BlockResult]:
-    """search_graph's output for every block: restored from ``checkpoint``
-    when recorded there, otherwise searched (in a pool of ``jobs`` processes
-    when jobs > 1) and recorded."""
-    done: Dict[Block, BlockResult] = {}
+                   jobs: int, checkpoint: Optional[str]) -> Dict[int, GraphResult]:
+    """search_graph's output for every graph, by index: restored from
+    ``checkpoint`` when recorded there, otherwise searched (in a pool of
+    ``jobs`` processes when jobs > 1) and recorded."""
+    done: Dict[int, GraphResult] = {}
     if checkpoint:
         fingerprint = run_fingerprint(profile, opts)
-        done = _load_checkpoint(checkpoint, fingerprint, graphs, blocks)
-    todo = [block for block in blocks if block not in done]
-    payloads = [(graphs[gi], profile, opts, c) for gi, c in todo]
+        done = _load_checkpoint(checkpoint, fingerprint, graphs)
+    todo = [gi for gi in range(len(graphs)) if gi not in done]
+    payloads = [(graphs[gi], profile, opts) for gi in todo]
     pool = None
     if jobs > 1 and len(todo) > 1:
         # imported here: at module level they double the cost of `import circleweights`
@@ -746,8 +749,8 @@ def _search_blocks(profile: FixedPointProfile, opts: SearchOptions, graphs: List
                                    mp_context=multiprocessing.get_context("spawn"))
     try:
         outputs = pool.map(_search_block, payloads) if pool else map(_search_block, payloads)
-        for block, out in zip(todo, outputs):
-            done[block] = out
+        for gi, out in zip(todo, outputs):
+            done[gi] = out
             if checkpoint:
                 _save_checkpoint(checkpoint, fingerprint, done)
     finally:
@@ -777,31 +780,28 @@ def check_jobs(jobs: int) -> None:
 
 def classify(profile: FixedPointProfile, opts: SearchOptions, jobs: int = 1,
              checkpoint: Optional[str] = None) -> ClassificationResult:
-    """Full pipeline.  Stages 2 and 3 run in (graph index, divisor) blocks,
-    merged in one fixed order, so the result is the same whether a block is
-    searched here, in a pool of ``jobs`` worker processes, or restored from
-    the JSON file ``checkpoint``.  That file records every finished block and
-    is resumed from when it exists; CheckpointMismatch is raised, and the file
-    left as it is, when it was written for another profile, other options or
-    other package source.  Raises ValueError when ``jobs`` is below 1.
-    Before any block runs, magnitude_sum raises for an invalid profile, and
-    ProfileError is raised when the nonnegative search of a non-minimal
-    profile has a negative target."""
+    """Full pipeline.  Stages 2 and 3 run per graph (search_graph), merged
+    in graph order, so the result is the same whether a graph is searched
+    here, in a pool of ``jobs`` worker processes, or restored from the JSON
+    file ``checkpoint``, which records every finished graph and is resumed
+    from when it exists; CheckpointMismatch is raised, and the file left as
+    it is, when it was written for another profile, options or package
+    source.  The audit records per graph its labelings, the candidate
+    families new to the run and whether it was truncated.  Raises ValueError
+    when ``jobs`` is below 1.  Before any search, magnitude_sum raises for an
+    invalid profile, and ProfileError when the nonnegative search of a
+    non-minimal profile has a negative target."""
     check_jobs(jobs)
     total = magnitude_sum(profile)
     if opts.bound_d is None and not profile.is_minimal and total < 0:
         raise ProfileError("nonnegative mode refused: non-minimal profile with negative "
                            "magnitude-sum target %d; use --bound-D" % total)
     graphs = enumerate_multigraphs(profile, mode=opts.pair_mode, dedup="reversal")
-    blocks = [(gi, c) for gi in range(len(graphs)) for c in divisor_branches(profile, opts)]
-    done = _search_blocks(profile, opts, graphs, blocks, jobs, checkpoint)
-    audit: Dict = {"graphs": {gi: {"labelings": 0, "families": 0} for gi in range(len(graphs))},
-                   "rejections": Counter(), "instances": 0, "passing": 0}
+    done = _search_blocks(profile, opts, graphs, jobs, checkpoint)
+    audit: Dict = {"graphs": {}, "rejections": Counter(), "instances": 0, "passing": 0}
     candidates: Dict[Tuple[Tuple, Tuple[int, ...]], WeightFamily] = {}
-    for gi, c in blocks:
-        fams, counts = done[gi, c]
-        gaudit = audit["graphs"][gi]
-        gaudit["labelings"] += counts["labelings"]
+    for gi, (fams, counts) in sorted(done.items()):
+        gaudit = audit["graphs"][gi] = {"labelings": counts["labelings"], "families": 0}
         if counts.get("truncated"):
             gaudit["truncated"] = True
         for fam in fams:

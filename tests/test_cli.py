@@ -254,7 +254,7 @@ def test_classify_resume_checkpoint(tmp_path, capsys):
     )
     assert code == 0
     blocks = json.loads(ck.read_text())["blocks"]
-    assert len(blocks) == 4  # 2 graphs x divisors {3, 1}
+    assert len(blocks) == 2  # one per graph
     # second run restores every block from the checkpoint and agrees
     out2 = tmp_path / "r2.json"
     code, _, _ = run(

@@ -1,7 +1,9 @@
 import dataclasses
 import itertools
+import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -537,8 +539,7 @@ def streamed_families(profile):
     opts = SearchOptions()
     fams = []
     for graph in enumerate_multigraphs(profile, mode=opts.pair_mode, dedup="reversal"):
-        for c in divisor_branches(profile, opts):
-            fams += search_graph(graph, profile, opts, divisor=c)[0]
+        fams += search_graph(graph, profile, opts)[0]
     return fams
 
 
@@ -567,12 +568,11 @@ def test_witness_instances_match_the_weighted_graph_builder(profile, count, with
 
 def classify_candidates(profile, opts):
     """The candidate families of classify, keyed by (edges, magnitudes): the
-    first family of each key over the blocks in classify's order."""
+    first family of each key over the graphs in classify's order."""
     candidates = {}
     for graph in enumerate_multigraphs(profile, mode=opts.pair_mode, dedup="reversal"):
-        for c in divisor_branches(profile, opts):
-            for fam in search_graph(graph, profile, opts, divisor=c)[0]:
-                candidates.setdefault((graph.edges, fam.magnitudes), fam)
+        for fam in search_graph(graph, profile, opts)[0]:
+            candidates.setdefault((graph.edges, fam.magnitudes), fam)
     return candidates
 
 
@@ -794,6 +794,34 @@ def test_admissible_pairing_matches_the_reference_report():
                 seen += 1
                 rejected += not want
     assert (seen, rejected) == (2474, 1249)
+
+
+def random_pairing(rng):
+    """A weighted multigraph on 2 to 4 points whose 2 to 7 edges fall in at
+    most three cells (i, j), so that bundles and cycles are common, with
+    weights rich in common divisors."""
+    npts = rng.randint(2, 4)
+    cells = rng.sample([(i, j) for i in range(npts) for j in range(npts)], rng.randint(1, 3))
+    wedges = [(*rng.choice(cells), rng.choice((1, 2, 3, 4, 6, 8, 9, 12)))
+              for _ in range(rng.randint(2, 7))]
+    return WeightedMultigraph(rng.randint(2, 6), tuple(range(npts)), wedges)
+
+
+def test_admissible_pairing_matches_the_reference_report_on_random_pairings():
+    # each pairing realizes its own weight system; 666 of the 2,000 fail on
+    # divisor propagation alone, where admissible_pairing counts multiples
+    # and the reference enumerates sub-bundles
+    rng = random.Random(2026)
+    rejected = divisor_only = 0
+    for _ in range(2000):
+        g = random_pairing(rng)
+        ws = g.weight_system()
+        report = reference_lemma_filters(ws, g)
+        want = all(v is None for v in report.values())
+        assert admissible_pairing(ws, g) == want, (ws.points, g.wedges)
+        rejected += not want
+        divisor_only += report["multiple_edge_gcd"] is None and not want
+    assert rejected >= 1000 and divisor_only >= 600
 
 
 def test_a_bundle_isolated_by_cycles_needs_coprime_weights():
@@ -1074,9 +1102,55 @@ def test_every_option_changes_the_fingerprint():
 
 
 def test_search_graph_audit_counts():
-    fams, counts = search_graph(TRIANGLE, minimal_profile(2), SearchOptions(), divisor=3)
+    fams, counts = search_graph(TRIANGLE, minimal_profile(2), SearchOptions())
     assert counts["labelings"] >= 1 and fams
     assert sorted(counts) == ["labelings"]
+
+
+def reference_graph_audit(profile, opts):
+    """The audit's per-graph records as classify built them from (graph,
+    divisor) blocks: every branch streamed under its own budget, the
+    labelings summed per graph, a family counted where its key is first
+    seen, a graph truncated when any of its branches was."""
+    audit, seen = {}, set()
+    graphs = enumerate_multigraphs(profile, mode=opts.pair_mode, dedup="reversal")
+    for gi, graph in enumerate(graphs):
+        rec = audit[gi] = {"labelings": 0, "families": 0}
+        for c in divisor_branches(profile, opts):
+            budget = [opts.max_labelings] if opts.max_labelings is not None else None
+            for lab in stream_labelings(graph, profile, opts, divisor=c, budget=budget):
+                rec["labelings"] += 1
+                if solve_weights(graph, lab) is not None and (graph.edges, lab) not in seen:
+                    seen.add((graph.edges, lab))
+                    rec["families"] += 1
+            if budget is not None and budget[0] < 0:
+                rec["truncated"] = True
+    return audit
+
+
+@pytest.mark.parametrize("profile, opts", [
+    (minimal_profile(2), SearchOptions()),
+    (minimal_profile(3), SearchOptions()),
+    (S2XS2, SearchOptions()),
+    (S2XS2, SearchOptions(bound_d=2)),
+    # every d6 graph has a branch cut short by 300 nodes and one that is not
+    (minimal_profile(3), SearchOptions(max_labelings=300)),
+], ids=["d4", "d6", "s2xs2", "s2xs2_bounded2", "d6_budget300"])
+def test_graph_audit_matches_the_per_branch_reference(profile, opts, tmp_path):
+    ck = tmp_path / "ck.json"
+    result = classify(profile, opts, checkpoint=str(ck))
+    assert result.audit["graphs"] == reference_graph_audit(profile, opts)
+    blocks = json.loads(ck.read_text())["blocks"]
+    assert sorted(blocks, key=int) == [str(gi) for gi in range(result.graphs_examined)]
+
+
+def test_component_checker_is_built_once_per_graph():
+    # d6 has 7 graphs and 4 divisor branches: every branch after a graph's
+    # first reuses its polynomials
+    _component_checker.cache_clear()
+    classify(minimal_profile(3), SearchOptions())
+    info = _component_checker.cache_info()
+    assert (info.misses, info.hits) == (7, 21)
 
 
 def test_import_loads_no_pool_machinery():
