@@ -20,6 +20,7 @@ an integer.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -211,11 +212,12 @@ def _pairings(ws: WeightSystem, allowed_for: Callable[[int], Callable[[int, int]
     ``allowed_for(w)(i, j)``, sorted by weighted edges.  Each appears once:
     a pairing takes its edges of weight w from one edge multiset, which
     runs from the points carrying +w to those carrying -w."""
-    values = sorted({abs(w) for p in ws.points for w in p})
+    counts = [Counter(p) for p in ws.points]
+    values = sorted({abs(w) for c in counts for w in c})
     options_per_value: List[List[Tuple[Edge, ...]]] = []
     for w in values:
-        pos = [sum(1 for x in p if x == w) for p in ws.points]
-        neg = [sum(1 for x in p if x == -w) for p in ws.points]
+        pos = [c.get(w, 0) for c in counts]
+        neg = [c.get(-w, 0) for c in counts]
         if sum(pos) != sum(neg):
             raise PairingMismatch(
                 "weight %d occurs %d times positively but %d times negatively"
@@ -258,7 +260,9 @@ def integral_multigraphs(ws: WeightSystem, mode: str = "all") -> List[WeightedMu
     sums = ws.weight_sums()
 
     def allowed_for(w):
-        residues = [sorted(x % w for x in p) for p in ws.points]
+        # only the points carrying +w or -w end an edge of weight w
+        residues = {i: sorted(x % w for x in p) for i, p in enumerate(ws.points)
+                    if w in p or -w in p}
         return lambda i, j: orient(i, j) and (
             i == j or (sums[i] - sums[j]) % w == 0 and residues[i] == residues[j])
 

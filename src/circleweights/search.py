@@ -246,15 +246,48 @@ def _quadratic_roots(q0: int, q1: int, q2: int, values: range) -> Sequence[int]:
     quadratic is identically zero, else its integer roots there."""
     if q2:
         disc = q1 * q1 - 4 * q0 * q2
-        if disc < 0 or isqrt(disc) ** 2 != disc:
+        if disc < 0:
             return []
-        roots = {(-q1 + s) // (2 * q2) for s in (-isqrt(disc), isqrt(disc))
-                 if (-q1 + s) % (2 * q2) == 0}
+        root = isqrt(disc)
+        if root * root != disc:
+            return []
+        roots = {(-q1 + s) // (2 * q2) for s in (-root, root) if (-q1 + s) % (2 * q2) == 0}
     elif q1:
         roots = {-q0 // q1} if q0 % q1 == 0 else set()
     else:
         return values if q0 == 0 else []
     return sorted(v for v in roots if v in values)
+
+
+def _group_weights(groups: Sequence[int], fixed: Sequence[int]) -> List[List[int]]:
+    """Weight vectors that group the entries of a multilinear polynomial in
+    labels u, v, w and labels of known value, label b standing for bit b
+    of an entry's index: groups[b] is 4, 2 or 1 when label b is u, v or w,
+    and 0 when it is ``fixed[b]`` (read only then).  Vector g = 4a + 2f + s weighs an entry
+    holding u^a v^f w^s by the product of the known labels it holds, and
+    every other entry by 0; its dot product with the polynomial is the
+    grouped sum S_afs, and the polynomial is sum S_afs u^a v^f w^s."""
+    weights = [[0] * (1 << len(groups)) for _ in range(8)]
+    for entry in range(len(weights[0])):
+        group, weight = 0, 1
+        for bit, (g, x) in enumerate(zip(groups, fixed)):
+            if entry >> bit & 1:
+                group |= g
+                weight *= 1 if g else x
+        weights[group][entry] = weight
+    return weights
+
+
+def _quadratic_in_v(sums: Sequence[int], target: int) -> Tuple[Tuple[int, ...], ...]:
+    """sum S_afs u^a v^f w^s, S_afs = sums[4a + 2f + s], where
+    u + v + w = ``target``: with t = target - u and S_fs = S_0fs + u S_1fs
+    it is c0 + c1 v + c2 v^2, where c0 = S_00 + t S_01,
+    c1 = S_10 - S_01 + t S_11 and c2 = -S_11.  Returns c0, c1 and c2 as
+    polynomials in u, lowest power first."""
+    s000, s001, s010, s011, s100, s101, s110, s111 = sums
+    return ((s000 + target * s001, s100 - s001 + target * s101, -s101),
+            (s010 - s001 + target * s011, s110 - s101 - s011 + target * s111, -s111),
+            (-s011, -s111))
 
 
 def stream_labelings(graph: Multigraph, profile: FixedPointProfile, opts: SearchOptions,
@@ -274,13 +307,14 @@ def stream_labelings(graph: Multigraph, profile: FixedPointProfile, opts: Search
     down the tree, fixing one label per level; once all labels of a
     connected component are fixed, a nonzero determinant, or a singular
     matrix whose kernel misses the open positive orthant, prunes the
-    subtree.  Below the point of the last component where at most two
-    positions with more than one value are left, the sum fixes the last of
-    them, so the determinant is a quadratic in the other: its integer roots
-    are the only leaves, and no loop runs there.  ``budget`` is a
-    one-element mutable cell bounding the explored search-tree nodes
-    (every value tried counts, also where the closed form skips the loop);
-    the stream stops (leaving budget[0] < 0) when spent.
+    subtree.  Below the point of the last component where at most three
+    positions with more than one value are left, the closed form loops the
+    first of three, the sum fixes the last, and the determinant is a
+    quadratic in the other: its integer roots are the only leaves, and no
+    loop runs below the first.  ``budget`` is a one-element mutable cell
+    bounding the explored search-tree nodes (every value tried counts, also
+    where the closed form skips the loop); the stream stops (leaving
+    budget[0] < 0) when spent.
     """
     total = magnitude_sum(profile)
     edges = graph.edges
@@ -309,10 +343,10 @@ def stream_labelings(graph: Multigraph, profile: FixedPointProfile, opts: Search
     values = [range(lo, hi + 1, step) for lo, hi in bounds]
     last = len(order) - 1
     # the closed form runs from the first position of the last component
-    # from which at most two positions with other than one value are left
+    # from which at most three positions with other than one value are left
     last_start = len(order) - len(comps[-1]) if comps else 0
     open_last = [idx for idx in range(last_start, len(order)) if len(values[idx]) != 1]
-    closed_from = open_last[-3] + 1 if len(open_last) > 2 else last_start
+    closed_from = open_last[-4] + 1 if len(open_last) > 3 else last_start
     labels = [0] * len(edges)
 
     def tried(idx: int, remaining: int) -> Tuple[int, range, int]:
@@ -336,33 +370,55 @@ def stream_labelings(graph: Multigraph, profile: FixedPointProfile, opts: Search
         below = sum(subtree_nodes(idx + 1, remaining - v) for v in live) if idx < last else 0
         return skip + len(live) + stop + below
 
-    def closed_form(idx: int, remaining: int, poly: List[int]) -> Iterator[Tuple[int, ...]]:
-        """The leaves below a node from ``closed_from`` on.  With v the label
-        of the first position left with more than one value (of the last
-        position when none is), every label below is affine in v, the next
-        such position taking what the sum leaves; the determinant is then a
-        quadratic in v, whose roots are checked for a positive kernel."""
+    @functools.cache
+    def grouping(idx: int) -> Tuple[List[Optional[int]], int, int, List[List[int]]]:
+        """What closed_form needs at a node at ``idx``: the positions
+        [u, v, w] of the (at most three) positions below it with more than
+        one value, or of the last position as v when none has, None standing
+        for a missing u or w; the sum of the other labels below, each of one
+        value, and the part of that sum above u; and the weight vectors of
+        _group_weights for the labels below."""
         below = range(idx, len(order))
-        unknown = [p for p in below if len(values[p]) != 1] or [last]
-        target = remaining - sum(values[p][0] for p in below if p not in unknown)
-        lines = [(0, 1) if p == unknown[0] else (target, -1) if p in unknown
-                 else (values[p][0], 0) for p in below]
-        # the second unknown takes target - v; without one, that is 0
-        second = values[unknown[1]] if len(unknown) > 1 else range(1)
-        # fold the labels into the polynomial, lowest bit first; each entry
-        # is (c0, c1, c2) for c0 + c1 v + c2 v^2 (two labels at most depend
-        # on v, at two bits, so no entry reaches v^3)
-        quad = [(c, 0, 0) for c in poly]
-        for a, b in lines:
-            quad = [(c0 + a * d0, c1 + a * d1 + b * d0, c2 + a * d2 + b * d1)
-                    for (c0, c1, c2), (d0, d1, d2) in zip(quad[0::2], quad[1::2])]
-        for v in _quadratic_roots(*quad[0], values[unknown[0]]):
-            if target - v not in second:
-                continue
-            for p, (a, b) in zip(below, lines):
-                labels[order[p]] = a + b * v
-            if positive_kernel_exists(_component_matrix(amat, labels, boundaries[last])):
-                yield tuple(labels)
+        unknown: List[Optional[int]] = [p for p in below if len(values[p]) != 1] or [last]
+        if len(unknown) == 1:
+            unknown.append(None)  # no w: the sum leaves v nothing
+        if len(unknown) == 2:
+            unknown.insert(0, None)  # no u: it is 0
+        fixed = sum(values[p][0] for p in below if p not in unknown)
+        above_u = sum(values[p][0] for p in range(idx, unknown[0])) if unknown[0] is not None else 0
+        groups = [4 >> unknown.index(p) if p in unknown else 0 for p in below]
+        return unknown, fixed, above_u, _group_weights(groups, [values[p][0] for p in below])
+
+    def closed_form(idx: int, remaining: int, poly: List[int]) -> Iterator[Tuple[int, ...]]:
+        """The leaves below a node from ``closed_from`` on.  With u, v, w the
+        labels of the positions left with more than one value (see grouping),
+        w takes what the sum leaves, so for each value of u that its loop
+        would try the determinant is a quadratic in v (_quadratic_in_v); its
+        integer roots v that leave w one of its values are checked for a
+        positive kernel."""
+        unknown, fixed, above_u, weights = grouping(idx)
+        pu, pv, pw = unknown
+        target = remaining - fixed
+        # c_k = q_k0 + q_k1 u + q_k2 u^2 is the coefficient of v^k
+        (q00, q01, q02), (q10, q11, q12), (q20, q21) = _quadratic_in_v(
+            [sum(map(operator.mul, poly, vec)) for vec in weights], target)
+        for p in range(idx, len(order)):
+            if p not in unknown:
+                labels[order[p]] = values[p][0]
+        us = tried(pu, remaining - above_u)[1] if pu is not None else range(1)
+        second = values[pw] if pw is not None else range(1)
+        for u in us:
+            if pu is not None:
+                labels[order[pu]] = u
+            for v in _quadratic_roots(q00 + u * (q01 + u * q02), q10 + u * (q11 + u * q12),
+                                      q20 + u * q21, values[pv]):
+                if target - u - v not in second:
+                    continue
+                labels[order[pv]] = v
+                if pw is not None:
+                    labels[order[pw]] = target - u - v
+                if positive_kernel_exists(_component_matrix(amat, labels, boundaries[last])):
+                    yield tuple(labels)
 
     def rec(idx: int, remaining: int, poly: List[int]) -> Iterator[Tuple[int, ...]]:
         if idx == len(order):

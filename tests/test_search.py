@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import operator
 import os
 import random
 import subprocess
@@ -247,24 +248,39 @@ def reference_component_checker(graph, singular=None):
     return check
 
 
-def test_stream_labelings_match_the_reference(monkeypatch):
+def stream_and_reference(graph, profile, opts, divisor, budget):
+    """(labelings, budget cell left, positive-kernel tests) of stream_labelings
+    and of the reference stream with the reference component check, whose
+    tests are its singular components."""
+    tested, singular, cells = [], [], ([budget], [budget])
+    with mock.patch.object(search, "positive_kernel_exists",
+                           lambda rows: tested.append(1) or positive_kernel_exists(rows)):
+        got = list(stream_labelings(graph, profile, opts, divisor=divisor, budget=cells[0]))
+    want = list(reference_stream_labelings(
+        graph, profile, opts, divisor=divisor,
+        component_check=reference_component_checker(graph, singular), budget=cells[1]))
+    return (got, cells[0], len(tested)), (want, cells[1], len(singular))
+
+
+def open_positions(graph, divisor):
+    """The search positions of the last component whose label has more than
+    one value in the nonnegative search, and those pinned to ``divisor``."""
+    comps = graph.components()
+    order = [k for comp in comps for k in comp]
+    pinned = search._unit_edge_positions(graph) if divisor else []
+    last = range(len(order) - len(comps[-1]), len(order))
+    return ([idx for idx in last if order[idx] not in pinned],
+            [idx for idx in last if order[idx] in pinned])
+
+
+def test_stream_labelings_match_the_reference():
     """The same labelings in the same order, the same search-tree nodes
     charged to the budget cell, and one positive-kernel test per singular
     component, as the reference stream with the reference component check."""
-    tested = []
-    monkeypatch.setattr(search, "positive_kernel_exists",
-                        lambda rows: tested.append(1) or positive_kernel_exists(rows))
-
     def both(graph, profile, opts, divisor, budget):
-        cells, singular = ([budget], [budget]), []
-        tested.clear()
-        got = list(stream_labelings(graph, profile, opts, divisor=divisor, budget=cells[0]))
-        want = list(reference_stream_labelings(
-            graph, profile, opts, divisor=divisor,
-            component_check=reference_component_checker(graph, singular), budget=cells[1]))
-        assert (got, cells[0], len(tested)) == (want, cells[1], len(singular)), (
-            profile, opts, graph.edges, divisor)
-        return len(got)
+        got, want = stream_and_reference(graph, profile, opts, divisor, budget)
+        assert got == want, (profile, opts, graph.edges, divisor, budget)
+        return len(got[0])
 
     # every graph and divisor branch of d4, d6 and S^2 x S^2, nonnegative and
     # bounded with D = 1, 2, 3, and S^2 x S^2 on the branches C = 2 and 3,
@@ -285,25 +301,125 @@ def test_stream_labelings_match_the_reference(monkeypatch):
         labelings += both(graph, profile, opts, 1, 3000)
         streams += 1
     assert (streams, labelings) == (179, 206)
-    # The last two positions of a connected graph are in the closed form of
-    # stream_labelings, which charges a subtree in one step when the budget
-    # covers it.  On every fifth d8 graph that is connected: a budget of one
-    # node, and, for the node at the next-to-last position with the largest
-    # subtree that the reference covers within 3000 nodes, a budget ending
-    # inside that subtree and one ending exactly where it does.
+    # The last three open positions of a connected graph are in the closed
+    # form of stream_labelings, which charges a subtree in one step when the
+    # budget covers it.  On every fifth d8 graph that is connected: a budget
+    # of one node, and, for the node with the largest subtree that the
+    # reference covers within B nodes, at the next-to-last position with
+    # B = 3000 and at the third-to-last open position with B = 20000 (no
+    # subtree there fits in 3000), a budget ending inside that subtree and
+    # one ending exactly where it does.
     connected = [g for g in D8_GRAPHS[::5] if len(g.components()) == 1]
     for graph in connected:
-        subtrees = []
-        list(reference_stream_labelings(graph, profile, opts, divisor=1, budget=[3000],
-                                        component_check=reference_component_checker(graph),
-                                        subtrees=subtrees))
-        _, entered, left = max((t for t in subtrees
-                                if t[0] == len(graph.components()[0]) - 2 and t[2] >= 0),
-                               key=lambda t: t[1] - t[2])
-        assert entered - left >= 2
-        for budget in (1, 3000 - entered + (entered - left) // 2, 3000 - left):
+        budgets = {1}
+        for position, cover in ((len(graph.components()[0]) - 2, 3000),
+                                (open_positions(graph, 1)[0][-3], 20000)):
+            subtrees = []
+            list(reference_stream_labelings(graph, profile, opts, divisor=1, budget=[cover],
+                                            component_check=reference_component_checker(graph),
+                                            subtrees=subtrees))
+            _, entered, left = max((t for t in subtrees if t[0] == position and t[2] >= 0),
+                                   key=lambda t: t[1] - t[2])
+            assert entered - left >= 2
+            budgets |= {cover - entered + (entered - left) // 2, cover - left}
+        for budget in sorted(budgets):
             both(graph, profile, opts, 1, budget)
     assert len(connected) == 15
+
+
+def test_closed_form_shapes_match_the_reference():
+    """Streams whose closed form has fewer than three unknowns, a label of
+    one value between them, or negative labels, equal the reference's, with
+    the same nodes charged and the same positive-kernel tests."""
+    full = 10 ** 9
+    # fewer than three open positions in the last component: d4 and d6
+    # graphs, the two-component d8 graphs 58, 67 and 74 (under a budget),
+    # and components of pinned edges alone (drawn by hand; the search takes
+    # any graph)
+    few = [(g, profile, SearchOptions(), c, full)
+           for profile in (minimal_profile(2), minimal_profile(3))
+           for g in enumerate_multigraphs(profile, mode="nonneg", dedup="reversal")
+           for c in divisor_branches(profile, SearchOptions())]
+    few += [(D8_GRAPHS[gi], minimal_profile(4), SearchOptions(dim8_strict=True, divisor_c=1), 1,
+             3000) for gi in (58, 67, 74)]
+    few += [(Multigraph(2, S2XS2.lambdas, edges), S2XS2, SearchOptions(), c, full)
+            for edges in (((0, 1), (2, 3)), ((0, 2), (1, 3), (2, 3))) for c in (2, 4)]
+    assert {len(open_positions(g, c)[0]) for g, _, _, c, _ in few} >= {0, 1, 2}
+    # a pinned unit edge between the unknowns: each graph of d6 (C = 2, 3)
+    # and S^2 x S^2 (C = 1, 2, 3) with one edge out of the top point added,
+    # so that the (P_{N-1}, P_N) edge is no longer last
+    between = []
+    for profile, divisors in ((minimal_profile(3), (2, 3)), (S2XS2, (1, 2, 3))):
+        top = len(profile.lambdas) - 1
+        for g in enumerate_multigraphs(profile, mode="nonneg", dedup="reversal"):
+            for end, c in itertools.product(range(top), divisors):
+                graph = Multigraph(profile.n, profile.lambdas, g.edges + ((top, end),))
+                unknown, pinned = open_positions(graph, c)
+                if len(unknown) >= 3 and any(unknown[-3] < p < unknown[-1] for p in pinned):
+                    between.append((graph, profile, SearchOptions(), c, full))
+    assert len(between) == 57
+    # bounded streams (every orientation, labels in [-2D, 2D])
+    bounded = [(g, S2XS2, SearchOptions(bound_d=3), None, full)
+               for g in enumerate_multigraphs(S2XS2, mode="all", dedup="reversal")]
+    found = {}
+    for name, group in (("few", few), ("between", between), ("bounded", bounded)):
+        for graph, profile, opts, c, budget in group:
+            got, want = stream_and_reference(graph, profile, opts, c, budget)
+            assert got == want, (name, graph.edges, c)
+            found.setdefault(name, []).extend(got[0])
+    assert len(found["between"]) == 2
+    assert sum(1 for lab in found["bounded"] if min(lab) < 0) == 16
+
+
+def fold_coefficients(poly, lines):
+    """The label-by-label fold that the closed form of stream_labelings made
+    before it grouped sums: each label below is a line a + b v, folded into
+    the multilinear polynomial lowest bit first, each entry
+    (c0, c1, c2) for c0 + c1 v + c2 v^2."""
+    quad = [(c, 0, 0) for c in poly]
+    for a, b in lines:
+        quad = [(c0 + a * d0, c1 + a * d1 + b * d0, c2 + a * d2 + b * d1)
+                for (c0, c1, c2), (d0, d1, d2) in zip(quad[0::2], quad[1::2])]
+    return quad[0]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_grouped_sums_match_the_label_by_label_fold(size, data):
+    """The eight grouped sums give the coefficients of the determinant in v
+    that folding the labels one by one gives, at every value of u."""
+    poly = data.draw(st.lists(st.integers(-20, 20), min_size=1 << size, max_size=1 << size))
+    count = data.draw(st.integers(1, min(3, size)))
+    bits = sorted(data.draw(st.lists(st.integers(0, size - 1), min_size=count, max_size=count,
+                                     unique=True)))
+    # the unknowns are u, v, w; two are v, w; one is v, and w is absent
+    roles = dict(zip(bits, {3: (4, 2, 1), 2: (2, 1), 1: (2,)}[count]))
+    fixed = [1 if b in roles else data.draw(st.integers(-6, 6)) for b in range(size)]
+    target = data.draw(st.integers(-30, 30))
+    u = data.draw(st.integers(-10, 10)) if count == 3 else 0
+    # w takes target - u - v, or nothing without one
+    lines = [(u, 0) if roles.get(b) == 4 else (0, 1) if roles.get(b) == 2
+             else (target - u, -1) if roles.get(b) == 1 else (fixed[b], 0) for b in range(size)]
+    weights = search._group_weights([roles.get(b, 0) for b in range(size)], fixed)
+    sums = [sum(map(operator.mul, poly, vec)) for vec in weights]
+    coefficients = search._quadratic_in_v(sums, target)
+    assert tuple(sum(c * u ** k for k, c in enumerate(cs)) for cs in coefficients) == (
+        fold_coefficients(poly, lines))
+
+
+def test_two_component_d8_blocks_unbudgeted():
+    """A fast slice of the full d8 divisor-1 branch: the four blocks of
+    two-component graphs that finish in about a second, searched without a
+    node budget (a cell of 10^9 that they do not spend), with their
+    labelings and search-tree nodes."""
+    profile, opts = minimal_profile(4), SearchOptions(dim8_strict=True, divisor_c=1)
+    counts = []
+    for gi in (72, 73, 74, 67):
+        assert len(D8_GRAPHS[gi].components()) == 2
+        budget = [10 ** 9]
+        labelings = list(stream_labelings(D8_GRAPHS[gi], profile, opts, divisor=1, budget=budget))
+        counts.append((len(labelings), 10 ** 9 - budget[0]))
+    assert counts == [(480, 268_016), (60, 171_406), (120, 143_490), (96, 1_222_335)]
 
 
 @settings(max_examples=500, deadline=None)
