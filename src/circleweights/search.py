@@ -307,14 +307,16 @@ def stream_labelings(graph: Multigraph, profile: FixedPointProfile, opts: Search
     down the tree, fixing one label per level; once all labels of a
     connected component are fixed, a nonzero determinant, or a singular
     matrix whose kernel misses the open positive orthant, prunes the
-    subtree.  Below the point of the last component where at most three
-    positions with more than one value are left, the closed form loops the
-    first of three, the sum fixes the last, and the determinant is a
-    quadratic in the other: its integer roots are the only leaves, and no
-    loop runs below the first.  ``budget`` is a one-element mutable cell
-    bounding the explored search-tree nodes (every value tried counts, also
-    where the closed form skips the loop); the stream stops (leaving
-    budget[0] < 0) when spent.
+    subtree; at a component's last position the determinant is linear in
+    the label, so the loop there visits only its roots.  Below the point
+    of the last component where at most three positions with more than one
+    value are left, the closed form loops the first of three, the sum fixes
+    the last, and the determinant is a quadratic in the other: its integer
+    roots are the only leaves, and no loop runs below the first.
+    ``budget`` is a one-element mutable cell bounding the explored
+    search-tree nodes (every value tried counts, also where the closed form
+    or the loop at a component's last position skips it); the stream stops
+    (leaving budget[0] < 0) when spent.
     """
     total = magnitude_sum(profile)
     edges = graph.edges
@@ -360,6 +362,20 @@ def stream_labelings(graph: Multigraph, profile: FixedPointProfile, opts: Search
         skip = min(count, max(0, -(-(remaining - max_rest[idx] - lo) // step)))
         end = min(count, max(skip, (remaining - min_rest[idx] - lo) // step + 1))
         return skip, values[idx][skip:end], int(end < count)
+
+    def spend(count: int) -> bool:
+        """Charge ``count`` values tried one after another, as the loop over
+        them does, and whether the budget covered them.  When it did not,
+        the cell is left where that loop stops: at -1 from a cell >= 0, one
+        below a cell that a subtree left negative.  No values charge
+        nothing."""
+        if budget is None or not count:
+            return True
+        if budget[0] < count:
+            budget[0] = min(budget[0], 0) - 1
+            return False
+        budget[0] -= count
+        return True
 
     @functools.cache
     def subtree_nodes(idx: int, remaining: int) -> int:
@@ -435,21 +451,31 @@ def stream_labelings(graph: Multigraph, profile: FixedPointProfile, opts: Search
         # the label at this position being the lowest bit of the index
         const, linear = poly[0::2], poly[1::2]
         skip, live, stop = tried(idx, remaining)
-        if budget is not None:
-            if budget[0] < skip:
-                budget[0] = -1
-                return
-            budget[0] -= skip
-        for v in live:
-            if budget is not None:
-                budget[0] -= 1
-                if budget[0] < 0:
+        if not spend(skip):
+            return
+        if idx not in boundaries:
+            for v in live:
+                if budget is not None:
+                    budget[0] -= 1
+                    if budget[0] < 0:
+                        return
+                labels[order[idx]] = v
+                yield from rec(idx + 1, remaining - v, [c + v * d for c, d in zip(const, linear)])
+        else:
+            # the determinant const[0] + v linear[0] is linear in v: only its
+            # roots descend, each charged with the values tried before it
+            charged = 0
+            for v in _quadratic_roots(const[0], linear[0], 0, live):
+                through = live.index(v) + 1
+                if not spend(through - charged):
                     return
-            labels[order[idx]] = v
-            if idx in boundaries and (const[0] + v * linear[0] or not positive_kernel_exists(
-                    _component_matrix(amat, labels, boundaries[idx]))):
-                continue
-            yield from rec(idx + 1, remaining - v, [c + v * d for c, d in zip(const, linear)])
+                charged = through
+                labels[order[idx]] = v
+                if positive_kernel_exists(_component_matrix(amat, labels, boundaries[idx])):
+                    # the next component brings its own polynomial (starts)
+                    yield from rec(idx + 1, remaining - v, [])
+            if not spend(len(live) - charged):
+                return
         if budget is not None:
             budget[0] -= stop
 
@@ -513,6 +539,15 @@ def _forests(ends: Sequence[Tuple[int, int]]) -> List[int]:
     return [mask for mask, _ in forests]
 
 
+@functools.cache
+def _forest_minor(ends: Tuple[Tuple[int, int], ...]) -> int:
+    """det graph_matrix(ends), the principal minor of A(Gamma) on any edges
+    with the endpoint pairs ``ends``.  classify clears the memo when it
+    starts, so each run computes its own minors, each through this
+    module's name int_determinant, which perfbench's tracer wraps."""
+    return int_determinant(graph_matrix(ends))
+
+
 @functools.lru_cache(maxsize=1)
 def _component_checker(graph: Multigraph) -> List[List[int]]:
     """The component check of stream_labelings for ``graph``: the determinant
@@ -525,15 +560,20 @@ def _component_checker(graph: Multigraph) -> List[List[int]]:
     signed principal minor of A(Gamma).  A(Gamma) = B^T B for the signed
     vertex-edge incidence matrix B, so a minor vanishes when its kept edges
     E - S hold a cycle (Cauchy-Binet): only the forests need a determinant.
-    The last graph's polynomials are cached, so the divisor branches of one
-    graph build them once; callers must not change the lists."""
-    amat = graph_matrix(graph.edges)
+    Entry [h][k] of A(Gamma) depends only on the endpoints of edges h and
+    k, so the minor on kept edges is det graph_matrix of their endpoint
+    pairs, read from the memo _forest_minor: a run over the graphs on N
+    points meets only the forests of the complete graph K_N, in the
+    orientations its edges take (291 for N = 5 in the nonnegative
+    search), each computed once per run.  The last graph's polynomials are
+    cached, so the divisor branches of one graph build them once; callers
+    must not change the lists."""
     polys = []
     for comp in graph.components():
+        ends = [graph.edges[k] for k in comp]
         poly = [0] * (1 << len(comp))
-        for kept in _forests([graph.edges[k] for k in comp]):
-            rows = [k for p, k in enumerate(comp) if kept >> p & 1]
-            minor = int_determinant([[amat[h][k] for k in rows] for h in rows])
+        for kept in _forests(ends):
+            minor = _forest_minor(tuple(e for p, e in enumerate(ends) if kept >> p & 1))
             subset = len(poly) - 1 - kept
             poly[subset] = -minor if bin(subset).count("1") % 2 else minor
         polys.append(poly)
@@ -847,6 +887,9 @@ def classify(profile: FixedPointProfile, opts: SearchOptions, jobs: int = 1,
     when ``jobs`` is below 1.  Before any search, magnitude_sum raises for an
     invalid profile, and ProfileError when the nonnegative search of a
     non-minimal profile has a negative target."""
+    # the forest minors and the last graph's polynomials are per run
+    _forest_minor.cache_clear()
+    _component_checker.cache_clear()
     check_jobs(jobs)
     total = magnitude_sum(profile)
     if opts.bound_d is None and not profile.is_minimal and total < 0:

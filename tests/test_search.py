@@ -248,17 +248,30 @@ def reference_component_checker(graph, singular=None):
     return check
 
 
-def stream_and_reference(graph, profile, opts, divisor, budget):
+def stream_and_reference(graph, profile, opts, divisor, budget, boundary=None):
     """(labelings, budget cell left, positive-kernel tests) of stream_labelings
     and of the reference stream with the reference component check, whose
-    tests are its singular components."""
+    tests are its singular components.  A list ``boundary`` receives, for
+    each value that the reference checks at the last position of the first
+    component, the nodes charged up to it and whether it is a root of the
+    determinant."""
     tested, singular, cells = [], [], ([budget], [budget])
+    check = reference_component_checker(graph, singular)
+    if boundary is not None:
+        first, unrecorded = graph.components()[0], check
+
+        def check(comp, labels):
+            roots = len(singular)
+            ok = unrecorded(comp, labels)
+            if comp == first:
+                boundary.append((budget - cells[1][0], len(singular) > roots))
+            return ok
+
     with mock.patch.object(search, "positive_kernel_exists",
                            lambda rows: tested.append(1) or positive_kernel_exists(rows)):
         got = list(stream_labelings(graph, profile, opts, divisor=divisor, budget=cells[0]))
-    want = list(reference_stream_labelings(
-        graph, profile, opts, divisor=divisor,
-        component_check=reference_component_checker(graph, singular), budget=cells[1]))
+    want = list(reference_stream_labelings(graph, profile, opts, divisor=divisor,
+                                           component_check=check, budget=cells[1]))
     return (got, cells[0], len(tested)), (want, cells[1], len(singular))
 
 
@@ -325,6 +338,31 @@ def test_stream_labelings_match_the_reference():
         for budget in sorted(budgets):
             both(graph, profile, opts, 1, budget)
     assert len(connected) == 15
+    # At the last position of a component the determinant is linear in the
+    # label, and the loop there visits only its roots, charging the values
+    # before each root with it.  On the five two-component d8 graphs, budgets
+    # that run out at the value tried after a root (after the root's subtree
+    # where it has one), at a root, and inside the subtree of a root, so
+    # that the loop goes on with a negative cell (the first such subtree of
+    # graph 67 lies past node 197,000, too far for a fast test)
+    stops = {58: (15009, 15008, 51132), 67: (1931, 1930, None), 72: (28292, 28237, 28265),
+             73: (28267, 28237, 28253), 74: (28251, 28237, 28245)}
+    for gi, (after, at, inside) in stops.items():
+        graph = D8_GRAPHS[gi]
+        assert len(graph.components()) == 2
+        for budget in (after, at, inside):
+            if budget is None:
+                continue
+            boundary = []
+            got, want = stream_and_reference(graph, profile, opts, 1, budget, boundary)
+            assert got == want, (gi, budget)
+            # the value a budget runs out at is charged but never checked
+            if budget == after:
+                assert boundary[-1][1]
+            elif budget == at:
+                assert boundary[-1] == (budget, False)
+            else:
+                assert boundary[-1][1] and want[1][0] < -1
 
 
 def test_closed_form_shapes_match_the_reference():
@@ -517,6 +555,51 @@ def test_component_checker_matches_the_full_minor_table():
         assert _component_checker(graph) == reference_component_polynomials(graph), graph.edges
 
 
+def reference_forest_polynomials(graph):
+    """_component_checker before it read minors from a memo: a submatrix of
+    A(Gamma) and a Bareiss int_determinant for every forest of every
+    component."""
+    amat = graph_matrix(graph.edges)
+    polys = []
+    for comp in graph.components():
+        poly = [0] * (1 << len(comp))
+        for kept in search._forests([graph.edges[k] for k in comp]):
+            rows = [k for p, k in enumerate(comp) if kept >> p & 1]
+            minor = int_determinant([[amat[h][k] for k in rows] for h in rows])
+            subset = len(poly) - 1 - kept
+            poly[subset] = -minor if bin(subset).count("1") % 2 else minor
+        polys.append(poly)
+    return polys
+
+
+def test_memoised_forest_minors_match_the_bareiss_build():
+    # every small graph, every d8 graph and a seeded sample of the d10 graphs
+    d10 = enumerate_multigraphs(minimal_profile(5), mode="nonneg", dedup="reversal")
+    assert len(d10) == 2475
+    for graph in SMALL_GRAPHS + D8_GRAPHS + random.Random(10).sample(d10, 100):
+        assert _component_checker(graph) == reference_forest_polynomials(graph), graph.edges
+
+
+def test_forest_minors_are_computed_once_per_run():
+    """A run meets only the forests of the complete graph on its points (7,
+    38 and 291 of them on 3, 4 and 5 points), computes the minor of each
+    once, and starts from an empty memo: a d4 run calls int_determinant 7
+    times whether or not a d6 run came first."""
+    calls = []
+
+    def counting(rows):
+        calls.append(1)
+        return int_determinant(rows)
+
+    d8 = SearchOptions(dim8_strict=True, divisor_c=1, max_labelings=50_000)  # d8_c1_budget's
+    with mock.patch.object(search, "int_determinant", counting):
+        for n, opts, forests in ((2, SearchOptions(), 7), (3, SearchOptions(), 38),
+                                 (2, SearchOptions(), 7), (4, d8, 291)):
+            calls.clear()
+            classify(minimal_profile(n), opts)
+            assert len(calls) == search._forest_minor.cache_info().currsize == forests, n
+
+
 def test_minors_are_zero_off_forests_and_tree_products_on_them():
     # Cauchy-Binet on A(Gamma) = B^T B: kept edges with a cycle have linearly
     # dependent incidence columns, and a forest's minor counts the ways to
@@ -532,7 +615,8 @@ def test_minors_are_zero_off_forests_and_tree_products_on_them():
                 else:
                     assert coef == (-1) ** bin(subset).count("1") * math.prod(sizes) != 0
                     forest_dimensions.append(graph.n)
-    # one determinant per forest: 9,556 of the 33,076 minors in dimension 8
+    # 9,556 forests among the 33,076 minors in dimension 8; by their endpoint
+    # pairs they are the 291 forests of K5, one determinant each per run
     assert forest_dimensions.count(4) == 9556
 
 
