@@ -3,8 +3,8 @@
 Subcommands:
 
 * ``enumerate``  -- multigraph classes for a profile
-* ``classify``   -- the full search pipeline, with checkpoint/resume, an
-                    optional worker pool and a result cache
+* ``classify``   -- the full search pipeline, with checkpoint/resume and an
+                    optional worker pool
 * ``verify``     -- run the full vetting battery on a weight-system JSON file
 * ``hattori``    -- level structures and r-values for a weight system, or the
                     dimension-8 Diophantine solver (--c1/--lmax)
@@ -40,9 +40,7 @@ from .search import (
     CheckpointMismatch,
     ClassificationResult,
     SearchOptions,
-    check_jobs,
     classify,
-    run_fingerprint,
     vet_instance,
     write_atomic,
 )
@@ -64,13 +62,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _at_least_one(text: str) -> int:
+    """argparse type of an integer flag that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
 def _profile_from_args(args) -> FixedPointProfile:
-    if args.minimal and args.lambdas:
-        raise UsageError("--minimal and --lambdas exclude each other")
     if args.n is None:
-        raise UsageError("--lambdas requires --n" if args.lambdas
+        raise UsageError("--lambdas requires --n" if args.lambdas is not None
                          else "need --n (with --minimal) or --lambdas")
-    if not args.lambdas:
+    if args.lambdas is None:
         return minimal_profile(args.n)
     try:
         return FixedPointProfile(args.n, tuple(int(x) for x in args.lambdas.split(",")))
@@ -124,32 +131,11 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    try:
-        opts = SearchOptions(bound_d=args.bound_D, divisor_c=args.C,
-                             dim8_strict=args.dim8_strict, witness_bound=args.witness_bound,
-                             max_labelings=args.max_labelings)
-        check_jobs(args.jobs)
-    except ValueError as exc:
-        raise UsageError(exc) from exc
-    profile = _profile_from_args(args)
-    cache_file = None
-    if args.cache:
-        try:
-            os.makedirs(args.cache, exist_ok=True)
-        except OSError as exc:
-            raise UsageError("--cache %s is not a usable directory: %s" % (args.cache, exc)) from exc
-        cache_file = os.path.join(args.cache, "classify-%s.json" % run_fingerprint(profile, opts))
-        if os.path.exists(cache_file):
-            with open(cache_file) as fh:
-                payload = fh.read()
-            _write_out(payload, args.out)
-            print("(cached)", file=sys.stderr)
-            return EXIT_OK
-    result = classify(profile, opts, jobs=args.jobs, checkpoint=args.resume)
-    payload = json.dumps(result.to_json(), indent=1, sort_keys=True)
-    if cache_file:
-        _write_out(payload, cache_file)
-    _write_out(payload, args.out)
+    opts = SearchOptions(bound_d=args.bound_D, divisor_c=args.C,
+                         dim8_strict=args.dim8_strict, witness_bound=args.witness_bound,
+                         max_labelings=args.max_labelings)
+    result = classify(_profile_from_args(args), opts, jobs=args.jobs, checkpoint=args.resume)
+    _write_out(json.dumps(result.to_json(), indent=1, sort_keys=True), args.out)
     sys.stderr.write(_human_table(result))
     return EXIT_OK
 
@@ -192,26 +178,13 @@ def cmd_verify(args) -> int:
     return EXIT_OK if verdict is None else EXIT_INFEASIBLE
 
 
-def _check_at_least_one(args, *names: str) -> None:
-    """Refuse an integer flag below 1 before any work is done."""
-    for name in names:
-        value = getattr(args, name)
-        if value is not None and value < 1:
-            raise UsageError("--%s must be at least 1, got %d" % (name, value))
-
-
 def cmd_hattori(args) -> int:
-    _check_at_least_one(args, "k0", "c1", "lmax")
     if args.c1 is not None:
-        if args.file:
-            raise UsageError("give a weight-system file or --c1, not both")
         if args.k0 is not None:
             raise UsageError("--k0 applies to a weight-system file, not to --c1")
         sols = dim8_solver(args.c1, lmax=100 if args.lmax is None else args.lmax)
         _write_out(json.dumps([[l, str(m)] for l, m in sols]), args.out)
         return EXIT_OK
-    if not args.file:
-        raise UsageError("need a weight-system file or --c1")
     if args.lmax is not None:
         raise UsageError("--lmax applies to --c1, not to a weight-system file")
     ws = _load_ws(args.file)
@@ -257,7 +230,6 @@ def cmd_fixture(args) -> int:
 
 
 def cmd_scan_c1eq1(args) -> int:
-    _check_at_least_one(args, "lmax")
     sols = dim8_solver(1, lmax=args.lmax)
     ls = sorted({l for l, _ in sols})
     _write_out(json.dumps({"l": ls, "solutions": [[l, str(m)] for l, m in sols]}), args.out)
@@ -271,9 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def profile_flags(p):
         p.add_argument("--n", type=int)
-        p.add_argument("--minimal", action="store_true",
+        g = p.add_mutually_exclusive_group()
+        g.add_argument("--minimal", action="store_true",
                        help="use the minimal profile for --n (default when no --lambdas)")
-        p.add_argument("--lambdas", help="comma-separated Morse indices")
+        g.add_argument("--lambdas", help="comma-separated Morse indices")
         p.add_argument("--out")
 
     p = sub.add_parser("enumerate", help="multigraph classes of a profile")
@@ -284,14 +257,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="run the search pipeline")
     profile_flags(p)
-    p.add_argument("--C", type=int, help="restrict to one divisor branch")
-    p.add_argument("--bound-D", type=int, help="bounded mode |m| <= 2D")
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--C", type=_at_least_one, help="restrict to one divisor branch")
+    g.add_argument("--bound-D", type=_at_least_one, help="bounded mode |m| <= 2D")
     p.add_argument("--dim8-strict", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_at_least_one, default=1)
     p.add_argument("--resume", help="checkpoint file")
-    p.add_argument("--cache", help="cache directory")
-    p.add_argument("--witness-bound", type=int, default=SearchOptions.witness_bound)
-    p.add_argument("--max-labelings", type=int,
+    p.add_argument("--witness-bound", type=_at_least_one, default=SearchOptions.witness_bound)
+    p.add_argument("--max-labelings", type=_at_least_one,
                    help="search-tree node budget; truncates huge branches")
     p.set_defaults(func=cmd_classify)
 
@@ -301,10 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("hattori", help="level structures and r-values / dim-8 solver")
-    p.add_argument("file", nargs="?")
-    p.add_argument("--k0", type=int)
-    p.add_argument("--c1", type=int, help="run the dimension-8 solver for this constant")
-    p.add_argument("--lmax", type=int, help="solver bound for --c1 (default 100)")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("file", nargs="?")
+    g.add_argument("--c1", type=_at_least_one, help="run the dimension-8 solver for this constant")
+    p.add_argument("--k0", type=_at_least_one)
+    p.add_argument("--lmax", type=_at_least_one, help="solver bound for --c1 (default 100)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_hattori)
 
@@ -317,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fixture)
 
     p = sub.add_parser("scan-c1eq1", help="dimension-8 volume scan for constant 1")
-    p.add_argument("--lmax", type=int, default=60)
+    p.add_argument("--lmax", type=_at_least_one, default=60)
     p.add_argument("--out")
     p.set_defaults(func=cmd_scan_c1eq1)
     return ap

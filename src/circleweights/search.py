@@ -742,8 +742,7 @@ def _signatures(ws: WeightSystem, pair_mode: str) -> List[Tuple[Tuple, Tuple[int
 
 def run_fingerprint(profile: FixedPointProfile, opts: SearchOptions) -> str:
     """Key of a classify run: profile, options and the names and contents of
-    this package's modules.  Result caches are named by it and checkpoint
-    files record it."""
+    this package's modules.  Checkpoint files record it."""
     import hashlib  # imported where used: keeps `import circleweights` light
 
     here = os.path.dirname(__file__)
@@ -868,12 +867,6 @@ def _orbit_key(edges: Tuple, magnitudes: Tuple[int, ...]) -> Tuple[Tuple, Tuple[
     return edges, tuple(labels)
 
 
-def check_jobs(jobs: int) -> None:
-    """Raise ValueError unless ``jobs`` is a usable worker count (at least 1)."""
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1, got %s" % (jobs,))
-
-
 def classify(profile: FixedPointProfile, opts: SearchOptions, jobs: int = 1,
              checkpoint: Optional[str] = None) -> ClassificationResult:
     """Full pipeline.  Stages 2 and 3 run per graph (search_graph), merged
@@ -890,7 +883,8 @@ def classify(profile: FixedPointProfile, opts: SearchOptions, jobs: int = 1,
     # the forest minors and the last graph's polynomials are per run
     _forest_minor.cache_clear()
     _component_checker.cache_clear()
-    check_jobs(jobs)
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1, got %s" % (jobs,))
     total = magnitude_sum(profile)
     if opts.bound_d is None and not profile.is_minimal and total < 0:
         raise ProfileError("nonnegative mode refused: non-minimal profile with negative "

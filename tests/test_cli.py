@@ -38,6 +38,7 @@ def test_enumerate_infeasible_profile(capsys):
     ["enumerate"],
     ["enumerate", "--n", "3", "--lambdas", "0,x"],
     ["classify", "--n", "3", "--lambdas", "0,x"],
+    ["enumerate", "--n", "2", "--lambdas", ""],
     ["classify", "--n", "2", "--bound-D", "0"],
     ["classify", "--n", "2", "--bound-D", "-1"],
     ["classify", "--n", "2", "--max-labelings", "0"],
@@ -168,13 +169,37 @@ def test_verify_reports_a_point_index_above_n_without_a_traceback(tmp_path, caps
     assert lines[1].startswith("structural checks: point 0 carries 3 weights, expected 2;")
 
 
-@pytest.mark.parametrize("k0", ["0", "-2"])
-def test_hattori_refuses_k0_below_one(tmp_path, capsys, k0):
-    ws_file = tmp_path / "v5.json"
-    run(["fixture", "v5", "--out", str(ws_file)], capsys)
-    code, out, err = run(["hattori", str(ws_file), "--k0", k0], capsys)
-    assert code == 2
-    assert out == "" and err.startswith("schema error: --k0") and err.count("\n") == 1
+# each integer flag that must be at least 1, below 1 in an otherwise valid
+# command, and each pair of flags that exclude each other
+FLAG_REFUSALS = [
+    (["classify", "--n", "2", "--C", "0"], ["--C"]),
+    (["classify", "--n", "2", "--bound-D", "0"], ["--bound-D"]),
+    (["classify", "--n", "2", "--jobs", "0"], ["--jobs"]),
+    (["classify", "--n", "2", "--witness-bound", "0"], ["--witness-bound"]),
+    (["classify", "--n", "2", "--max-labelings", "0"], ["--max-labelings"]),
+    (["hattori", "v5.json", "--k0", "0"], ["--k0"]),
+    (["hattori", "v5.json", "--k0", "-2"], ["--k0"]),
+    (["hattori", "--c1", "0"], ["--c1"]),
+    (["hattori", "--c1", "1", "--lmax", "0"], ["--lmax"]),
+    (["scan-c1eq1", "--lmax", "0"], ["--lmax"]),
+    (["classify", "--n", "2", "--C", "1", "--bound-D", "1"], ["--C", "--bound-D"]),
+    (["enumerate", "--n", "2", "--minimal", "--lambdas", "0,1,1,2"], ["--minimal", "--lambdas"]),
+    (["hattori", "v5.json", "--c1", "5"], ["file", "--c1"]),
+]
+
+
+@pytest.mark.parametrize("argv, flags", FLAG_REFUSALS,
+                         ids=[" ".join(argv) for argv, _ in FLAG_REFUSALS])
+def test_refusal_names_the_flags_typed(argv, flags, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "v5.json").write_text(json.dumps(v5().to_json()))
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    if len(flags) == 1:
+        assert err.startswith("schema error: argument %s: must be at least 1" % flags[0])
+    else:
+        assert err.startswith("schema error: argument ")
+        assert all("argument %s" % flag in err for flag in flags)
 
 
 def test_hattori_refuses_a_zero_weight(tmp_path, capsys):
@@ -262,23 +287,6 @@ def test_classify_resume_checkpoint(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out1.read_text())["families"] == json.loads(out2.read_text())["families"]
-
-
-def test_classify_cache(tmp_path, capsys):
-    cache = tmp_path / "cache"
-    out1 = tmp_path / "r1.json"
-    out2 = tmp_path / "r2.json"
-    run(["classify", "--n", "2", "--minimal", "--cache", str(cache), "--out", str(out1)], capsys)
-    assert len(os.listdir(cache)) == 1
-    code, _, err = run(
-        ["classify", "--n", "2", "--minimal", "--cache", str(cache), "--out", str(out2)], capsys
-    )
-    assert code == 0
-    assert "cached" in err
-    assert out1.read_text() == out2.read_text()
-    # a cache hit does not make a bad worker count acceptable
-    code, out, err = run(["classify", "--n", "2", "--jobs", "0", "--cache", str(cache)], capsys)
-    assert code == 2 and out == "" and err.startswith("schema error:")
 
 
 def test_classify_jobs(tmp_path, capsys):
@@ -387,8 +395,7 @@ def test_out_in_missing_directory_is_refused_before_any_work(argv, tmp_path, cap
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("flag, kind", [("--resume", "directory"), ("--cache", "file"),
-                                        ("--out", "directory")])
+@pytest.mark.parametrize("flag, kind", [("--resume", "directory"), ("--out", "directory")])
 def test_classify_refuses_a_path_of_the_wrong_kind(flag, kind, tmp_path, capsys, monkeypatch):
     path = tmp_path / "taken"
     if kind == "directory":
