@@ -154,11 +154,11 @@ class WeightSystem:
     @classmethod
     def from_json(cls, data: dict) -> "WeightSystem":
         try:
-            n = int(data["n"])
+            n = _json_int(data["n"], "n")
             pts = []
             for rec in data["points"]:
-                weights = sorted(map(int, rec["weights"]))
-                lam = int(rec["lambda"])
+                weights = sorted(_json_int(w, "a weight") for w in rec["weights"])
+                lam = _json_int(rec["lambda"], "lambda")
                 if sum(1 for w in weights if w < 0) != lam:
                     raise WeightSystemError(
                         "declared index %d does not match weights %s" % (lam, weights)
@@ -167,6 +167,14 @@ class WeightSystem:
         except (KeyError, TypeError) as exc:
             raise WeightSystemError("malformed weight-system record: %s" % (exc,))
         return cls(n, tuple(pts))
+
+
+def _json_int(value, name: str) -> int:
+    """``value`` when it is a JSON integer; WeightSystemError for anything
+    else, a float such as 1.9, a string such as "3" or a boolean included."""
+    if type(value) is not int:  # bool is a subclass of int
+        raise WeightSystemError("%s must be an integer, got %r" % (name, value))
+    return value
 
 
 def weight_system_checks(ws: WeightSystem) -> List[str]:

@@ -259,23 +259,21 @@ def _quadratic_roots(q0: int, q1: int, q2: int, values: range) -> Sequence[int]:
     return sorted(v for v in roots if v in values)
 
 
-def _group_weights(groups: Sequence[int], fixed: Sequence[int]) -> List[List[int]]:
-    """Weight vectors that group the entries of a multilinear polynomial in
-    labels u, v, w and labels of known value, label b standing for bit b
-    of an entry's index: groups[b] is 4, 2 or 1 when label b is u, v or w,
-    and 0 when it is ``fixed[b]`` (read only then).  Vector g = 4a + 2f + s weighs an entry
-    holding u^a v^f w^s by the product of the known labels it holds, and
-    every other entry by 0; its dot product with the polynomial is the
-    grouped sum S_afs, and the polynomial is sum S_afs u^a v^f w^s."""
-    weights = [[0] * (1 << len(groups)) for _ in range(8)]
-    for entry in range(len(weights[0])):
-        group, weight = 0, 1
-        for bit, (g, x) in enumerate(zip(groups, fixed)):
-            if entry >> bit & 1:
-                group |= g
-                weight *= 1 if g else x
-        weights[group][entry] = weight
-    return weights
+def _grouped_sums(poly: Sequence[int], groups: Sequence[int], fixed: Sequence[int]) -> List[int]:
+    """The sums S_afs of a multilinear polynomial in labels u, v, w and
+    labels of known value, label b standing for bit b of an entry's index:
+    groups[b] is 4, 2 or 1 when label b is u, v or w, and 0 when it is
+    ``fixed[b]`` (read only then).  A known label x is fixed as
+    stream_labelings fixes one, c + x d over the even and odd entries; the
+    bit of u, v or w is kept split, so the polynomial is
+    sum S_afs u^a v^f w^s with S_afs the entry left at 4a + 2f + s."""
+    parts = {0: poly}
+    for g, x in zip(groups, fixed):
+        if g:
+            parts = {k | g * bit: p[bit::2] for k, p in parts.items() for bit in (0, 1)}
+        else:
+            parts = {k: [c + x * d for c, d in zip(p[0::2], p[1::2])] for k, p in parts.items()}
+    return [parts[k][0] if k in parts else 0 for k in range(8)]
 
 
 def _quadratic_in_v(sums: Sequence[int], target: int) -> Tuple[Tuple[int, ...], ...]:
@@ -304,15 +302,16 @@ def stream_labelings(graph: Multigraph, profile: FixedPointProfile, opts: Search
     magnitude sum; with ``divisor=C`` only multiples of C, and the unit edges
     (see _unit_edge_positions) are pinned to C.  The search carries the
     current component's determinant polynomial (see _component_checker)
-    down the tree, fixing one label per level; once all labels of a
-    connected component are fixed, a nonzero determinant, or a singular
-    matrix whose kernel misses the open positive orthant, prunes the
-    subtree; at a component's last position the determinant is linear in
-    the label, so the loop there visits only its roots.  Below the point
-    of the last component where at most three positions with more than one
-    value are left, the closed form loops the first of three, the sum fixes
-    the last, and the determinant is a quadratic in the other: its integer
-    roots are the only leaves, and no loop runs below the first.
+    down the tree, fixing one label per level by halving it: c + x d over
+    its even and odd entries.  At a component's last position the
+    determinant is linear in the label, so the loop there visits only its
+    roots, and a root whose matrix has a kernel missing the open positive
+    orthant prunes the subtree.  Below the point of the last component
+    where at most three positions with more than one value are left, the
+    closed form fixes the labels of one value by the same halving and keeps
+    the other three (u, v, w) apart in eight sums (_grouped_sums); it loops
+    u, the sum fixes w, and the determinant is a quadratic in v: its
+    integer roots are the only leaves, and no loop runs below u.
     ``budget`` is a one-element mutable cell bounding the explored
     search-tree nodes (every value tried counts, also where the closed form
     or the loop at a component's last position skips it); the stream stops
@@ -387,52 +386,52 @@ def stream_labelings(graph: Multigraph, profile: FixedPointProfile, opts: Search
         return skip + len(live) + stop + below
 
     @functools.cache
-    def grouping(idx: int) -> Tuple[List[Optional[int]], int, int, List[List[int]]]:
-        """What closed_form needs at a node at ``idx``: the positions
-        [u, v, w] of the (at most three) positions below it with more than
-        one value, or of the last position as v when none has, None standing
-        for a missing u or w; the sum of the other labels below, each of one
-        value, and the part of that sum above u; and the weight vectors of
-        _group_weights for the labels below."""
+    def grouping(idx: int) -> Tuple[List[Optional[int]], List[int]]:
+        """The positions [u, v, w] of the (at most three) positions from
+        ``idx`` on with more than one value, or of the last position as v
+        when none has, None standing for a missing u or w; and the group
+        (see _grouped_sums) of each position from ``idx`` on."""
         below = range(idx, len(order))
         unknown: List[Optional[int]] = [p for p in below if len(values[p]) != 1] or [last]
         if len(unknown) == 1:
             unknown.append(None)  # no w: the sum leaves v nothing
         if len(unknown) == 2:
             unknown.insert(0, None)  # no u: it is 0
-        fixed = sum(values[p][0] for p in below if p not in unknown)
-        above_u = sum(values[p][0] for p in range(idx, unknown[0])) if unknown[0] is not None else 0
-        groups = [4 >> unknown.index(p) if p in unknown else 0 for p in below]
-        return unknown, fixed, above_u, _group_weights(groups, [values[p][0] for p in below])
+        return unknown, [4 >> unknown.index(p) if p in unknown else 0 for p in below]
 
     def closed_form(idx: int, remaining: int, poly: List[int]) -> Iterator[Tuple[int, ...]]:
-        """The leaves below a node from ``closed_from`` on.  With u, v, w the
-        labels of the positions left with more than one value (see grouping),
-        w takes what the sum leaves, so for each value of u that its loop
-        would try the determinant is a quadratic in v (_quadratic_in_v); its
-        integer roots v that leave w one of its values are checked for a
-        positive kernel."""
-        unknown, fixed, above_u, weights = grouping(idx)
+        """The leaves below a node from ``closed_from`` on.  Every label of
+        one value is fixed; with u, v, w the labels of the positions left
+        with more than one value (see grouping), w takes what the sum
+        leaves, so for each value of u that its loop would try the
+        determinant is a quadratic in v (_quadratic_in_v); its integer roots
+        v that leave w one of its values are checked for a positive
+        kernel."""
+        unknown, groups = grouping(idx)
         pu, pv, pw = unknown
-        target = remaining - fixed
-        # c_k = q_k0 + q_k1 u + q_k2 u^2 is the coefficient of v^k
-        (q00, q01, q02), (q10, q11, q12), (q20, q21) = _quadratic_in_v(
-            [sum(map(operator.mul, poly, vec)) for vec in weights], target)
-        for p in range(idx, len(order)):
-            if p not in unknown:
+        below = range(idx, len(order))
+        us = range(1)
+        for p, g in zip(below, groups):
+            if p == pu:
+                us = tried(pu, remaining)[1]
+            elif not g:
                 labels[order[p]] = values[p][0]
-        us = tried(pu, remaining - above_u)[1] if pu is not None else range(1)
+                remaining -= values[p][0]
+        # remaining is now u + v + w, and c_k = q_k0 + q_k1 u + q_k2 u^2 is
+        # the coefficient of v^k
+        (q00, q01, q02), (q10, q11, q12), (q20, q21) = _quadratic_in_v(
+            _grouped_sums(poly, groups, [values[p][0] for p in below]), remaining)
         second = values[pw] if pw is not None else range(1)
         for u in us:
             if pu is not None:
                 labels[order[pu]] = u
             for v in _quadratic_roots(q00 + u * (q01 + u * q02), q10 + u * (q11 + u * q12),
                                       q20 + u * q21, values[pv]):
-                if target - u - v not in second:
+                if remaining - u - v not in second:
                     continue
                 labels[order[pv]] = v
                 if pw is not None:
-                    labels[order[pw]] = target - u - v
+                    labels[order[pw]] = remaining - u - v
                 if positive_kernel_exists(_component_matrix(amat, labels, boundaries[last])):
                     yield tuple(labels)
 
@@ -453,31 +452,21 @@ def stream_labelings(graph: Multigraph, profile: FixedPointProfile, opts: Search
         skip, live, stop = tried(idx, remaining)
         if not spend(skip):
             return
-        if idx not in boundaries:
-            for v in live:
-                if budget is not None:
-                    budget[0] -= 1
-                    if budget[0] < 0:
-                        return
-                labels[order[idx]] = v
-                yield from rec(idx + 1, remaining - v, [c + v * d for c, d in zip(const, linear)])
-        else:
-            # the determinant const[0] + v linear[0] is linear in v: only its
-            # roots descend, each charged with the values tried before it
-            charged = 0
-            for v in _quadratic_roots(const[0], linear[0], 0, live):
-                through = live.index(v) + 1
-                if not spend(through - charged):
-                    return
-                charged = through
-                labels[order[idx]] = v
-                if positive_kernel_exists(_component_matrix(amat, labels, boundaries[idx])):
-                    # the next component brings its own polynomial (starts)
-                    yield from rec(idx + 1, remaining - v, [])
-            if not spend(len(live) - charged):
+        comp = boundaries.get(idx)
+        # at a component's last position the determinant const[0] + v linear[0]
+        # is linear in v: only its roots descend, and the next component
+        # brings its own polynomial (starts)
+        charged = 0
+        for v in live if comp is None else _quadratic_roots(const[0], linear[0], 0, live):
+            # each value is charged with the values tried before it
+            through = live.index(v) + 1
+            if not spend(through - charged):
                 return
-        if budget is not None:
-            budget[0] -= stop
+            charged = through
+            labels[order[idx]] = v
+            if comp is None or positive_kernel_exists(_component_matrix(amat, labels, comp)):
+                yield from rec(idx + 1, remaining - v, [c + v * d for c, d in zip(const, linear)])
+        spend(len(live) - charged + stop)
 
     yield from rec(0, total, [])
 
@@ -705,16 +694,16 @@ def search_graph(graph: Multigraph, profile: FixedPointProfile,
     branch, in divisor_branches order and each under a fresh node budget of
     ``opts.max_labelings``, and return the weight families they solve to, in
     branch order, with the counts: ``labelings`` streamed and, when some
-    branch ran out of budget, ``truncated`` 1."""
+    branch ran out of budget, ``truncated`` 1.  Every labeling solves to a
+    family: the stream yields one only once positive_kernel_exists has
+    passed the matrix of each component, the test solve_weights makes."""
     counts = {"labelings": 0}
     families: List[WeightFamily] = []
     for divisor in divisor_branches(profile, opts):
         budget = [opts.max_labelings] if opts.max_labelings is not None else None
         for lab in stream_labelings(graph, profile, opts, divisor=divisor, budget=budget):
             counts["labelings"] += 1
-            fam = solve_weights(graph, lab)
-            if fam is not None:
-                families.append(fam)
+            families.append(solve_weights(graph, lab))
         if budget is not None and budget[0] < 0:
             counts["truncated"] = 1
     return families, counts

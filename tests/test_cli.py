@@ -133,6 +133,23 @@ def test_verify_schema_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", [["verify"], ["hattori", "--k0", "2"]])
+@pytest.mark.parametrize("old, new", [
+    ('"weights": [1, 2, 3]', '"weights": [1.9, 2, 3]'),  # not truncated to 1
+    ('"n": 3', '"n": "3"'),  # not parsed as 3
+    ('"lambda": 1,', '"lambda": true,'),  # not read as 1
+])
+def test_weight_system_numbers_must_be_json_integers(command, old, new, tmp_path, capsys):
+    """v5 with one of its numbers written as a JSON value that int() takes."""
+    text = json.dumps(v5().to_json())
+    assert text.count(old) == 1
+    path = tmp_path / "v5.json"
+    path.write_text(text.replace(old, new))
+    code, out, err = run(command[:1] + [str(path)] + command[1:], capsys)
+    assert code == 2
+    assert out == "" and err.startswith("schema error:") and err.count("\n") == 1
+
+
 def zero_weight_file(tmp_path, capsys):
     """v5 with its first weight set to zero."""
     path = tmp_path / "zero.json"

@@ -2,7 +2,6 @@ import dataclasses
 import itertools
 import json
 import math
-import operator
 import os
 import random
 import subprocess
@@ -438,8 +437,7 @@ def test_grouped_sums_match_the_label_by_label_fold(size, data):
     # w takes target - u - v, or nothing without one
     lines = [(u, 0) if roles.get(b) == 4 else (0, 1) if roles.get(b) == 2
              else (target - u, -1) if roles.get(b) == 1 else (fixed[b], 0) for b in range(size)]
-    weights = search._group_weights([roles.get(b, 0) for b in range(size)], fixed)
-    sums = [sum(map(operator.mul, poly, vec)) for vec in weights]
+    sums = search._grouped_sums(poly, [roles.get(b, 0) for b in range(size)], fixed)
     coefficients = search._quadratic_in_v(sums, target)
     assert tuple(sum(c * u ** k for k, c in enumerate(cs)) for cs in coefficients) == (
         fold_coefficients(poly, lines))
