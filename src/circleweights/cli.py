@@ -131,6 +131,9 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    if args.resume and args.out and os.path.realpath(args.resume) == os.path.realpath(args.out):
+        raise UsageError("--resume and --out are one file, %s: the result would replace "
+                         "the checkpoint" % args.out)
     opts = SearchOptions(bound_d=args.bound_D, divisor_c=args.C,
                          dim8_strict=args.dim8_strict, witness_bound=args.witness_bound,
                          max_labelings=args.max_labelings)

@@ -21,6 +21,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd
+from operator import index
 from typing import List, Optional, Tuple
 
 
@@ -48,7 +49,7 @@ class FixedPointProfile:
     lambdas: Tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "lambdas", tuple(map(int, self.lambdas)))
+        object.__setattr__(self, "lambdas", tuple(map(index, self.lambdas)))
 
     @property
     def num_points(self) -> int:
@@ -116,14 +117,16 @@ class WeightSystem:
 
     ``points[i]`` is the ascending tuple of the n nonzero weights at the i-th
     fixed point.  Equality is multiset equality point by point (the sorted
-    storage makes ``==`` do the right thing).
+    storage makes ``==`` do the right thing).  A weight must be an int
+    (``operator.index``): a float, a string or a Fraction raises TypeError.
     """
 
     n: int
     points: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple([tuple(sorted(map(int, p))) for p in self.points]))
+        points = tuple([tuple(sorted(map(index, p))) for p in self.points])
+        object.__setattr__(self, "points", points)
 
     @property
     def num_points(self) -> int:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from operator import index
 from typing import Callable, Dict, Hashable, Iterable, List, Sequence, Tuple
 
 from .core import FixedPointProfile, WeightSystem, validate_profile
@@ -47,7 +48,8 @@ class Multigraph:
 
     def __post_init__(self):
         object.__setattr__(self, "lambdas", tuple(self.lambdas))
-        object.__setattr__(self, "edges", tuple(sorted((int(i), int(j)) for i, j in self.edges)))
+        edges = tuple(sorted((index(i), index(j)) for i, j in self.edges))
+        object.__setattr__(self, "edges", edges)
 
     @property
     def num_points(self) -> int:
@@ -118,7 +120,7 @@ class WeightedMultigraph:
 
     def __post_init__(self):
         object.__setattr__(self, "lambdas", tuple(self.lambdas))
-        object.__setattr__(self, "wedges", tuple(sorted(tuple(map(int, e)) for e in self.wedges)))
+        object.__setattr__(self, "wedges", tuple(sorted(tuple(map(index, e)) for e in self.wedges)))
 
     def weight_system(self) -> WeightSystem:
         pts: List[List[int]] = [[] for _ in self.lambdas]

@@ -502,7 +502,7 @@ def solve_weights(graph: Multigraph, magnitudes: Sequence[int]) -> Optional[Weig
     edges = graph.edges
     if len(magnitudes) != len(edges):
         raise ValueError("labeling length does not match edge count")
-    mags = tuple(int(x) for x in magnitudes)
+    mags = tuple(map(operator.index, magnitudes))
     amat = graph_matrix(edges)
     kernels: List[NullspaceDescription] = []
     for comp in graph.components():
@@ -689,24 +689,26 @@ class ClassificationResult:
 
 
 def search_graph(graph: Multigraph, profile: FixedPointProfile,
-                 opts: SearchOptions) -> Tuple[List[WeightFamily], Dict[str, int]]:
+                 opts: SearchOptions) -> Tuple[List[WeightFamily], Dict]:
     """Stages 2 and 3 for one graph: stream the labelings of every divisor
     branch, in divisor_branches order and each under a fresh node budget of
-    ``opts.max_labelings``, and return the weight families they solve to, in
-    branch order, with the counts: ``labelings`` streamed and, when some
-    branch ran out of budget, ``truncated`` 1.  Every labeling solves to a
-    family: the stream yields one only once positive_kernel_exists has
-    passed the matrix of each component, the test solve_weights makes."""
-    counts = {"labelings": 0}
-    families: List[WeightFamily] = []
+    ``opts.max_labelings``, and return the graph's distinct weight families,
+    in the order first streamed, with its audit record: ``labelings``
+    streamed, ``families`` (their count) and, when some branch ran out of
+    budget, ``truncated`` True.  Every labeling solves to a family: the
+    stream yields one only once positive_kernel_exists has passed the matrix
+    of each component, the test solve_weights makes."""
+    record: Dict = {"labelings": 0}
+    families: Dict[Tuple[int, ...], WeightFamily] = {}
     for divisor in divisor_branches(profile, opts):
         budget = [opts.max_labelings] if opts.max_labelings is not None else None
         for lab in stream_labelings(graph, profile, opts, divisor=divisor, budget=budget):
-            counts["labelings"] += 1
-            families.append(solve_weights(graph, lab))
+            record["labelings"] += 1
+            families.setdefault(lab, solve_weights(graph, lab))
         if budget is not None and budget[0] < 0:
-            counts["truncated"] = 1
-    return families, counts
+            record["truncated"] = True
+    record["families"] = len(families)
+    return list(families.values()), record
 
 
 def _signatures(ws: WeightSystem, pair_mode: str) -> List[Tuple[Tuple, Tuple[int, ...]]]:
@@ -746,13 +748,14 @@ def run_fingerprint(profile: FixedPointProfile, opts: SearchOptions) -> str:
     return hashlib.sha256(key_src.encode()).hexdigest()[:24]
 
 
-GraphResult = Tuple[List[WeightFamily], Dict[str, int]]  # search_graph's output
+GraphResult = Tuple[List[WeightFamily], Dict]  # search_graph's output
 
 
 def _load_checkpoint(path: str, fingerprint: str,
                      graphs: List[Multigraph]) -> Dict[int, GraphResult]:
     """The graphs recorded in checkpoint file ``path`` (none when it does not
-    exist), by index, re-solved from their stored magnitudes."""
+    exist), by index: their families re-solved from the stored magnitudes,
+    and their audit records as stored."""
     folder = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(folder):
         raise CheckpointMismatch("checkpoint %s: directory %s does not exist" % (path, folder))
@@ -770,12 +773,10 @@ def _load_checkpoint(path: str, fingerprint: str,
         raise CheckpointMismatch(
             "checkpoint %s has fingerprint %s, this run %s: it was written for other "
             "inputs or other source" % (path, found, fingerprint))
-    done = {}
-    for gi, graph in enumerate(graphs):
-        rec = data["blocks"].get(str(gi))
-        if rec is not None:
-            done[gi] = ([solve_weights(graph, m) for m in rec["families"]], rec["counts"])
-    return done
+    blocks = data["blocks"]
+    return {gi: ([solve_weights(graph, m) for m in blocks[str(gi)]["families"]],
+                 blocks[str(gi)]["audit"])
+            for gi, graph in enumerate(graphs) if str(gi) in blocks}
 
 
 def write_atomic(path: str, text: str) -> None:
@@ -800,16 +801,11 @@ def write_atomic(path: str, text: str) -> None:
 
 def _save_checkpoint(path: str, fingerprint: str, done: Dict[int, GraphResult]) -> None:
     """Replace ``path`` with the finished graphs, keyed by graph index: the
-    magnitudes of each graph's families, over all its divisor branches, and
-    its search counts."""
-    blocks = {str(gi): {"families": [list(f.magnitudes) for f in fams], "counts": counts}
-              for gi, (fams, counts) in done.items()}
+    magnitudes of each graph's distinct families, over all its divisor
+    branches, and its audit record."""
+    blocks = {str(gi): {"families": [list(f.magnitudes) for f in fams], "audit": record}
+              for gi, (fams, record) in done.items()}
     write_atomic(path, json.dumps({"fingerprint": fingerprint, "blocks": blocks}))
-
-
-def _search_block(payload) -> GraphResult:
-    """One graph; at module level so that a spawned worker can unpickle it."""
-    return search_graph(*payload)
 
 
 def _search_blocks(profile: FixedPointProfile, opts: SearchOptions, graphs: List[Multigraph],
@@ -822,7 +818,6 @@ def _search_blocks(profile: FixedPointProfile, opts: SearchOptions, graphs: List
         fingerprint = run_fingerprint(profile, opts)
         done = _load_checkpoint(checkpoint, fingerprint, graphs)
     todo = [gi for gi in range(len(graphs)) if gi not in done]
-    payloads = [(graphs[gi], profile, opts) for gi in todo]
     pool = None
     if jobs > 1 and len(todo) > 1:
         # imported here: at module level they double the cost of `import circleweights`
@@ -832,7 +827,9 @@ def _search_blocks(profile: FixedPointProfile, opts: SearchOptions, graphs: List
         pool = ProcessPoolExecutor(max_workers=min(jobs, len(todo)),
                                    mp_context=multiprocessing.get_context("spawn"))
     try:
-        outputs = pool.map(_search_block, payloads) if pool else map(_search_block, payloads)
+        # looked up at call time: a wrapper put in the module's search_graph sees every graph
+        args = ([graphs[gi] for gi in todo], itertools.repeat(profile), itertools.repeat(opts))
+        outputs = pool.map(search_graph, *args) if pool else map(search_graph, *args)
         for gi, out in zip(todo, outputs):
             done[gi] = out
             if checkpoint:
@@ -864,11 +861,11 @@ def classify(profile: FixedPointProfile, opts: SearchOptions, jobs: int = 1,
     file ``checkpoint``, which records every finished graph and is resumed
     from when it exists; CheckpointMismatch is raised, and the file left as
     it is, when it was written for another profile, options or package
-    source.  The audit records per graph its labelings, the candidate
-    families new to the run and whether it was truncated.  Raises ValueError
-    when ``jobs`` is below 1.  Before any search, magnitude_sum raises for an
-    invalid profile, and ProfileError when the nonnegative search of a
-    non-minimal profile has a negative target."""
+    source.  The audit holds each graph's record from search_graph: its
+    labelings, its distinct families and whether it was truncated.  Raises
+    ValueError when ``jobs`` is below 1.  Before any search, magnitude_sum
+    raises for an invalid profile, and ProfileError when the nonnegative
+    search of a non-minimal profile has a negative target."""
     # the forest minors and the last graph's polynomials are per run
     _forest_minor.cache_clear()
     _component_checker.cache_clear()
@@ -882,15 +879,10 @@ def classify(profile: FixedPointProfile, opts: SearchOptions, jobs: int = 1,
     done = _search_blocks(profile, opts, graphs, jobs, checkpoint)
     audit: Dict = {"graphs": {}, "rejections": Counter(), "instances": 0, "passing": 0}
     candidates: Dict[Tuple[Tuple, Tuple[int, ...]], WeightFamily] = {}
-    for gi, (fams, counts) in sorted(done.items()):
-        gaudit = audit["graphs"][gi] = {"labelings": counts["labelings"], "families": 0}
-        if counts.get("truncated"):
-            gaudit["truncated"] = True
-        for fam in fams:
-            key = (fam.graph.edges, fam.magnitudes)
-            if key not in candidates:
-                candidates[key] = fam
-                gaudit["families"] += 1
+    # enumerate_multigraphs keeps one graph per edge tuple: no family key is in two graphs
+    for gi, (fams, record) in sorted(done.items()):
+        audit["graphs"][gi] = record
+        candidates.update(((fam.graph.edges, fam.magnitudes), fam) for fam in fams)
     # stage 4: instantiate and vet the first family of each parallel-edge
     # orbit (see _orbit_key); an ineffective lattice point, left unbuilt as
     # None, fails weight_system_checks' gcd rule: structural.  The later

@@ -10,7 +10,13 @@ from fractions import Fraction as F
 from circleweights.core import FixedPointProfile, minimal_profile
 from circleweights.fixtures import cp, grassmannian, s2xs2, v5, v22
 from circleweights.graphs import enumerate_multigraphs, enumerate_pairings, magnitudes_from_weights
-from circleweights.hattori import derive_levels, dim8_solver, exp_r_values, r_values_at_one
+from circleweights.hattori import (
+    cp_check,
+    derive_levels,
+    dim8_solver,
+    exp_r_values,
+    r_values_at_one,
+)
 from circleweights.linalg import kernel_lattice_points, nullspace, positive_kernel_exists
 from circleweights.localization import (
     abbv_sum,
@@ -28,6 +34,15 @@ def _report(name):
     print("ACCEPTANCE %s: PASS" % name)
 
 
+def _projective(fam, k0):
+    """Every instance of ``fam`` has levels at k0 = n + 1, and at each point
+    its weights are the level differences of CP^n."""
+    assert fam.instances
+    for inst in fam.instances:
+        levels = derive_levels(inst, k0)
+        assert levels is not None and cp_check(inst, levels), inst.points
+
+
 def test_1_dimension_4():
     t0 = time.time()
     res = classify(minimal_profile(2), SearchOptions())
@@ -39,6 +54,7 @@ def test_1_dimension_4():
     for v in fam.comp_kernels[0].basis:
         assert v[1] == v[0] + v[2]
     assert cp((2, 1, 0)) in fam.instances
+    _projective(fam, 3)
     assert time.time() - t0 < 1.0
     _report("1 (dimension 4: unique projective family, w02 = w01 + w12)")
 
@@ -51,6 +67,7 @@ def test_2_dimension_6():
     assert len(res.families) == 4
     by_mag = {fam.magnitudes: fam for fam in res.families}
     assert cp((3, 2, 1, 0)) in by_mag[(4,) * 6].instances
+    _projective(by_mag[(4,) * 6], 4)
     assert grassmannian((2, 1)) in by_mag[(3, 3, 6, 6, 3, 3)].instances
     assert by_mag[(2, 6, 4, 8, 2, 2)].instances == [v5()]
     assert by_mag[(1, 6, 4, 10, 2, 1)].instances == [v22()]
@@ -70,6 +87,7 @@ def test_3_dimension_8():
     assert cp((4, 3, 2, 1, 0)) in fam.instances
     for inst in fam.instances:
         assert minimal_chern_constants(inst)[1] == 5
+    _projective(fam, 5)
     # divisor-2 branch: excluded outright under the dimension-8 restriction
     res2 = classify(minimal_profile(4), SearchOptions(dim8_strict=True, divisor_c=2))
     assert len(res2.families) == 0

@@ -328,7 +328,7 @@ def test_classify_json_is_the_library_result(tmp_path, capsys):
     got = json.loads(out.read_text())
     want = classify(minimal_profile(2), SearchOptions()).to_json()
     assert got == json.loads(json.dumps(want))
-    # families count only candidates new to the run, not every block's
+    # families count the graph's distinct families, not its labelings
     assert got["audit"]["graphs"]["1"] == {"labelings": 4, "families": 2}
 
 
@@ -387,10 +387,10 @@ def test_classify_refuses_checkpoint_in_missing_directory(tmp_path, monkeypatch)
     assert list(tmp_path.iterdir()) == []
 
     # refused before any block is searched
-    def searched(payload):
-        raise AssertionError("a block was searched")
+    def searched(*args):
+        raise AssertionError("a graph was searched")
 
-    monkeypatch.setattr(search, "_search_block", searched)
+    monkeypatch.setattr(search, "search_graph", searched)
     with pytest.raises(search.CheckpointMismatch, match="does not exist"):
         classify(minimal_profile(2), SearchOptions(), checkpoint=str(ck))
 
@@ -412,6 +412,28 @@ def test_out_in_missing_directory_is_refused_before_any_work(argv, tmp_path, cap
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("written", [False, True])
+def test_classify_refuses_resume_and_out_as_one_file(written, tmp_path, capsys, monkeypatch):
+    # the result would replace the checkpoint, and the next run would call
+    # it a checkpoint for other inputs
+    ck = tmp_path / "ck.json"
+    if written:
+        assert run(["classify", "--n", "2", "--resume", str(ck)], capsys)[0] == 0
+    before = ck.read_bytes() if written else None
+
+    def classified(*args, **kwargs):
+        raise AssertionError("classify ran")
+
+    monkeypatch.setattr("circleweights.cli.classify", classified)
+    for out in (ck, tmp_path / "sub" / ".." / "ck.json"):
+        argv = ["classify", "--n", "2", "--minimal", "--resume", str(ck), "--out", str(out)]
+        code, stdout, err = run(argv, capsys)
+        assert code == 2 and stdout == ""
+        assert err.startswith("schema error: --resume and --out") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == ([ck] if written else [])
+        assert not written or ck.read_bytes() == before
+
+
 @pytest.mark.parametrize("flag, kind", [("--resume", "directory"), ("--out", "directory")])
 def test_classify_refuses_a_path_of_the_wrong_kind(flag, kind, tmp_path, capsys, monkeypatch):
     path = tmp_path / "taken"
@@ -420,10 +442,10 @@ def test_classify_refuses_a_path_of_the_wrong_kind(flag, kind, tmp_path, capsys,
     else:
         path.write_text("not a cache\n")
 
-    def searched(payload):
-        raise AssertionError("a block was searched")
+    def searched(*args):
+        raise AssertionError("a graph was searched")
 
-    monkeypatch.setattr(search, "_search_block", searched)
+    monkeypatch.setattr(search, "search_graph", searched)
     code, out, err = run(["classify", "--n", "2", flag, str(path)], capsys)
     assert code == 2 and out == ""
     assert err.startswith("schema error:") and err.count("\n") == 1

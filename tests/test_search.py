@@ -648,6 +648,25 @@ def test_solve_rejects_nonsingular():
     assert solve_weights(TRIANGLE, (4, 4, 1)) is None
 
 
+@pytest.mark.parametrize("make", [
+    # int() read these as ((1, 1), (-1, 1), (-1, -1)), (0, 1, 2) and the
+    # family of (3, 3, 3)
+    lambda: WeightSystem(2, ((1.9, 1), (-1, 1), ("-1", -1))),
+    lambda: FixedPointProfile(2, (0, 1.7, 2)),
+    lambda: solve_weights(TRIANGLE, (3.7, Fraction(7, 2), 3)),
+    lambda: Multigraph(2, (0, 1, 2), ((0, 1.0), (0, 2), (1, 2))),
+    lambda: WeightedMultigraph(2, (0, 1, 2), ((0, 1, Fraction(2)),)),
+], ids=["weight_system", "profile", "solve_weights", "multigraph", "weighted_multigraph"])
+def test_non_integers_are_refused_not_truncated(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_a_bool_is_an_integer():
+    assert WeightSystem(1, ((True,), (-1,))).points == ((1,), (-1,))
+    assert FixedPointProfile(2, (False, True, 2)) == minimal_profile(2)
+
+
 def singular_with_positive_kernel(graph, labeling):
     """The decision solve_weights makes, by the Fraction Gauss-Jordan
     reference: determinant and a separate positivity test on every
@@ -734,10 +753,14 @@ def effective_or_none(graphs):
 
 
 def streamed_families(profile):
+    """The family of every labeling streamed, over every graph and divisor
+    branch, a labeling that two branches yield included twice."""
     opts = SearchOptions()
     fams = []
     for graph in enumerate_multigraphs(profile, mode=opts.pair_mode, dedup="reversal"):
-        fams += search_graph(graph, profile, opts)[0]
+        for c in divisor_branches(profile, opts):
+            for lab in stream_labelings(graph, profile, opts, divisor=c):
+                fams.append(solve_weights(graph, lab))
     return fams
 
 
@@ -1300,9 +1323,15 @@ def test_every_option_changes_the_fingerprint():
 
 
 def test_search_graph_audit_counts():
-    fams, counts = search_graph(TRIANGLE, minimal_profile(2), SearchOptions())
-    assert counts["labelings"] >= 1 and fams
-    assert sorted(counts) == ["labelings"]
+    fams, record = search_graph(TRIANGLE, minimal_profile(2), SearchOptions())
+    assert record["labelings"] >= 1 and fams
+    assert sorted(record) == ["families", "labelings"]
+    assert record["families"] == len(fams) == len({f.magnitudes for f in fams})
+    # divisor branches 3 and 1 both yield this graph's two labelings
+    graph = Multigraph(2, (0, 1, 2), ((0, 2), (0, 2), (1, 1)))
+    fams, record = search_graph(graph, minimal_profile(2), SearchOptions())
+    assert record == {"labelings": 4, "families": 2}
+    assert [f.magnitudes for f in fams] == [(3, 6, 0), (6, 3, 0)]
 
 
 def reference_graph_audit(profile, opts):
