@@ -22,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 from typing import List, Optional
 
 from .core import (
@@ -35,7 +36,7 @@ from .fixtures import FIXTURES
 from .graphs import enumerate_multigraphs
 from .hattori import available_levels, derive_levels, dim8_solver, r_values_at_one
 from .laurent import NotLaurent
-from .localization import chern_battery, in_index_order, minimal_chern_constants
+from .localization import chern_battery, chern_constant_parts, in_index_order, index_order_parts
 from .search import (
     CheckpointMismatch,
     ClassificationResult,
@@ -172,9 +173,11 @@ def cmd_verify(args) -> int:
     lines.append("c_n = %s (fixed points: %d)" % (report.c_n, ws.num_points))
     lines.append("c1*c_{n-1} = %s (expected %s)" % (report.c1_cn1, report.expected_c1_cn1))
     if in_index_order(ws):
-        lines.append("chern constants C_i: %s" % _exact(minimal_chern_constants(ws)))
+        parts = list(chern_constant_parts(*index_order_parts(ws)))
+        lines.append("chern constants C_i: %s"
+                     % _exact([1] + [Fraction(num, den) for num, den, _, _ in parts]))
         lines.append("reversed-action constants: %s"
-                     % _exact(minimal_chern_constants(ws.reversed())))
+                     % _exact([1] + [Fraction(num, den) for _, _, num, den in parts]))
     verdict = vet_instance(ws, SearchOptions())
     lines.append("full battery: %s" % ("all-pass" if verdict is None else "FAIL at %s" % verdict))
     _write_out("\n".join(lines) + "\n", args.out)

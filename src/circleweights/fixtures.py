@@ -1,6 +1,7 @@
 """Reference weight systems of known Hamiltonian circle actions.
 
 All fixtures list fixed points in increasing Morse index.  Parameters must
+be ints (``operator.index``: a float such as 2.9 raises TypeError) and
 give an effective action (per-point weight gcd 1) and pairwise-distinct data
 where required; otherwise :class:`IneffectiveParameters` is raised.
 """
@@ -8,6 +9,7 @@ where required; otherwise :class:`IneffectiveParameters` is raised.
 from __future__ import annotations
 
 from math import gcd
+from operator import index
 from typing import Sequence
 
 from .core import WeightSystem, weight_system_checks
@@ -31,7 +33,7 @@ def cp(xi: Sequence[int]) -> WeightSystem:
     The fixed points are the coordinate lines; the weights at the i-th are
     { xi_i - xi_j : j != i }.
     """
-    xi = [int(x) for x in xi]
+    xi = [index(x) for x in xi]
     if len(xi) < 2 or any(a <= b for a, b in zip(xi, xi[1:])):
         raise IneffectiveParameters("cp requires strictly decreasing xi, got %s" % (xi,))
     n = len(xi) - 1
@@ -50,7 +52,7 @@ def grassmannian(xi: Sequence[int]) -> WeightSystem:
     the fixed points are indexed by the y_i and the weights at y_i are
     { (y_j - y_i)(xi) : j != i, j != 2k-1-i } together with -y_i(xi).
     """
-    xi = [int(x) for x in xi]
+    xi = [index(x) for x in xi]
     k = len(xi)
     if k < 2 or any(a <= b for a, b in zip(xi, xi[1:])) or xi[-1] <= 0:
         raise IneffectiveParameters(
@@ -86,7 +88,7 @@ def v22() -> WeightSystem:
 def s2xs2(a: int, b: int) -> WeightSystem:
     """Product of two spheres with the (a, b)-weighted product action;
     requires 0 < b, 0 < a, gcd(a, b) = 1 (and a != b for isolated weights)."""
-    a, b = int(a), int(b)
+    a, b = index(a), index(b)
     if a <= 0 or b <= 0 or gcd(a, b) != 1:
         raise IneffectiveParameters("s2xs2 requires positive coprime (a, b), got (%s, %s)" % (a, b))
     return _checked(

@@ -32,7 +32,7 @@ from .laurent import LaurentPolynomial, one_minus_t
 
 def _denominator(weights: Iterable[int]) -> LaurentPolynomial:
     """prod_k (1 - t^(w_k))."""
-    return prod((one_minus_t(int(w)) for w in weights), start=LaurentPolynomial.one())
+    return prod(map(one_minus_t, weights), start=LaurentPolynomial.one())
 
 
 def _fixed_point_sums(rows: Sequence[Sequence[Dict[int, int]]],

@@ -33,18 +33,18 @@ class LaurentPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Dict[int, int] = None):
-        """Coefficients must be ints (``operator.index``): a Fraction or a
-        float raises TypeError."""
+        """Exponents and coefficients must be ints (``operator.index``): a
+        Fraction or a float raises TypeError."""
         self.coeffs: Dict[int, int] = {}
         if coeffs:
             for e, c in coeffs.items():
                 c = index(c)
                 if c:
-                    self.coeffs[int(e)] = c
+                    self.coeffs[index(e)] = c
 
     @classmethod
     def term(cls, coeff, exp: int = 0) -> "LaurentPolynomial":
-        return cls({int(exp): coeff})
+        return cls({exp: coeff})
 
     @classmethod
     def from_dense(cls, low: int, coeffs) -> "LaurentPolynomial":
@@ -166,8 +166,9 @@ class LaurentPolynomial:
 
 
 def one_minus_t(exp: int) -> LaurentPolynomial:
-    """The factor 1 - t^exp (exp must be nonzero)."""
+    """The factor 1 - t^exp (exp must be a nonzero int)."""
+    exp = index(exp)
     if exp == 0:
         raise ValueError("1 - t^0 is identically zero")
-    return _make({0: 1, int(exp): -1})
+    return _make({0: 1, exp: -1})
 

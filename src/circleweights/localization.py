@@ -113,31 +113,61 @@ def in_index_order(ws: WeightSystem) -> bool:
     return ws.profile.lambdas == tuple(range(ws.n + 1))
 
 
-def chern_constant_parts(ws: WeightSystem) -> Iterator[Tuple[int, int, int, int]]:
+def index_order_parts(ws: WeightSystem) -> Tuple[Tuple[int, ...], List[int], List[int]]:
+    """The arguments of :func:`chern_constant_parts` for ``ws`` in index
+    order: the weight sums, and per point the product of its negative
+    weights and of its negated positive weights.  Point i carries exactly i
+    negative weights, which its sorted tuple lists first."""
+    negatives, positives = [], []
+    for i, p in enumerate(ws.points):
+        negatives.append(prod(p[:i]))
+        positives.append(-prod(p[i:]) if (len(p) - i) % 2 else prod(p[i:]))
+    return ws.weight_sums(), negatives, positives
+
+
+@lru_cache(maxsize=1)
+def _chern_numerators(sums: Tuple[int, ...]) -> Tuple[Tuple[int, int], ...]:
+    """For i = 1, ..., N, the numerators prod_{j<i} (s_i - s_j) of C_i and
+    prod_{k>N-i} (s_k - s_{N-i}) of the reversed action's C_i (see
+    :func:`chern_constant_parts`), from the weight sums s_0, ..., s_N alone.
+    The last result is kept: the instances of one choice of edge weights
+    share their sums, as cycles add +c and -c at one point."""
+    top = len(sums) - 1
+    return tuple((prod([sums[i] - s for s in sums[:i]]),
+                  prod([s - sums[top - i] for s in sums[top - i + 1:]]))
+                 for i in range(1, top + 1))
+
+
+def chern_constant_parts(sums: Tuple[int, ...], negatives: Sequence[int],
+                         positives: Sequence[int]) -> Iterator[Tuple[int, int, int, int]]:
     """For i = 1, ..., N, the integer numerator and denominator of C_i (see
     :func:`minimal_chern_constants`), then those of C_i of the reversed
-    action, for ``ws`` in index order with points P_0, ..., P_N.
+    action, for a system in index order with points P_0, ..., P_N, weight
+    sums ``sums``, and at each point the product ``negatives`` of its
+    negative weights and ``positives`` of its negated positive weights
+    (:func:`index_order_parts`).
 
     Point i of the reversed action is -P_{N-i}: its weight sum is -s_{N-i}
     and its negative weights are the negated positive weights of P_{N-i}.
     So its C_i is prod_{k>N-i} (s_k - s_{N-i}) / prod_{w>0 in P_{N-i}} (-w),
-    read from the weights of ``ws``; no reversed system is built."""
-    sums = ws.weight_sums()
-    points = ws.points
-    top = len(points) - 1
-    for i in range(1, top + 1):
-        k = top - i
-        yield (prod([sums[i] - s for s in sums[:i]]), prod([w for w in points[i] if w < 0]),
-               prod([s - sums[k] for s in sums[k + 1:]]), prod([-w for w in points[k] if w > 0]))
+    read from the same parts; no reversed system is built."""
+    top = len(sums) - 1
+    for i, (num, rnum) in enumerate(_chern_numerators(sums), 1):
+        yield num, negatives[i], rnum, positives[top - i]
 
 
 def minimal_chern_constants(ws: WeightSystem) -> List[Fraction]:
     """The constants C_i = prod_{j<i} (s_i - s_j) / Lambda_i^- of a minimal
-    weight system (s_i = weight sum, Lambda_i^- = product of the negative
-    weights at P_i); C_0 = 1.  For geometric data each C_i is a positive
-    integer and C_1 divides n(n+1)^2/2.  The values are the exact quotients
-    of the integer parts from :func:`chern_constant_parts`."""
-    return [Fraction(1)] + [Fraction(num, den) for num, den, _, _ in chern_constant_parts(ws)]
+    weight system in index order (s_i = weight sum, Lambda_i^- = product of
+    the negative weights at P_i); C_0 = 1.  For geometric data each C_i is a
+    positive integer and C_1 divides n(n+1)^2/2.  The values are the exact
+    quotients of the integer parts from :func:`chern_constant_parts`;
+    ValueError for a system not in index order."""
+    if not in_index_order(ws):
+        raise ValueError("Chern constants need a minimal system in index order, got "
+                         "indices %s" % (ws.profile.lambdas,))
+    parts = chern_constant_parts(*index_order_parts(ws))
+    return [Fraction(1)] + [Fraction(num, den) for num, den, _, _ in parts]
 
 
 def chern_battery(ws: WeightSystem) -> ChernReport:

@@ -24,7 +24,7 @@ import operator
 import os
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .core import (
@@ -52,7 +52,13 @@ from .linalg import (
     nullspace,
     positive_kernel_exists,
 )
-from .localization import chern_battery, chern_constant_parts, expected_c1cn1, in_index_order
+from .localization import (
+    chern_battery,
+    chern_constant_parts,
+    expected_c1cn1,
+    in_index_order,
+    index_order_parts,
+)
 from .hattori import DIM8_CONSTANTS, derive_levels, r_values_at_one
 from .laurent import NotLaurent
 
@@ -112,6 +118,34 @@ class SearchOptions:
         return asdict(self)
 
 
+# the weights that some edges put at each fixed point, and their gcd there
+Part = Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...]]
+
+
+def _join(a: Part, b: Part) -> Part:
+    """The part of the edges of ``a`` and of ``b`` together: the weights at
+    each point side by side, and the gcd of the two gcds."""
+    return tuple(map(operator.add, a[0], b[0])), tuple(map(gcd, a[1], b[1]))
+
+
+def _share(npts: int, ends: Sequence[Tuple[int, int]], weights: Sequence[int]) -> Part:
+    """The part of edges with the endpoint pairs ``ends`` and the weights
+    ``weights``, on ``npts`` points."""
+    pts: List[List[int]] = [[] for _ in range(npts)]
+    for (i, j), w in zip(ends, weights):
+        pts[i].append(w)
+        pts[j].append(-w)
+    return tuple(map(tuple, pts)), tuple(gcd(*p) for p in pts)
+
+
+def _product(factors: List[List[Part]], npts: int) -> List[Part]:
+    """The join of one part of each factor, for every choice, in
+    itertools.product order; with no factor, the one part of no edges."""
+    # only the output is ever stored
+    return list(functools.reduce(lambda combos, factor: (_join(a, b) for a in combos for b in factor),
+                                 factors, [(((),) * npts, (0,) * npts)]))
+
+
 @dataclass
 class WeightFamily:
     """A graph with a magnitude labeling whose linear system is singular with
@@ -137,15 +171,14 @@ class WeightFamily:
             "sample_instances": [ws.to_json() for ws in self.instances[:5]],
         }
 
-    def witness_instances(self, bound: int,
-                          cycle_bound: int = 4) -> List[Optional[WeightSystem]]:
-        """Every weight system whose component weights are kernel lattice
-        points (entries in [1, bound], shrunk while the box of a kernel
-        exceeds linalg.LATTICE_BOX_LIMIT points) and whose cycle weights lie in
-        [1, cycle_bound], in itertools.product order over the components,
-        then the cycles.  None marks an ineffective lattice point, one whose
-        weights at some fixed point have a gcd above 1: no WeightSystem is
-        built for it."""
+    def witness_instances(self, bound: int) -> List[Part]:
+        """The edge parts of the family's witnesses: for every choice of a
+        kernel lattice point per component (entries in [1, bound], shrunk
+        while the box of a kernel exceeds linalg.LATTICE_BOX_LIMIT points),
+        in itertools.product order over the components, the weights the
+        edges put at each fixed point and their gcd there (0 at a point that
+        carries only cycles).  A witness is an edge part joined with one of
+        cycle_parts (see _join)."""
         comp_choices = []
         for ker in self.comp_kernels:
             eb = bound
@@ -155,31 +188,19 @@ class WeightFamily:
             if not pts:
                 return []
             comp_choices.append(pts)
-        edges = self.graph.edges
         npts = self.graph.num_points
+        ends = [[self.graph.edges[k] for k in comp] for comp in self.graph.components()]
+        return _product([[_share(npts, e, pt) for pt in choices]
+                         for e, choices in zip(ends, comp_choices)], npts)
 
-        def share(ends, weights) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...]]:
-            """The weights that edges ``ends`` of weights ``weights`` put at
-            each fixed point, and the gcd of each point's share."""
-            pts: List[List[int]] = [[] for _ in range(npts)]
-            for (i, j), w in zip(ends, weights):
-                pts[i].append(w)
-                pts[j].append(-w)
-            return tuple(map(tuple, pts)), tuple(gcd(*p) for p in pts)
-
-        factors = [[share([edges[k] for k in comp], pt) for pt in choices]
-                   for comp, choices in zip(self.graph.components(), comp_choices)]
-        factors += [[share([e], (w,)) for w in range(1, cycle_bound + 1)]
-                    for e in edges if e[0] == e[1]]
-        def fold(combos, factor):
-            # itertools.product order; each entry carries its weights and
-            # their gcd at every point, and only the output is ever stored
-            return ((tuple(map(operator.add, pa, pb)), tuple(map(gcd, ga, gb)))
-                    for pa, ga in combos for pb, gb in factor)
-
-        ones = (1,) * npts
-        return [WeightSystem(self.graph.n, pts) if gs == ones else None
-                for pts, gs in functools.reduce(fold, factors, [(((),) * npts, (0,) * npts)])]
+    def cycle_parts(self, cycle_bound: int = 4) -> List[Part]:
+        """The same for the cycles, each of weight in [1, cycle_bound], in
+        itertools.product order over the cycles: a cycle of weight c puts c
+        and -c at its point.  One part, with no weights, for a graph
+        without cycles."""
+        npts = self.graph.num_points
+        return _product([[_share(npts, [e], (w,)) for w in range(1, cycle_bound + 1)]
+                         for e in self.graph.cycles()], npts)
 
     def parametric_weights(self) -> List[List[str]]:
         """Human-readable parametric weights at each point: edge weights are
@@ -496,16 +517,23 @@ def _component_matrix(amat: List[List[int]], labels, comp: List[int]) -> List[Li
     return [[amat[h][k] - (labels[h] if h == k else 0) for k in comp] for h in comp]
 
 
+@functools.lru_cache(maxsize=1)
+def _matrix_and_components(graph: Multigraph) -> Tuple[List[List[int]], List[List[int]]]:
+    """A(Gamma) and the components of ``graph``.  The last graph's are kept,
+    so the labelings of one graph, streamed or re-solved from a checkpoint,
+    share them; callers must not change the lists."""
+    return graph_matrix(graph.edges), graph.components()
+
+
 def solve_weights(graph: Multigraph, magnitudes: Sequence[int]) -> Optional[WeightFamily]:
     """The weight family of (graph, m), or None when some component matrix is
     nonsingular or its kernel misses the open positive orthant."""
-    edges = graph.edges
-    if len(magnitudes) != len(edges):
+    if len(magnitudes) != len(graph.edges):
         raise ValueError("labeling length does not match edge count")
     mags = tuple(map(operator.index, magnitudes))
-    amat = graph_matrix(edges)
+    amat, comps = _matrix_and_components(graph)
     kernels: List[NullspaceDescription] = []
-    for comp in graph.components():
+    for comp in comps:
         # the component matrix is square, so it is singular exactly when its
         # kernel is nonzero, and a zero kernel misses the positive orthant
         kernel = nullspace(_component_matrix(amat, mags, comp))
@@ -614,6 +642,39 @@ def admissible_pairing(ws: WeightSystem, g: WeightedMultigraph) -> bool:
     return True
 
 
+def index_order_verdict(sums: Tuple[int, ...], negatives: Sequence[int],
+                        positives: Sequence[int], opts: SearchOptions
+                        ) -> Tuple[Optional[str], Optional[int]]:
+    """The rules vet_instance decides first for a minimal system in index
+    order, from its weight sums and, per point, the product of its negative
+    weights and of its negated positive weights (see
+    localization.index_order_parts): the name of the first failing one, or
+    None, and C_1 once it is known.  Decided in integers:
+      monotone_sums    s_0 > s_1 > ... > s_N;
+      chern_constants  each C_i an integer equal to the reversed action's
+                       C_i, and C_1 admissible (core.minimal_divisors);
+      dim8_strict      C_1 in DIM8_CONSTANTS, under opts.dim8_strict when
+                       n = 4.
+    An integral C_i is positive: s_0 > ... > s_N here, so
+    prod_{j<i} (s_i - s_j) has sign (-1)^i, and so has the product of the i
+    negative weights at P_i."""
+    if any(a <= b for a, b in zip(sums, sums[1:])):
+        return "monotone_sums", None
+    n = len(sums) - 1
+    c1 = None
+    for num, den, rnum, rden in chern_constant_parts(sums, negatives, positives):
+        c, r = divmod(num, den)
+        if r or rnum != c * rden:
+            return "chern_constants", c1
+        if c1 is None:
+            c1 = c
+            if c1 not in minimal_divisors(n):
+                return "chern_constants", c1
+    if opts.dim8_strict and n == 4 and c1 not in DIM8_CONSTANTS:
+        return "dim8_strict", c1
+    return None, c1
+
+
 def vet_instance(ws: WeightSystem, opts: SearchOptions) -> Optional[str]:
     """Full per-instance battery; returns the name of the first failing
     filter, or None when the instance passes everything."""
@@ -623,24 +684,9 @@ def vet_instance(ws: WeightSystem, opts: SearchOptions) -> Optional[str]:
     n = ws.n
     c1 = None
     if in_index_order(ws):
-        sums = ws.weight_sums()
-        if any(a <= b for a, b in zip(sums, sums[1:])):
-            return "monotone_sums"
-        # each C_i a positive integer equal to the reversed action's C_i,
-        # and C_1 admissible; decided in integers, at the first failure.
-        # An integral C_i is positive: s_0 > ... > s_N here, so
-        # prod_{j<i} (s_i - s_j) has sign (-1)^i, and so has the product of
-        # the i negative weights at P_i.
-        for num, den, rnum, rden in chern_constant_parts(ws):
-            c, r = divmod(num, den)
-            if r or rnum != c * rden:
-                return "chern_constants"
-            if c1 is None:
-                c1 = c
-                if c1 not in minimal_divisors(n):
-                    return "chern_constants"
-        if opts.dim8_strict and n == 4 and c1 not in DIM8_CONSTANTS:
-            return "dim8_strict"
+        verdict, c1 = index_order_verdict(*index_order_parts(ws), opts)
+        if verdict is not None:
+            return verdict
     if not any(admissible_pairing(ws, g) for g in integral_multigraphs(ws, mode=opts.pair_mode)):
         return "no_admissible_pairing"
     report = chern_battery(ws)
@@ -664,6 +710,71 @@ def vet_instance(ws: WeightSystem, opts: SearchOptions) -> Optional[str]:
         if sum(rvals) <= 0:
             return "index_volume"
     return None
+
+
+def _products(pts: Tuple[Tuple[int, ...], ...]) -> Tuple[List[int], List[int]]:
+    """Per point, the product of the negative weights ``pts`` put there and
+    of their negated positive weights."""
+    return ([prod([w for w in p if w < 0]) for p in pts],
+            [prod([-w for w in p if w > 0]) for p in pts])
+
+
+def _witness_verdicts(fam: WeightFamily, opts: SearchOptions,
+                      passing: Dict[WeightSystem, List[Tuple[Tuple, Tuple[int, ...]]]]
+                      ) -> Iterator[Optional[str]]:
+    """Stage 4 for one family: the verdict of each witness, an edge part
+    (witness_instances) joined with a cycle part (cycle_parts), in that
+    product order.  A passing witness not in ``passing`` yet is recorded
+    there, with its signatures; one that is already there is not vetted
+    again.
+
+    Per edge part the weight sums and the products of _products are
+    computed once.  A cycle of weight c adds c and -c at its point, so it
+    leaves the sums as they are and multiplies -c into both products there.
+    A witness whose weights at some point have a gcd above 1 is
+    ``structural``, and no WeightSystem is built for it.  For a graph in
+    index order the others go to index_order_verdict first, and only a
+    witness that passes it is built and vetted.
+
+    The verdicts are vet_instance's.  A witness W with gcd 1 at every
+    point passes weight_system_checks: point i carries one weight per edge
+    end there, n = out-degree plus in-degree (a cycle counted in both) on
+    every graph of the profile; each weight is +-w for an entry w of a
+    kernel lattice point, in [1, bound], or for a cycle weight, in
+    [1, cycle_bound], so none is zero; each edge puts w at its source and
+    -w at its target, so the weights pair; the gcd is 1; and point i
+    carries one negative weight per edge that ends there, lambda_i of
+    them, so W's profile is the graph's, which enumerate_multigraphs
+    validated.  So vet_instance passes W's first rule, and when the graph
+    is in index order it calls index_order_verdict on W's sums and
+    products, which are the ones used here."""
+    graph = fam.graph
+    in_order = graph.lambdas == tuple(range(graph.n + 1))
+    ones = (1,) * graph.num_points
+    cycles = [(part, *_products(part[0])) for part in fam.cycle_parts()]
+    for edge_part in fam.witness_instances(opts.witness_bound):
+        pts, gcds = edge_part
+        sums = tuple(map(sum, pts))
+        negatives, positives = _products(pts)
+        for cycle_part, cycle_negatives, cycle_positives in cycles:
+            if tuple(map(gcd, gcds, cycle_part[1])) != ones:
+                yield "structural"
+                continue
+            if in_order:
+                verdict, _ = index_order_verdict(
+                    sums, list(map(operator.mul, negatives, cycle_negatives)),
+                    list(map(operator.mul, positives, cycle_positives)), opts)
+                if verdict is not None:
+                    yield verdict
+                    continue
+            ws = WeightSystem(graph.n, _join(edge_part, cycle_part)[0])
+            if ws in passing:
+                yield None
+                continue
+            verdict = vet_instance(ws, opts)
+            if verdict is None:
+                passing[ws] = _signatures(ws, opts.pair_mode)
+            yield verdict
 
 
 # ---------------------------------------------------------------------------
@@ -883,26 +994,18 @@ def classify(profile: FixedPointProfile, opts: SearchOptions, jobs: int = 1,
     for gi, (fams, record) in sorted(done.items()):
         audit["graphs"][gi] = record
         candidates.update(((fam.graph.edges, fam.magnitudes), fam) for fam in fams)
-    # stage 4: instantiate and vet the first family of each parallel-edge
-    # orbit (see _orbit_key); an ineffective lattice point, left unbuilt as
-    # None, fails weight_system_checks' gcd rule: structural.  The later
-    # families of an orbit have the same instances, so they add the first
-    # one's rejections; their passing instances are in ``passing`` already.
+    # stage 4: vet the first family of each parallel-edge orbit (see
+    # _orbit_key).  The later families of an orbit have the same instances,
+    # so they add the first one's rejections; their passing instances are
+    # in ``passing`` already.
     passing: Dict[WeightSystem, List[Tuple[Tuple, Tuple[int, ...]]]] = {}
     orbit_rejections: Dict[Tuple[Tuple, Tuple[int, ...]], Counter] = {}
     for key in sorted(candidates):
         orbit = _orbit_key(*key)
-        rejected = orbit_rejections.get(orbit)
-        if rejected is None:
-            rejected = orbit_rejections[orbit] = Counter()
-            for inst in candidates[key].witness_instances(opts.witness_bound):
-                if inst in passing:
-                    continue
-                verdict = "structural" if inst is None else vet_instance(inst, opts)
-                if verdict is None:
-                    passing[inst] = _signatures(inst, opts.pair_mode)
-                else:
-                    rejected[verdict] += 1
+        if orbit not in orbit_rejections:
+            orbit_rejections[orbit] = Counter(
+                filter(None, _witness_verdicts(candidates[key], opts, passing)))
+        rejected = orbit_rejections[orbit]
         audit["rejections"].update(rejected)
         audit["instances"] += rejected.total()
     audit["instances"] += len(passing)

@@ -80,6 +80,15 @@ def test_chern_constants_v5_v22_cp4():
     assert c[1] == 5
 
 
+def test_chern_constants_refuse_a_system_out_of_index_order():
+    # the denominators are read as the first i weights at point i, which
+    # are its negative ones only in index order
+    ws = cp((3, 2, 1, 0))
+    swapped = WeightSystem(ws.n, (ws.points[1], ws.points[0]) + ws.points[2:])
+    with pytest.raises(ValueError, match="index order"):
+        minimal_chern_constants(swapped)
+
+
 def test_reversed_constants_match():
     for ws in [v5(), v22(), grassmannian((2, 1)), cp((3, 2, 1, 0))]:
         assert minimal_chern_constants(ws) == minimal_chern_constants(ws.reversed())

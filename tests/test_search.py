@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -23,6 +24,7 @@ from circleweights.core import (
 )
 from circleweights.fixtures import cp, grassmannian, s2xs2, v5, v22
 from circleweights.hattori import DIM8_CONSTANTS, derive_levels
+from circleweights.laurent import LaurentPolynomial, one_minus_t
 from circleweights.graphs import (
     Multigraph,
     WeightedMultigraph,
@@ -34,6 +36,7 @@ from circleweights.localization import (
     chern_constant_parts,
     expected_c1cn1,
     in_index_order,
+    index_order_parts,
     minimal_chern_constants,
 )
 from circleweights.linalg import (
@@ -649,14 +652,22 @@ def test_solve_rejects_nonsingular():
 
 
 @pytest.mark.parametrize("make", [
-    # int() read these as ((1, 1), (-1, 1), (-1, -1)), (0, 1, 2) and the
-    # family of (3, 3, 3)
+    # int() read these as ((1, 1), (-1, 1), (-1, -1)), (0, 1, 2), the
+    # family of (3, 3, 3), cp((2, 1, 0)), grassmannian((2, 1)), s2xs2(1, 2),
+    # {1: 2}, t^2 and 1 - t^3
     lambda: WeightSystem(2, ((1.9, 1), (-1, 1), ("-1", -1))),
     lambda: FixedPointProfile(2, (0, 1.7, 2)),
     lambda: solve_weights(TRIANGLE, (3.7, Fraction(7, 2), 3)),
     lambda: Multigraph(2, (0, 1, 2), ((0, 1.0), (0, 2), (1, 2))),
     lambda: WeightedMultigraph(2, (0, 1, 2), ((0, 1, Fraction(2)),)),
-], ids=["weight_system", "profile", "solve_weights", "multigraph", "weighted_multigraph"])
+    lambda: cp((2.9, 1, 0)),
+    lambda: grassmannian((2.0, 1)),
+    lambda: s2xs2(1.5, 2),
+    lambda: LaurentPolynomial({1.5: 2}),
+    lambda: LaurentPolynomial.term(1, 2.5),
+    lambda: one_minus_t(3.2),
+], ids=["weight_system", "profile", "solve_weights", "multigraph", "weighted_multigraph",
+        "cp", "grassmannian", "s2xs2", "laurent", "laurent_term", "one_minus_t"])
 def test_non_integers_are_refused_not_truncated(make):
     with pytest.raises(TypeError):
         make()
@@ -747,9 +758,19 @@ def reference_weighted_graphs(fam, bound=12, cycle_bound=4):
 
 def effective_or_none(graphs):
     """The reference systems, with None wherever the full structural check
-    fails: where witness_instances must build no WeightSystem."""
+    fails: where stage 4 must build no WeightSystem."""
     systems = [wg.weight_system() for wg in graphs]
     return [ws if not weight_system_checks(ws) else None for ws in systems]
+
+
+def completed_witnesses(fam, bound, cycle_bound=4):
+    """The witnesses of ``fam`` as the library completes them: each edge
+    part of witness_instances joined with each of cycle_parts, in product
+    order, and None where the weights at some point have a gcd above 1."""
+    ones = (1,) * fam.graph.num_points
+    parts = (search._join(edge, cycle) for edge in fam.witness_instances(bound)
+             for cycle in fam.cycle_parts(cycle_bound))
+    return [WeightSystem(fam.graph.n, pts) if gcds == ones else None for pts, gcds in parts]
 
 
 def streamed_families(profile):
@@ -782,7 +803,7 @@ def test_witness_instances_match_the_weighted_graph_builder(profile, count, with
     seen = []
     for fam in fams:
         want = effective_or_none(reference_weighted_graphs(fam, 12, 4))
-        assert fam.witness_instances(12, 4) == want, (fam.graph.edges, fam.magnitudes)
+        assert completed_witnesses(fam, 12, 4) == want, (fam.graph.edges, fam.magnitudes)
         seen += want
     assert (len(seen), seen.count(None)) == INSTANCE_COUNTS[profile]
 
@@ -799,13 +820,15 @@ def classify_candidates(profile, opts):
 
 def reference_stage4(candidates, opts):
     """classify's stage 4 before families were grouped by parallel-edge
-    orbit: every family instantiated, and every instance not yet passing
-    vetted.  Returns the audit's instance counts and the passing instances
-    in the order classify records them."""
+    orbit and before the rules of index_order_verdict were decided per edge
+    part: every family instantiated by the reference builder, and every
+    instance not yet passing vetted.  Returns the audit's instance counts
+    and the passing instances in the order classify records them."""
     audit = {"rejections": {}, "instances": 0, "passing": 0}
     passing = {}
     for key in sorted(candidates):
-        for inst in candidates[key].witness_instances(opts.witness_bound):
+        graphs = reference_weighted_graphs(candidates[key], opts.witness_bound)
+        for inst in effective_or_none(graphs):
             if inst in passing:
                 continue
             audit["instances"] += 1
@@ -824,6 +847,7 @@ STAGE4_RUNS = {
     "d6": (minimal_profile(3), SearchOptions(), (72, 31)),
     "s2xs2": (S2XS2, SearchOptions(), (20, 20)),
     "s2xs2_bounded2": (S2XS2, SearchOptions(bound_d=2), (16, 16)),
+    "d8_c5": (minimal_profile(4), SearchOptions(dim8_strict=True, divisor_c=5), (127, 44)),
 }
 
 
@@ -838,7 +862,7 @@ def test_families_of_one_orbit_have_the_same_instances(run):
 
     def instances(fam):
         # a fixed order, None (an ineffective lattice point) first
-        return sorted(fam.witness_instances(opts.witness_bound),
+        return sorted(completed_witnesses(fam, opts.witness_bound),
                       key=lambda ws: (ws is not None, ws.points if ws else ()))
 
     for fams in orbits.values():
@@ -873,6 +897,32 @@ def test_stage4_matches_the_reference(run, monkeypatch):
     assert {key: audit[key] for key in want} == want
     assert list(audit["rejections"].items()) == list(want["rejections"].items())
     assert recorded == passing
+
+
+@pytest.mark.parametrize("run", ["d6", "d8_c5", "s2xs2"])
+def test_stage4_verdict_is_vet_instances_on_every_witness(run):
+    # stage 4 decides the rules of index_order_verdict from each edge part's
+    # sums and products and builds no system for a gcd above 1; every
+    # other witness passes the structural checks (the proof in
+    # _witness_verdicts), and each verdict is vet_instance's on it
+    profile, opts, _ = STAGE4_RUNS[run]
+    orbits = {}
+    for key, fam in classify_candidates(profile, opts).items():
+        orbits.setdefault(search._orbit_key(*key), fam)
+    seen = set()
+    for fam in orbits.values():
+        witnesses = completed_witnesses(fam, opts.witness_bound)
+        verdicts = list(search._witness_verdicts(fam, opts, {}))
+        assert len(verdicts) == len(witnesses)
+        for ws, verdict in zip(witnesses, verdicts):
+            if ws is None:
+                assert verdict == "structural", (fam.graph.edges, fam.magnitudes)
+            else:
+                assert weight_system_checks(ws) == [], ws.points
+                assert verdict == vet_instance(ws, opts), ws.points
+            seen.add(verdict)
+    assert {"structural", None} <= seen
+    assert ("chern_constants" in seen) == profile.is_minimal
 
 
 def reference_parametric_weights(fam):
@@ -946,7 +996,7 @@ def test_witness_instances_reproduce_magnitudes():
     assert graphs
     want = effective_or_none(graphs)
     assert None in want and any(want)
-    assert want == fam.witness_instances(4, 2)
+    assert want == completed_witnesses(fam, 4, 2)
     for wg in graphs:
         assert magnitudes_from_weights(wg.weight_system(), wg) == (3, 3, 3)
 
@@ -1073,7 +1123,7 @@ def test_dim8_strict_rejects_constant_two():
 
     fam = solve_weights(DIM8_C2_GRAPH, DIM8_C2_LABELING)
     assert fam is not None
-    inst = fam.witness_instances(6, 3)[0]
+    inst = completed_witnesses(fam, 6, 3)[0]
     assert minimal_chern_constants(inst)[1] == 2
     assert vet_instance(inst, SearchOptions(dim8_strict=True)) == "dim8_strict"
     assert vet_instance(inst, SearchOptions()) != "dim8_strict"
@@ -1162,7 +1212,8 @@ def check_chern_rules(ws, opts):
         assert verdict not in ("structural", "monotone_sums", "chern_constants", "dim8_strict")
         assert got_c1 in (None, c1), ws.points
     if in_index_order(ws) and not any(0 in p for p in ws.points):
-        parts = [(Fraction(a, b), Fraction(c, d)) for a, b, c, d in chern_constant_parts(ws)]
+        parts = [(Fraction(a, b), Fraction(c, d))
+                 for a, b, c, d in chern_constant_parts(*index_order_parts(ws))]
         assert parts == list(zip(reference_minimal_chern_constants(ws)[1:],
                                  reference_minimal_chern_constants(ws.reversed())[1:]))
         assert minimal_chern_constants(ws) == reference_minimal_chern_constants(ws)
@@ -1378,6 +1429,37 @@ def test_component_checker_is_built_once_per_graph():
     classify(minimal_profile(3), SearchOptions())
     info = _component_checker.cache_info()
     assert (info.misses, info.hits) == (7, 21)
+
+
+def test_a_resume_builds_one_matrix_per_graph(tmp_path, monkeypatch):
+    # the d6 checkpoint holds 72 families of 7 graphs; re-solving them
+    # builds A(Gamma) and the components once per graph
+    profile, opts = minimal_profile(3), SearchOptions()
+    ck = tmp_path / "ck.json"
+    classify(profile, opts, checkpoint=str(ck))
+    graphs = enumerate_multigraphs(profile, mode=opts.pair_mode, dedup="reversal")
+    built = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            built[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(search, "graph_matrix", counted("matrix", search.graph_matrix))
+    monkeypatch.setattr(Multigraph, "components", counted("components", Multigraph.components))
+    search._matrix_and_components.cache_clear()
+    done = search._load_checkpoint(str(ck), run_fingerprint(profile, opts), graphs)
+    monkeypatch.undo()
+    assert sum(len(fams) for fams, _ in done.values()) == 72
+    assert built == {"matrix": 7, "components": 7}
+
+    def solved(fams):
+        return [(f.graph, f.magnitudes, [k.basis for k in f.comp_kernels]) for f in fams]
+
+    for gi, (fams, record) in done.items():
+        fresh, fresh_record = search_graph(graphs[gi], profile, opts)
+        assert (solved(fams), record) == (solved(fresh), fresh_record)
 
 
 def test_import_loads_no_pool_machinery():
