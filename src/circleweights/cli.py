@@ -36,7 +36,7 @@ from .fixtures import FIXTURES
 from .graphs import enumerate_multigraphs
 from .hattori import available_levels, derive_levels, dim8_solver, r_values_at_one
 from .laurent import NotLaurent
-from .localization import chern_battery, chern_constant_parts, in_index_order, index_order_parts
+from .localization import chern_battery, chern_constant_parts, in_index_order, point_products
 from .search import (
     CheckpointMismatch,
     ClassificationResult,
@@ -173,7 +173,7 @@ def cmd_verify(args) -> int:
     lines.append("c_n = %s (fixed points: %d)" % (report.c_n, ws.num_points))
     lines.append("c1*c_{n-1} = %s (expected %s)" % (report.c1_cn1, report.expected_c1_cn1))
     if in_index_order(ws):
-        parts = list(chern_constant_parts(*index_order_parts(ws)))
+        parts = list(chern_constant_parts(ws.weight_sums(), *point_products(ws.points)))
         lines.append("chern constants C_i: %s"
                      % _exact([1] + [Fraction(num, den) for num, den, _, _ in parts]))
         lines.append("reversed-action constants: %s"

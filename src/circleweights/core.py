@@ -49,6 +49,7 @@ class FixedPointProfile:
     lambdas: Tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "n", index(self.n))
         object.__setattr__(self, "lambdas", tuple(map(index, self.lambdas)))
 
     @property
@@ -125,6 +126,7 @@ class WeightSystem:
     points: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "n", index(self.n))
         points = tuple([tuple(sorted(map(index, p))) for p in self.points])
         object.__setattr__(self, "points", points)
 

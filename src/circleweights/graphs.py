@@ -47,7 +47,8 @@ class Multigraph:
     edges: Tuple[Edge, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "lambdas", tuple(self.lambdas))
+        object.__setattr__(self, "n", index(self.n))
+        object.__setattr__(self, "lambdas", tuple(map(index, self.lambdas)))
         edges = tuple(sorted((index(i), index(j)) for i, j in self.edges))
         object.__setattr__(self, "edges", edges)
 
@@ -119,7 +120,8 @@ class WeightedMultigraph:
     wedges: Tuple[WeightedEdge, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "lambdas", tuple(self.lambdas))
+        object.__setattr__(self, "n", index(self.n))
+        object.__setattr__(self, "lambdas", tuple(map(index, self.lambdas)))
         object.__setattr__(self, "wedges", tuple(sorted(tuple(map(index, e)) for e in self.wedges)))
 
     def weight_system(self) -> WeightSystem:

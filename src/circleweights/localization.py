@@ -113,16 +113,12 @@ def in_index_order(ws: WeightSystem) -> bool:
     return ws.profile.lambdas == tuple(range(ws.n + 1))
 
 
-def index_order_parts(ws: WeightSystem) -> Tuple[Tuple[int, ...], List[int], List[int]]:
-    """The arguments of :func:`chern_constant_parts` for ``ws`` in index
-    order: the weight sums, and per point the product of its negative
-    weights and of its negated positive weights.  Point i carries exactly i
-    negative weights, which its sorted tuple lists first."""
-    negatives, positives = [], []
-    for i, p in enumerate(ws.points):
-        negatives.append(prod(p[:i]))
-        positives.append(-prod(p[i:]) if (len(p) - i) % 2 else prod(p[i:]))
-    return ws.weight_sums(), negatives, positives
+def point_products(points: Sequence[Sequence[int]]) -> Tuple[List[int], List[int]]:
+    """Per point, the product of its negative weights and of its negated
+    positive weights, in any order of the weights at a point: the last two
+    arguments of :func:`chern_constant_parts`."""
+    return ([prod([w for w in p if w < 0]) for p in points],
+            [prod([-w for w in p if w > 0]) for p in points])
 
 
 @lru_cache(maxsize=1)
@@ -145,7 +141,7 @@ def chern_constant_parts(sums: Tuple[int, ...], negatives: Sequence[int],
     action, for a system in index order with points P_0, ..., P_N, weight
     sums ``sums``, and at each point the product ``negatives`` of its
     negative weights and ``positives`` of its negated positive weights
-    (:func:`index_order_parts`).
+    (:func:`point_products`).
 
     Point i of the reversed action is -P_{N-i}: its weight sum is -s_{N-i}
     and its negative weights are the negated positive weights of P_{N-i}.
@@ -166,7 +162,7 @@ def minimal_chern_constants(ws: WeightSystem) -> List[Fraction]:
     if not in_index_order(ws):
         raise ValueError("Chern constants need a minimal system in index order, got "
                          "indices %s" % (ws.profile.lambdas,))
-    parts = chern_constant_parts(*index_order_parts(ws))
+    parts = chern_constant_parts(ws.weight_sums(), *point_products(ws.points))
     return [Fraction(1)] + [Fraction(num, den) for num, den, _, _ in parts]
 
 

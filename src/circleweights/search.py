@@ -24,8 +24,8 @@ import operator
 import os
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from math import gcd, isqrt, prod
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from math import gcd, isqrt
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .core import (
     FixedPointProfile,
@@ -57,7 +57,7 @@ from .localization import (
     chern_constant_parts,
     expected_c1cn1,
     in_index_order,
-    index_order_parts,
+    point_products,
 )
 from .hattori import DIM8_CONSTANTS, derive_levels, r_values_at_one
 from .laurent import NotLaurent
@@ -103,8 +103,11 @@ class SearchOptions:
     def __post_init__(self):
         for name in ("bound_d", "divisor_c", "max_labelings", "witness_bound"):
             value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError("%s must be at least 1, got %s" % (name, value))
+            if value is not None:
+                value = operator.index(value)
+                if value < 1:
+                    raise ValueError("%s must be at least 1, got %s" % (name, value))
+                object.__setattr__(self, name, value)
         if self.bound_d is not None and self.divisor_c is not None:
             raise ValueError("divisor_c %s applies only to the nonnegative search, not with "
                              "bound_d %s" % (self.divisor_c, self.bound_d))
@@ -128,7 +131,7 @@ def _join(a: Part, b: Part) -> Part:
     return tuple(map(operator.add, a[0], b[0])), tuple(map(gcd, a[1], b[1]))
 
 
-def _share(npts: int, ends: Sequence[Tuple[int, int]], weights: Sequence[int]) -> Part:
+def _share(npts: int, ends: Sequence[Tuple[int, int]], weights: Iterable[int]) -> Part:
     """The part of edges with the endpoint pairs ``ends`` and the weights
     ``weights``, on ``npts`` points."""
     pts: List[List[int]] = [[] for _ in range(npts)]
@@ -136,14 +139,6 @@ def _share(npts: int, ends: Sequence[Tuple[int, int]], weights: Sequence[int]) -
         pts[i].append(w)
         pts[j].append(-w)
     return tuple(map(tuple, pts)), tuple(gcd(*p) for p in pts)
-
-
-def _product(factors: List[List[Part]], npts: int) -> List[Part]:
-    """The join of one part of each factor, for every choice, in
-    itertools.product order; with no factor, the one part of no edges."""
-    # only the output is ever stored
-    return list(functools.reduce(lambda combos, factor: (_join(a, b) for a in combos for b in factor),
-                                 factors, [(((),) * npts, (0,) * npts)]))
 
 
 @dataclass
@@ -176,9 +171,9 @@ class WeightFamily:
         kernel lattice point per component (entries in [1, bound], shrunk
         while the box of a kernel exceeds linalg.LATTICE_BOX_LIMIT points),
         in itertools.product order over the components, the weights the
-        edges put at each fixed point and their gcd there (0 at a point that
-        carries only cycles).  A witness is an edge part joined with one of
-        cycle_parts (see _join)."""
+        edges, in component order, put at each fixed point and their gcd
+        there (0 at a point that carries only cycles).  A witness is an edge
+        part joined with one of cycle_parts (see _join)."""
         comp_choices = []
         for ker in self.comp_kernels:
             eb = bound
@@ -189,18 +184,18 @@ class WeightFamily:
                 return []
             comp_choices.append(pts)
         npts = self.graph.num_points
-        ends = [[self.graph.edges[k] for k in comp] for comp in self.graph.components()]
-        return _product([[_share(npts, e, pt) for pt in choices]
-                         for e, choices in zip(ends, comp_choices)], npts)
+        ends = [self.graph.edges[k] for comp in self.graph.components() for k in comp]
+        return [_share(npts, ends, itertools.chain.from_iterable(choice))
+                for choice in itertools.product(*comp_choices)]
 
     def cycle_parts(self, cycle_bound: int = 4) -> List[Part]:
         """The same for the cycles, each of weight in [1, cycle_bound], in
         itertools.product order over the cycles: a cycle of weight c puts c
         and -c at its point.  One part, with no weights, for a graph
         without cycles."""
-        npts = self.graph.num_points
-        return _product([[_share(npts, [e], (w,)) for w in range(1, cycle_bound + 1)]
-                         for e in self.graph.cycles()], npts)
+        cycles = self.graph.cycles()
+        return [_share(self.graph.num_points, cycles, weights)
+                for weights in itertools.product(range(1, cycle_bound + 1), repeat=len(cycles))]
 
     def parametric_weights(self) -> List[List[str]]:
         """Human-readable parametric weights at each point: edge weights are
@@ -340,7 +335,7 @@ def stream_labelings(graph: Multigraph, profile: FixedPointProfile, opts: Search
     """
     total = magnitude_sum(profile)
     edges = graph.edges
-    comps = graph.components()
+    amat, comps = _matrix_and_components(graph)
     order = [k for comp in comps for k in comp]
     assert sorted(order) == [k for k, e in enumerate(edges) if e[0] != e[1]]
     # the component completed at each search position, and the determinant
@@ -350,7 +345,6 @@ def stream_labelings(graph: Multigraph, profile: FixedPointProfile, opts: Search
     starts = dict(zip([0] + ends, _component_checker(graph)))
     step = divisor if divisor and opts.bound_d is None else 1
     pinned = _unit_edge_positions(graph) if divisor else []
-    amat = graph_matrix(edges)
     bounds = []  # (low, high) of the label at each search position
     for k in order:
         if opts.bound_d is not None:
@@ -520,8 +514,9 @@ def _component_matrix(amat: List[List[int]], labels, comp: List[int]) -> List[Li
 @functools.lru_cache(maxsize=1)
 def _matrix_and_components(graph: Multigraph) -> Tuple[List[List[int]], List[List[int]]]:
     """A(Gamma) and the components of ``graph``.  The last graph's are kept,
-    so the labelings of one graph, streamed or re-solved from a checkpoint,
-    share them; callers must not change the lists."""
+    so every divisor branch of its stream, its component check and the solve
+    of each labeling, streamed or re-solved from a checkpoint, share them;
+    callers must not change the lists."""
     return graph_matrix(graph.edges), graph.components()
 
 
@@ -586,7 +581,7 @@ def _component_checker(graph: Multigraph) -> List[List[int]]:
     cached, so the divisor branches of one graph build them once; callers
     must not change the lists."""
     polys = []
-    for comp in graph.components():
+    for comp in _matrix_and_components(graph)[1]:
         ends = [graph.edges[k] for k in comp]
         poly = [0] * (1 << len(comp))
         for kept in _forests(ends):
@@ -647,9 +642,9 @@ def index_order_verdict(sums: Tuple[int, ...], negatives: Sequence[int],
                         ) -> Tuple[Optional[str], Optional[int]]:
     """The rules vet_instance decides first for a minimal system in index
     order, from its weight sums and, per point, the product of its negative
-    weights and of its negated positive weights (see
-    localization.index_order_parts): the name of the first failing one, or
-    None, and C_1 once it is known.  Decided in integers:
+    weights and of its negated positive weights (point_products): the name
+    of the first failing one, or None, and C_1 once it is known.  Decided in
+    integers:
       monotone_sums    s_0 > s_1 > ... > s_N;
       chern_constants  each C_i an integer equal to the reversed action's
                        C_i, and C_1 admissible (core.minimal_divisors);
@@ -684,7 +679,7 @@ def vet_instance(ws: WeightSystem, opts: SearchOptions) -> Optional[str]:
     n = ws.n
     c1 = None
     if in_index_order(ws):
-        verdict, c1 = index_order_verdict(*index_order_parts(ws), opts)
+        verdict, c1 = index_order_verdict(ws.weight_sums(), *point_products(ws.points), opts)
         if verdict is not None:
             return verdict
     if not any(admissible_pairing(ws, g) for g in integral_multigraphs(ws, mode=opts.pair_mode)):
@@ -712,13 +707,6 @@ def vet_instance(ws: WeightSystem, opts: SearchOptions) -> Optional[str]:
     return None
 
 
-def _products(pts: Tuple[Tuple[int, ...], ...]) -> Tuple[List[int], List[int]]:
-    """Per point, the product of the negative weights ``pts`` put there and
-    of their negated positive weights."""
-    return ([prod([w for w in p if w < 0]) for p in pts],
-            [prod([-w for w in p if w > 0]) for p in pts])
-
-
 def _witness_verdicts(fam: WeightFamily, opts: SearchOptions,
                       passing: Dict[WeightSystem, List[Tuple[Tuple, Tuple[int, ...]]]]
                       ) -> Iterator[Optional[str]]:
@@ -728,8 +716,8 @@ def _witness_verdicts(fam: WeightFamily, opts: SearchOptions,
     there, with its signatures; one that is already there is not vetted
     again.
 
-    Per edge part the weight sums and the products of _products are
-    computed once.  A cycle of weight c adds c and -c at its point, so it
+    Per edge part the weight sums and the products of
+    localization.point_products are computed once.  A cycle of weight c adds c and -c at its point, so it
     leaves the sums as they are and multiplies -c into both products there.
     A witness whose weights at some point have a gcd above 1 is
     ``structural``, and no WeightSystem is built for it.  For a graph in
@@ -751,11 +739,11 @@ def _witness_verdicts(fam: WeightFamily, opts: SearchOptions,
     graph = fam.graph
     in_order = graph.lambdas == tuple(range(graph.n + 1))
     ones = (1,) * graph.num_points
-    cycles = [(part, *_products(part[0])) for part in fam.cycle_parts()]
+    cycles = [(part, *point_products(part[0])) for part in fam.cycle_parts()]
     for edge_part in fam.witness_instances(opts.witness_bound):
         pts, gcds = edge_part
         sums = tuple(map(sum, pts))
-        negatives, positives = _products(pts)
+        negatives, positives = point_products(pts)
         for cycle_part, cycle_negatives, cycle_positives in cycles:
             if tuple(map(gcd, gcds, cycle_part[1])) != ones:
                 yield "structural"

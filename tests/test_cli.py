@@ -8,7 +8,7 @@ import pytest
 
 from circleweights import search
 from circleweights.cli import main
-from circleweights.core import minimal_profile
+from circleweights.core import WeightSystem, minimal_profile
 from circleweights.fixtures import v5
 from circleweights.search import SearchOptions, classify
 
@@ -124,6 +124,20 @@ def test_verify_pass_and_fail(tmp_path, capsys):
     assert code == 3
     assert "zero integrals: FAIL [] = -7/48, [1] = -3/4, [2] = -11/12" in out.splitlines()
     assert "Fraction(" not in out
+
+
+def test_verify_prints_the_reversed_action_row(tmp_path, capsys):
+    # index order with sums 6, 3, -2, -6; not paired, so it fails, but the
+    # two rows of Chern constants differ: the reversed action's are read
+    # from the negated positive weights
+    path = tmp_path / "rev.json"
+    path.write_text(json.dumps(WeightSystem(3, ((1, 2, 3), (-1, 1, 3), (-3, -1, 2),
+                                                (-3, -2, -1))).to_json()))
+    code, out, _ = run(["verify", str(path)], capsys)
+    assert code == 3
+    lines = out.splitlines()
+    assert "chern constants C_i: [1, 3, 40/3, 72]" in lines
+    assert "reversed-action constants: [1, 2, 15, 48]" in lines
 
 
 def test_verify_schema_error(tmp_path, capsys):

@@ -12,7 +12,9 @@ from circleweights.localization import (
     chern_battery,
     chi_y_coefficients,
     expected_c1cn1,
+    in_index_order,
     minimal_chern_constants,
+    point_products,
     zero_multidegrees,
 )
 from test_hattori import SYSTEMS, _moved
@@ -87,6 +89,34 @@ def test_chern_constants_refuse_a_system_out_of_index_order():
     swapped = WeightSystem(ws.n, (ws.points[1], ws.points[0]) + ws.points[2:])
     with pytest.raises(ValueError, match="index order"):
         minimal_chern_constants(swapped)
+
+
+def reference_point_products(ws):
+    """point_products of a system in index order, by slicing: point i
+    carries exactly i negative weights, which its sorted tuple lists
+    first."""
+    negatives, positives = [], []
+    for i, p in enumerate(ws.points):
+        negatives.append(prod(p[:i]))
+        positives.append(-prod(p[i:]) if (len(p) - i) % 2 else prod(p[i:]))
+    return negatives, positives
+
+
+@settings(max_examples=150, deadline=None)
+@given(SYSTEMS, st.none() | st.tuples(st.integers(0, 7), st.integers(0, 7),
+                                      st.sampled_from([-2, -1, 1, 2])), st.randoms())
+def test_point_products_match_the_index_order_slices(ws, move, rnd):
+    # on cp and grassmannian systems in index order and copies with one
+    # weight moved that stay so, in the sorted order of the weights at each
+    # point and in a shuffled one
+    assume(ws is not None)
+    if move is not None:
+        ws = _moved(ws, *move)
+    assume(in_index_order(ws) and not any(0 in p for p in ws.points))
+    want = reference_point_products(ws)
+    assert point_products(ws.points) == want, ws.points
+    shuffled = [rnd.sample(p, len(p)) for p in ws.points]
+    assert point_products(shuffled) == want, shuffled
 
 
 def test_reversed_constants_match():

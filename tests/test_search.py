@@ -36,8 +36,8 @@ from circleweights.localization import (
     chern_constant_parts,
     expected_c1cn1,
     in_index_order,
-    index_order_parts,
     minimal_chern_constants,
+    point_products,
 )
 from circleweights.linalg import (
     LATTICE_BOX_LIMIT,
@@ -666,8 +666,24 @@ def test_solve_rejects_nonsingular():
     lambda: LaurentPolynomial({1.5: 2}),
     lambda: LaurentPolynomial.term(1, 2.5),
     lambda: one_minus_t(3.2),
+    # kept as given, these would run a fractional node budget, fail deep in
+    # the search (a float box, branch or bound) or where n multiplies a
+    # sequence, or keep a float index in the graph
+    lambda: SearchOptions(max_labelings=1.5),
+    lambda: SearchOptions(witness_bound=12.0),
+    lambda: SearchOptions(divisor_c=5.0),
+    lambda: SearchOptions(bound_d=2.0),
+    lambda: FixedPointProfile(2.0, (0, 1, 2)),
+    lambda: WeightSystem(2.0, ((1, 2), (-1, 1), (-2, -1))),
+    lambda: Multigraph(2.0, (0, 1, 2), ((0, 1), (0, 2), (1, 2))),
+    lambda: WeightedMultigraph(2.0, (0, 1, 2), ((0, 1, 1),)),
+    lambda: Multigraph(2, (0.5, 1, 2), ((0, 1), (0, 2), (1, 2))),
+    lambda: WeightedMultigraph(2, (0, 1, 2.0), ((0, 1, 1),)),
 ], ids=["weight_system", "profile", "solve_weights", "multigraph", "weighted_multigraph",
-        "cp", "grassmannian", "s2xs2", "laurent", "laurent_term", "one_minus_t"])
+        "cp", "grassmannian", "s2xs2", "laurent", "laurent_term", "one_minus_t",
+        "max_labelings", "witness_bound", "divisor_c", "bound_d", "profile_n",
+        "weight_system_n", "multigraph_n", "weighted_multigraph_n", "multigraph_lambdas",
+        "weighted_multigraph_lambdas"])
 def test_non_integers_are_refused_not_truncated(make):
     with pytest.raises(TypeError):
         make()
@@ -676,6 +692,7 @@ def test_non_integers_are_refused_not_truncated(make):
 def test_a_bool_is_an_integer():
     assert WeightSystem(1, ((True,), (-1,))).points == ((1,), (-1,))
     assert FixedPointProfile(2, (False, True, 2)) == minimal_profile(2)
+    assert SearchOptions(witness_bound=True).witness_bound == 1
 
 
 def singular_with_positive_kernel(graph, labeling):
@@ -1213,7 +1230,8 @@ def check_chern_rules(ws, opts):
         assert got_c1 in (None, c1), ws.points
     if in_index_order(ws) and not any(0 in p for p in ws.points):
         parts = [(Fraction(a, b), Fraction(c, d))
-                 for a, b, c, d in chern_constant_parts(*index_order_parts(ws))]
+                 for a, b, c, d in chern_constant_parts(ws.weight_sums(),
+                                                        *point_products(ws.points))]
         assert parts == list(zip(reference_minimal_chern_constants(ws)[1:],
                                  reference_minimal_chern_constants(ws.reversed())[1:]))
         assert minimal_chern_constants(ws) == reference_minimal_chern_constants(ws)
@@ -1460,6 +1478,32 @@ def test_a_resume_builds_one_matrix_per_graph(tmp_path, monkeypatch):
     for gi, (fams, record) in done.items():
         fresh, fresh_record = search_graph(graphs[gi], profile, opts)
         assert (solved(fams), record) == (solved(fresh), fresh_record)
+
+
+def test_a_search_builds_one_matrix_per_graph(monkeypatch):
+    # each d6 graph has 4 divisor branches; its stream, component check and
+    # solves read A(Gamma) and the components from one memo.  classify fills
+    # the forest-minor memo first, which calls graph_matrix itself
+    profile, opts = minimal_profile(3), SearchOptions()
+    classify(profile, opts)
+    graphs = enumerate_multigraphs(profile, mode=opts.pair_mode, dedup="reversal")
+    built = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            built[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(search, "graph_matrix", counted("matrix", search.graph_matrix))
+    monkeypatch.setattr(Multigraph, "components", counted("components", Multigraph.components))
+    for graph in graphs:
+        search._matrix_and_components.cache_clear()
+        _component_checker.cache_clear()
+        built.clear()
+        fams, record = search_graph(graph, profile, opts)
+        assert record["labelings"] > 0
+        assert built == {"matrix": 1, "components": 1}, graph.edges
 
 
 def test_import_loads_no_pool_machinery():
