@@ -17,7 +17,6 @@ from .core import (
 from .graphs import (
     Multigraph,
     PairingMismatch,
-    WeightedMultigraph,
     enumerate_multigraphs,
     enumerate_pairings,
     integral_multigraphs,

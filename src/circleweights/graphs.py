@@ -14,8 +14,9 @@ Orientation conventions relative to the Morse indices:
 
 The *magnitude* of a non-cycle edge e with weight w(e) is
 m(e) = (sum of weights at source - sum of weights at target) / w(e); cycles
-get magnitude 0.  A weighted multigraph is *integral* when every magnitude is
-an integer.
+get magnitude 0.  A *pairing* of a weight system is a weighted multigraph: its
+sorted tuple of (source, target, weight) edges.  It is *integral* when every
+magnitude is an integer.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .core import FixedPointProfile, WeightSystem, validate_profile
 
 Edge = Tuple[int, int]
 WeightedEdge = Tuple[int, int, int]  # (source, target, weight > 0)
+Pairing = Tuple[WeightedEdge, ...]  # sorted
 
 
 class PairingMismatch(ValueError):
@@ -111,30 +113,6 @@ def union_find(groups: Iterable[Sequence[Hashable]]) -> Callable[[Hashable], Has
     return find
 
 
-@dataclass(frozen=True)
-class WeightedMultigraph:
-    """Multigraph together with the positive weight carried by each edge."""
-
-    n: int
-    lambdas: Tuple[int, ...]
-    wedges: Tuple[WeightedEdge, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", index(self.n))
-        object.__setattr__(self, "lambdas", tuple(map(index, self.lambdas)))
-        object.__setattr__(self, "wedges", tuple(sorted(tuple(map(index, e)) for e in self.wedges)))
-
-    def weight_system(self) -> WeightSystem:
-        pts: List[List[int]] = [[] for _ in self.lambdas]
-        for i, j, w in self.wedges:
-            if i == j:
-                pts[i].extend([w, -w])
-            else:
-                pts[i].append(w)
-                pts[j].append(-w)
-        return WeightSystem(self.n, tuple(tuple(sorted(p)) for p in pts))
-
-
 def _edge_multisets(out_deg: Sequence[int], in_deg: Sequence[int],
                     allowed: Callable[[int, int], bool]) -> List[Tuple[Edge, ...]]:
     """Every multiset of edges (i, j), each with ``allowed(i, j)``, in which
@@ -198,24 +176,25 @@ def enumerate_multigraphs(profile: FixedPointProfile, mode: str = "nonneg",
     return [seen[k] for k in sorted(seen)]
 
 
-def enumerate_pairings(ws: WeightSystem, mode: str = "all") -> List[WeightedMultigraph]:
-    """All weighted multigraphs realizing the weight system ``ws``.
+def enumerate_pairings(ws: WeightSystem, mode: str = "all") -> List[Pairing]:
+    """All pairings of the weight system ``ws``, sorted.
 
     Each pairing matches every positive weight occurrence +w with a negative
-    occurrence -w somewhere; distinct pairings inducing the same weighted edge
-    multiset are returned once.  Raises :class:`PairingMismatch` when the
-    positive and negative weight multisets do not agree.
+    occurrence -w somewhere; distinct matchings inducing the same weighted
+    edge multiset are returned once.  Raises :class:`PairingMismatch` when
+    the positive and negative weight multisets do not agree.
     """
     allowed = _edge_filter(ws.profile.lambdas, mode)
     return _pairings(ws, lambda w: allowed)
 
 
 def _pairings(ws: WeightSystem, allowed_for: Callable[[int], Callable[[int, int], bool]]
-              ) -> List[WeightedMultigraph]:
+              ) -> List[Pairing]:
     """The pairings of ``ws`` whose every edge (i, j) of weight w satisfies
-    ``allowed_for(w)(i, j)``, sorted by weighted edges.  Each appears once:
-    a pairing takes its edges of weight w from one edge multiset, which
-    runs from the points carrying +w to those carrying -w."""
+    ``allowed_for(w)(i, j)``, each a sorted tuple of (i, j, w) edges, in
+    sorted order.  Each appears once: a pairing takes its edges of weight w
+    from one edge multiset, which runs from the points carrying +w to those
+    carrying -w."""
     counts = [Counter(p) for p in ws.points]
     values = sorted({abs(w) for c in counts for w in c})
     options_per_value: List[List[Tuple[Edge, ...]]] = []
@@ -228,19 +207,16 @@ def _pairings(ws: WeightSystem, allowed_for: Callable[[int], Callable[[int, int]
                 % (w, sum(pos), sum(neg))
             )
         options_per_value.append(_edge_multisets(pos, neg, allowed_for(w)))
-    lambdas = ws.profile.lambdas
-    pairings = [WeightedMultigraph(ws.n, lambdas,
-                                   [(i, j, w) for w, edges in zip(values, combo) for i, j in edges])
-                for combo in product(*options_per_value)]
-    return sorted(pairings, key=lambda g: g.wedges)
+    return sorted(tuple(sorted((i, j, w) for w, edges in zip(values, combo) for i, j in edges))
+                  for combo in product(*options_per_value))
 
 
-def magnitudes_from_weights(ws: WeightSystem, g: WeightedMultigraph) -> Tuple[Fraction, ...]:
+def magnitudes_from_weights(ws: WeightSystem, pairing: Pairing) -> Tuple[Fraction, ...]:
     """Edge magnitudes (difference of endpoint weight sums over edge weight);
-    cycles get magnitude 0.  Order matches ``g.wedges``."""
+    cycles get magnitude 0.  Order matches ``pairing``."""
     sums = ws.weight_sums()
     out = []
-    for i, j, w in g.wedges:
+    for i, j, w in pairing:
         if i == j:
             out.append(Fraction(0))
         else:
@@ -249,7 +225,7 @@ def magnitudes_from_weights(ws: WeightSystem, g: WeightedMultigraph) -> Tuple[Fr
 
 
 @lru_cache(maxsize=1)
-def integral_multigraphs(ws: WeightSystem, mode: str = "all") -> List[WeightedMultigraph]:
+def integral_multigraphs(ws: WeightSystem, mode: str = "all") -> List[Pairing]:
     """Pairings of ``ws`` whose every non-cycle edge (i, j) of weight w is
     integral and congruent: its magnitude is an integer (the computable
     relaxation of geometric integrality), and the weight multisets at i and j

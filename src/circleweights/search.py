@@ -37,7 +37,7 @@ from .core import (
 )
 from .graphs import (
     Multigraph,
-    WeightedMultigraph,
+    Pairing,
     enumerate_multigraphs,
     integral_multigraphs,
     union_find,
@@ -108,6 +108,8 @@ class SearchOptions:
                 if value < 1:
                     raise ValueError("%s must be at least 1, got %s" % (name, value))
                 object.__setattr__(self, name, value)
+        if not isinstance(self.dim8_strict, bool):
+            raise TypeError("dim8_strict must be a bool, got %r" % (self.dim8_strict,))
         if self.bound_d is not None and self.divisor_c is not None:
             raise ValueError("divisor_c %s applies only to the nonnegative search, not with "
                              "bound_d %s" % (self.divisor_c, self.bound_d))
@@ -596,8 +598,8 @@ def _component_checker(graph: Multigraph) -> List[List[int]]:
 # Instance vetting
 # ---------------------------------------------------------------------------
 
-def admissible_pairing(ws: WeightSystem, g: WeightedMultigraph) -> bool:
-    """Whether the pairing ``g`` of the weights of ``ws`` passes the
+def admissible_pairing(ws: WeightSystem, pairing: Pairing) -> bool:
+    """Whether ``pairing``, a pairing of the weights of ``ws``, passes the
     arithmetic lemmas on its bundles of parallel edges; False at the first
     failing rule:
       multiple_edge_gcd   a bundle of size >= n-1, or one whose endpoints
@@ -611,16 +613,16 @@ def admissible_pairing(ws: WeightSystem, g: WeightedMultigraph) -> bool:
 
     divisor_propagation fails exactly when, for some d >= 2 dividing two of
     the bundle's weights, an endpoint carries at most t multiples of d, the
-    t = |T| weights of the bundle that d divides (``g`` pairs the weights
-    of ``ws``, so each endpoint carries T).  A sub-bundle S with gcd d > 1
-    fails when it holds every multiple of d at an endpoint, which then
-    carries |S| <= t of them; conversely S = T fails, as gcd(T), a multiple
-    of d, has no multiple there outside T.  When d qualifies, so does the
+    t = |T| weights of the bundle that d divides (``pairing`` pairs the
+    weights of ``ws``, so each endpoint carries T).  A sub-bundle S with
+    gcd d > 1 fails when it holds every multiple of d at an endpoint, which
+    then carries |S| <= t of them; conversely S = T fails, as gcd(T), a
+    multiple of d, has no multiple there outside T.  When d qualifies, so does the
     gcd of any two weights of T, a multiple of d: only those gcds are tried.
     """
     bundles: Dict[Tuple[int, int], List[int]] = {}
-    degree = [0] * len(g.lambdas)  # non-cycle edges at each point
-    for (i, j, w) in g.wedges:
+    degree = [0] * ws.num_points  # non-cycle edges at each point
+    for (i, j, w) in pairing:
         if i != j:
             bundles.setdefault((i, j), []).append(w)
             degree[i] += 1
@@ -682,7 +684,7 @@ def vet_instance(ws: WeightSystem, opts: SearchOptions) -> Optional[str]:
         verdict, c1 = index_order_verdict(ws.weight_sums(), *point_products(ws.points), opts)
         if verdict is not None:
             return verdict
-    if not any(admissible_pairing(ws, g) for g in integral_multigraphs(ws, mode=opts.pair_mode)):
+    if not any(admissible_pairing(ws, p) for p in integral_multigraphs(ws, mode=opts.pair_mode)):
         return "no_admissible_pairing"
     report = chern_battery(ws)
     if not report.ok:
@@ -812,14 +814,14 @@ def search_graph(graph: Multigraph, profile: FixedPointProfile,
 
 def _signatures(ws: WeightSystem, pair_mode: str) -> List[Tuple[Tuple, Tuple[int, ...]]]:
     """Canonical (graph edges, integer magnitudes) signatures over every
-    integral pairing of the instance, admissible or not.  An integral
-    pairing divides each difference of weight sums s_i - s_j exactly by
-    its edge weight (a cycle's difference is 0)."""
+    integral pairing of the instance, admissible or not: the (i, j) and the
+    magnitudes of a pairing's (i, j, w) edges, in its sorted order.  An
+    integral pairing divides each difference of weight sums s_i - s_j
+    exactly by its edge weight (a cycle's difference is 0)."""
     sums = ws.weight_sums()
-    sigs = []
-    for g in integral_multigraphs(ws, mode=pair_mode):
-        edges = tuple((i, j) for i, j, _ in g.wedges)
-        sigs.append((edges, tuple((sums[i] - sums[j]) // w for i, j, w in g.wedges)))
+    sigs = [(tuple((i, j) for i, j, _ in pairing),
+             tuple((sums[i] - sums[j]) // w for i, j, w in pairing))
+            for pairing in integral_multigraphs(ws, mode=pair_mode)]
     # Pairings with extra cycles blur the family structure (any two systems
     # sharing their extremal weights produce the same all-cycles signature),
     # so keep only the signatures with as few cycles as possible.
@@ -903,7 +905,7 @@ def _save_checkpoint(path: str, fingerprint: str, done: Dict[int, GraphResult]) 
     magnitudes of each graph's distinct families, over all its divisor
     branches, and its audit record."""
     blocks = {str(gi): {"families": [list(f.magnitudes) for f in fams], "audit": record}
-              for gi, (fams, record) in done.items()}
+              for gi, (fams, record) in sorted(done.items())}
     write_atomic(path, json.dumps({"fingerprint": fingerprint, "blocks": blocks}))
 
 
@@ -911,7 +913,8 @@ def _search_blocks(profile: FixedPointProfile, opts: SearchOptions, graphs: List
                    jobs: int, checkpoint: Optional[str]) -> Dict[int, GraphResult]:
     """search_graph's output for every graph, by index: restored from
     ``checkpoint`` when recorded there, otherwise searched (in a pool of
-    ``jobs`` processes when jobs > 1) and recorded."""
+    ``jobs`` processes when jobs > 1, taken as each finishes) and recorded
+    as soon as it is there."""
     done: Dict[int, GraphResult] = {}
     if checkpoint:
         fingerprint = run_fingerprint(profile, opts)
@@ -921,15 +924,18 @@ def _search_blocks(profile: FixedPointProfile, opts: SearchOptions, graphs: List
     if jobs > 1 and len(todo) > 1:
         # imported here: at module level they double the cost of `import circleweights`
         import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import ProcessPoolExecutor, as_completed
 
         pool = ProcessPoolExecutor(max_workers=min(jobs, len(todo)),
                                    mp_context=multiprocessing.get_context("spawn"))
     try:
         # looked up at call time: a wrapper put in the module's search_graph sees every graph
-        args = ([graphs[gi] for gi in todo], itertools.repeat(profile), itertools.repeat(opts))
-        outputs = pool.map(search_graph, *args) if pool else map(search_graph, *args)
-        for gi, out in zip(todo, outputs):
+        if pool is None:
+            finished = ((gi, search_graph(graphs[gi], profile, opts)) for gi in todo)
+        else:
+            futures = {pool.submit(search_graph, graphs[gi], profile, opts): gi for gi in todo}
+            finished = ((futures[f], f.result()) for f in as_completed(futures))
+        for gi, out in finished:
             done[gi] = out
             if checkpoint:
                 _save_checkpoint(checkpoint, fingerprint, done)
@@ -962,9 +968,11 @@ def classify(profile: FixedPointProfile, opts: SearchOptions, jobs: int = 1,
     it is, when it was written for another profile, options or package
     source.  The audit holds each graph's record from search_graph: its
     labelings, its distinct families and whether it was truncated.  Raises
-    ValueError when ``jobs`` is below 1.  Before any search, magnitude_sum
-    raises for an invalid profile, and ProfileError when the nonnegative
-    search of a non-minimal profile has a negative target."""
+    TypeError when ``jobs`` is not an integer and ValueError when it is
+    below 1.  Before any search, magnitude_sum raises for an invalid
+    profile, and ProfileError when the nonnegative search of a non-minimal
+    profile has a negative target."""
+    jobs = operator.index(jobs)
     # the forest minors and the last graph's polynomials are per run
     _forest_minor.cache_clear()
     _component_checker.cache_clear()

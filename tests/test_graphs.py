@@ -5,10 +5,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from circleweights import search
 from circleweights.core import FixedPointProfile, WeightSystem, minimal_profile
 from circleweights.fixtures import cp, grassmannian, s2xs2, v5, v22
 from circleweights.graphs import (
     Multigraph,
+    PairingMismatch,
     _edge_filter,
     _edge_multisets,
     enumerate_multigraphs,
@@ -203,10 +205,18 @@ def test_cp2_pairing_magnitudes():
         assert sorted(magnitudes_from_weights(ws, g)) in ([3, 3, 3], [0, 3, 6])
 
 
+def pairing_system(n, npts, pairing):
+    """The weight system that ``pairing`` realizes on ``npts`` points in
+    dimension 2n: each edge (i, j, w) puts w at i and -w at j."""
+    return WeightSystem(n, search._share(npts, [e[:2] for e in pairing],
+                                         [e[2] for e in pairing])[0])
+
+
 def test_graph_from_pairing_roundtrip():
     ws = v5()
-    for g in enumerate_pairings(ws, mode="all"):
-        assert g.weight_system() == ws
+    for pairing in enumerate_pairings(ws, mode="all"):
+        assert pairing == tuple(sorted(pairing))
+        assert pairing_system(ws.n, ws.num_points, pairing) == ws
 
 
 @pytest.mark.parametrize("ab", [(3, 4), (3, 5), (4, 5)])
@@ -238,8 +248,19 @@ def test_congruent_endpoints_filter():
     ws = WeightSystem(3, ((1, 2, 2), (-1, 1, 3), (-2, -2, 5), (-5, -3, -1)))
     integral = [g for g in enumerate_pairings(ws, mode="all")
                 if all(m == int(m) for m in magnitudes_from_weights(ws, g))]
-    assert len(integral) == 2 and all((2, 3, 5) in g.wedges for g in integral)
+    assert len(integral) == 2 and all((2, 3, 5) in g for g in integral)
     assert integral_multigraphs(ws) == []
+
+
+def test_unmatched_weights_raise_pairing_mismatch():
+    # +2 sits at points 0 and 1, -2 only at point 2
+    ws = WeightSystem(2, ((1, 2), (-1, 2), (-2, -3)))
+    for pairings in (enumerate_pairings, integral_multigraphs):
+        with pytest.raises(PairingMismatch,
+                           match="weight 2 occurs 2 times positively but 1 times negatively"):
+            pairings(ws)
+    # vetting refuses the system as structural before it pairs anything
+    assert search.vet_instance(ws, search.SearchOptions()) == "structural"
 
 
 def reference_integral_multigraphs(ws, mode="all"):
@@ -253,7 +274,7 @@ def reference_integral_multigraphs(ws, mode="all"):
         if any(
                 i != j and w != 1
                 and sorted(x % w for x in ws.points[i]) != sorted(x % w for x in ws.points[j])
-                for i, j, w in g.wedges):
+                for i, j, w in g):
             continue
         out.append(g)
     return out
@@ -263,7 +284,6 @@ def reference_integral_multigraphs(ws, mode="all"):
 def instantiated_systems():
     """Every distinct system the d4 and d6 classify runs instantiate, the
     ineffective ones that witness_instances leaves unbuilt included."""
-    from circleweights import search
     from circleweights.search import SearchOptions
     from test_search import reference_weighted_graphs
 
@@ -280,8 +300,9 @@ def instantiated_systems():
             search.classify(minimal_profile(n), SearchOptions())
     finally:
         search.WeightFamily.witness_instances = witness_instances
-    return tuple(dict.fromkeys(wg.weight_system() for fam, args in calls
-                               for wg in reference_weighted_graphs(fam, *args)))
+    return tuple(dict.fromkeys(pairing_system(fam.graph.n, fam.graph.num_points, pairing)
+                               for fam, args in calls
+                               for pairing in reference_weighted_graphs(fam, *args)))
 
 
 FIXTURE_SYSTEMS = (cp((2, 1, 0)), cp((3, 2, 1, 0)), cp((4, 3, 2, 1, 0)), grassmannian((2, 1)),

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import itertools
 import json
@@ -6,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -27,7 +29,6 @@ from circleweights.hattori import DIM8_CONSTANTS, derive_levels
 from circleweights.laurent import LaurentPolynomial, one_minus_t
 from circleweights.graphs import (
     Multigraph,
-    WeightedMultigraph,
     enumerate_multigraphs,
     integral_multigraphs,
     magnitudes_from_weights,
@@ -61,6 +62,7 @@ from circleweights.search import (
     stream_labelings,
     vet_instance,
 )
+from test_graphs import pairing_system
 from test_hattori import SYSTEMS
 from test_linalg import reference_determinant, reference_positive_kernel_vector
 
@@ -659,7 +661,6 @@ def test_solve_rejects_nonsingular():
     lambda: FixedPointProfile(2, (0, 1.7, 2)),
     lambda: solve_weights(TRIANGLE, (3.7, Fraction(7, 2), 3)),
     lambda: Multigraph(2, (0, 1, 2), ((0, 1.0), (0, 2), (1, 2))),
-    lambda: WeightedMultigraph(2, (0, 1, 2), ((0, 1, Fraction(2)),)),
     lambda: cp((2.9, 1, 0)),
     lambda: grassmannian((2.0, 1)),
     lambda: s2xs2(1.5, 2),
@@ -676,14 +677,17 @@ def test_solve_rejects_nonsingular():
     lambda: FixedPointProfile(2.0, (0, 1, 2)),
     lambda: WeightSystem(2.0, ((1, 2), (-1, 1), (-2, -1))),
     lambda: Multigraph(2.0, (0, 1, 2), ((0, 1), (0, 2), (1, 2))),
-    lambda: WeightedMultigraph(2.0, (0, 1, 2), ((0, 1, 1),)),
     lambda: Multigraph(2, (0.5, 1, 2), ((0, 1), (0, 2), (1, 2))),
-    lambda: WeightedMultigraph(2, (0, 1, 2.0), ((0, 1, 1),)),
-], ids=["weight_system", "profile", "solve_weights", "multigraph", "weighted_multigraph",
+    # a float job count ran the search; a truthy string asked for the
+    # dimension-8 restriction
+    lambda: classify(minimal_profile(2), SearchOptions(), jobs=1.0),
+    lambda: SearchOptions(dim8_strict="no"),
+    lambda: SearchOptions(dim8_strict=1),
+], ids=["weight_system", "profile", "solve_weights", "multigraph",
         "cp", "grassmannian", "s2xs2", "laurent", "laurent_term", "one_minus_t",
         "max_labelings", "witness_bound", "divisor_c", "bound_d", "profile_n",
-        "weight_system_n", "multigraph_n", "weighted_multigraph_n", "multigraph_lambdas",
-        "weighted_multigraph_lambdas"])
+        "weight_system_n", "multigraph_n", "multigraph_lambdas",
+        "jobs", "dim8_strict_str", "dim8_strict_int"])
 def test_non_integers_are_refused_not_truncated(make):
     with pytest.raises(TypeError):
         make()
@@ -746,8 +750,7 @@ def test_classify_fails_on_a_group_without_family(monkeypatch):
 def reference_weighted_graphs(fam, bound=12, cycle_bound=4):
     """The witness builder WeightFamily.witness_instances replaced: scatter
     each product entry into an edge-weight vector and weigh the graph's
-    edges with it, one WeightedMultigraph per vector, ineffective ones
-    included."""
+    edges with it, one pairing per vector, ineffective ones included."""
     edges = fam.graph.edges
     cycle_positions = [k for k, e in enumerate(edges) if e[0] == e[1]]
     comp_choices = []
@@ -768,15 +771,15 @@ def reference_weighted_graphs(fam, bound=12, cycle_bound=4):
                 vec[k] = combo[ci][pos]
         for t, k in enumerate(cycle_positions):
             vec[k] = combo[len(fam.graph.components()) + t]
-        wedges = tuple((i, j, w) for (i, j), w in zip(edges, vec))
-        out.append(WeightedMultigraph(fam.graph.n, fam.graph.lambdas, wedges))
+        out.append(tuple(sorted((i, j, w) for (i, j), w in zip(edges, vec))))
     return out
 
 
-def effective_or_none(graphs):
-    """The reference systems, with None wherever the full structural check
-    fails: where stage 4 must build no WeightSystem."""
-    systems = [wg.weight_system() for wg in graphs]
+def effective_or_none(fam, pairings):
+    """The systems of the reference pairings of ``fam``, with None wherever
+    the full structural check fails: where stage 4 must build no
+    WeightSystem."""
+    systems = [pairing_system(fam.graph.n, fam.graph.num_points, p) for p in pairings]
     return [ws if not weight_system_checks(ws) else None for ws in systems]
 
 
@@ -819,7 +822,7 @@ def test_witness_instances_match_the_weighted_graph_builder(profile, count, with
     assert sum(1 for f in fams if len(f.graph.components()) > 1) == split
     seen = []
     for fam in fams:
-        want = effective_or_none(reference_weighted_graphs(fam, 12, 4))
+        want = effective_or_none(fam, reference_weighted_graphs(fam, 12, 4))
         assert completed_witnesses(fam, 12, 4) == want, (fam.graph.edges, fam.magnitudes)
         seen += want
     assert (len(seen), seen.count(None)) == INSTANCE_COUNTS[profile]
@@ -844,8 +847,8 @@ def reference_stage4(candidates, opts):
     audit = {"rejections": {}, "instances": 0, "passing": 0}
     passing = {}
     for key in sorted(candidates):
-        graphs = reference_weighted_graphs(candidates[key], opts.witness_bound)
-        for inst in effective_or_none(graphs):
+        fam = candidates[key]
+        for inst in effective_or_none(fam, reference_weighted_graphs(fam, opts.witness_bound)):
             if inst in passing:
                 continue
             audit["instances"] += 1
@@ -1009,16 +1012,17 @@ def test_parametric_weights_match_the_reference(run):
 
 def test_witness_instances_reproduce_magnitudes():
     fam = solve_weights(TRIANGLE, (3, 3, 3))
-    graphs = reference_weighted_graphs(fam, 4, 2)
-    assert graphs
-    want = effective_or_none(graphs)
+    pairings = reference_weighted_graphs(fam, 4, 2)
+    assert pairings
+    want = effective_or_none(fam, pairings)
     assert None in want and any(want)
     assert want == completed_witnesses(fam, 4, 2)
-    for wg in graphs:
-        assert magnitudes_from_weights(wg.weight_system(), wg) == (3, 3, 3)
+    for pairing in pairings:
+        ws = pairing_system(fam.graph.n, fam.graph.num_points, pairing)
+        assert magnitudes_from_weights(ws, pairing) == (3, 3, 3)
 
 
-def reference_lemma_filters(ws, g):
+def reference_lemma_filters(ws, pairing):
     """The report admissible_pairing replaced: every rule's failure
     description (None when it passes), for every bundle of parallel edges."""
     from math import gcd
@@ -1026,7 +1030,7 @@ def reference_lemma_filters(ws, g):
     n = ws.n
     report = {"multiple_edge_gcd": None, "divisor_propagation": None}
     bundles = {}
-    for (i, j, w) in g.wedges:
+    for (i, j, w) in pairing:
         if i != j:
             bundles.setdefault((i, j), []).append(w)
     for (i, j), wsb in bundles.items():
@@ -1037,8 +1041,8 @@ def reference_lemma_filters(ws, g):
             report["multiple_edge_gcd"] = (
                 "bundle %s->%s of size %d has gcd %d" % (i, j, len(wsb), gg)
             )
-        rest_i = [e for e in g.wedges if i in (e[0], e[1]) and not (e[0] == i and e[1] == j)]
-        rest_j = [e for e in g.wedges if j in (e[0], e[1]) and not (e[0] == i and e[1] == j)]
+        rest_i = [e for e in pairing if i in (e[0], e[1]) and not (e[0] == i and e[1] == j)]
+        rest_j = [e for e in pairing if j in (e[0], e[1]) and not (e[0] == i and e[1] == j)]
         if gg != 1 and all(e[0] == e[1] for e in rest_i) and all(e[0] == e[1] for e in rest_j):
             report["multiple_edge_gcd"] = (
                 "bundle %s->%s isolated by cycles has gcd %d" % (i, j, gg)
@@ -1078,21 +1082,21 @@ def test_admissible_pairing_matches_the_reference_report():
         for ws in FIXTURE_SYSTEMS + instantiated_systems():
             for g in integral_multigraphs(ws, mode):
                 want = all(v is None for v in reference_lemma_filters(ws, g).values())
-                assert admissible_pairing(ws, g) == want, (ws.points, g.wedges)
+                assert admissible_pairing(ws, g) == want, (ws.points, g)
                 seen += 1
                 rejected += not want
     assert (seen, rejected) == (2474, 1249)
 
 
 def random_pairing(rng):
-    """A weighted multigraph on 2 to 4 points whose 2 to 7 edges fall in at
-    most three cells (i, j), so that bundles and cycles are common, with
-    weights rich in common divisors."""
+    """A pairing on 2 to 4 points whose 2 to 7 edges fall in at most three
+    cells (i, j), so that bundles and cycles are common, with weights rich
+    in common divisors, and the system it realizes, with n from 2 to 6."""
     npts = rng.randint(2, 4)
     cells = rng.sample([(i, j) for i in range(npts) for j in range(npts)], rng.randint(1, 3))
-    wedges = [(*rng.choice(cells), rng.choice((1, 2, 3, 4, 6, 8, 9, 12)))
-              for _ in range(rng.randint(2, 7))]
-    return WeightedMultigraph(rng.randint(2, 6), tuple(range(npts)), wedges)
+    pairing = tuple(sorted((*rng.choice(cells), rng.choice((1, 2, 3, 4, 6, 8, 9, 12)))
+                           for _ in range(rng.randint(2, 7))))
+    return pairing_system(rng.randint(2, 6), npts, pairing), pairing
 
 
 def test_admissible_pairing_matches_the_reference_report_on_random_pairings():
@@ -1102,11 +1106,10 @@ def test_admissible_pairing_matches_the_reference_report_on_random_pairings():
     rng = random.Random(2026)
     rejected = divisor_only = 0
     for _ in range(2000):
-        g = random_pairing(rng)
-        ws = g.weight_system()
-        report = reference_lemma_filters(ws, g)
+        ws, pairing = random_pairing(rng)
+        report = reference_lemma_filters(ws, pairing)
         want = all(v is None for v in report.values())
-        assert admissible_pairing(ws, g) == want, (ws.points, g.wedges)
+        assert admissible_pairing(ws, pairing) == want, (ws.points, pairing)
         rejected += not want
         divisor_only += report["multiple_edge_gcd"] is None and not want
     assert rejected >= 1000 and divisor_only >= 600
@@ -1115,12 +1118,12 @@ def test_admissible_pairing_matches_the_reference_report_on_random_pairings():
 def test_a_bundle_isolated_by_cycles_needs_coprime_weights():
     # the bundle 0->1 (weights 2, 4) is smaller than n - 1 = 3 and every
     # sub-bundle has a companion multiple; only the cycles around it reject it
-    g = WeightedMultigraph(4, (1, 3), ((0, 1, 2), (0, 1, 4), (0, 0, 2), (1, 1, 2)))
-    ws = g.weight_system()
-    assert reference_lemma_filters(ws, g) == {
+    pairing = ((0, 0, 2), (0, 1, 2), (0, 1, 4), (1, 1, 2))
+    ws = pairing_system(4, 2, pairing)
+    assert reference_lemma_filters(ws, pairing) == {
         "multiple_edge_gcd": "bundle 0->1 isolated by cycles has gcd 2",
         "divisor_propagation": None}
-    assert not admissible_pairing(ws, g)
+    assert not admissible_pairing(ws, pairing)
 
 
 # a 10-edge multigraph with one cycle and a divisor-2 magnitude labeling
@@ -1364,6 +1367,12 @@ def test_classify_refuses_fewer_than_one_job():
             classify(minimal_profile(2), SearchOptions(), jobs=jobs)
 
 
+def test_classify_reads_jobs_as_an_integer():
+    # a string used to fail only where it was compared with 1
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        classify(minimal_profile(2), SearchOptions(), jobs="2")
+
+
 def test_classify_refuses_a_negative_nonnegative_target(monkeypatch):
     # the nonnegative search of a non-minimal profile with target -4 has no
     # labeling, so an empty, untruncated result would claim a complete
@@ -1478,6 +1487,56 @@ def test_a_resume_builds_one_matrix_per_graph(tmp_path, monkeypatch):
     for gi, (fams, record) in done.items():
         fresh, fresh_record = search_graph(graphs[gi], profile, opts)
         assert (solved(fams), record) == (solved(fresh), fresh_record)
+
+
+def test_the_checkpoint_saves_each_graph_as_it_finishes(tmp_path, monkeypatch):
+    # a pool whose futures finish one at a time, in reverse order of
+    # submission, each only once the one before is saved (or a second has
+    # passed): every save must hold every graph finished so far, in index order
+    profile, opts = minimal_profile(3), SearchOptions()
+    count = len(enumerate_multigraphs(profile, mode=opts.pair_mode, dedup="reversal"))
+    finished, saves = [], []
+    saved = threading.Semaphore(0)
+
+    class ReversePool(concurrent.futures.Executor):
+        def __init__(self, max_workers, mp_context):
+            self.calls, self.thread = [], None
+
+        def submit(self, fn, *args):
+            self.calls.append((concurrent.futures.Future(), fn, args))
+            if len(self.calls) == count:
+                self.thread = threading.Thread(target=self.finish)
+                self.thread.start()
+            return self.calls[-1][0]
+
+        def finish(self):
+            for gi in reversed(range(count)):
+                future, fn, args = self.calls[gi]
+                finished.append(gi)
+                try:
+                    future.set_result(fn(*args))
+                except BaseException as exc:
+                    future.set_exception(exc)
+                saved.acquire(timeout=1)
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            self.thread.join()
+
+    write = search._save_checkpoint
+
+    def save(path, fingerprint, done):
+        write(path, fingerprint, done)
+        with open(path) as fh:
+            saves.append((list(json.load(fh)["blocks"]), [str(gi) for gi in sorted(finished)]))
+        saved.release()
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ReversePool)
+    monkeypatch.setattr(search, "_save_checkpoint", save)
+    result = classify(profile, opts, jobs=2, checkpoint=str(tmp_path / "ck.json"))
+    assert finished == list(reversed(range(count))) and len(saves) == count
+    for blocks, want in saves:
+        assert blocks == want
+    assert result.to_json() == classify(profile, opts).to_json()
 
 
 def test_a_search_builds_one_matrix_per_graph(monkeypatch):
