@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd
 from operator import index
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 
 class ProfileError(ValueError):
@@ -210,18 +210,8 @@ def weight_system_checks(ws: WeightSystem) -> List[str]:
     if flat != [-w for w in reversed(flat)]:
         failures.append("positive weights %s do not pair with negative weights"
                         % [w for w in flat if w > 0])
-    failure = _profile_failure(ws.profile)
-    if failure is not None:
-        failures.append(failure)
-    return failures
-
-
-@lru_cache(maxsize=32)
-def _profile_failure(profile: FixedPointProfile) -> Optional[str]:
-    """The message :func:`validate_profile` raises for ``profile``, or None;
-    memoized, as every instance of a search shares its profile."""
     try:
-        validate_profile(profile)
+        validate_profile(ws.profile)
     except ProfileError as exc:
-        return str(exc)
-    return None
+        failures.append(str(exc))
+    return failures

@@ -63,16 +63,9 @@ class LaurentPolynomial:
         return not self.coeffs
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = LaurentPolynomial.term(other, 0)
         return isinstance(other, LaurentPolynomial) and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(tuple(sorted(self.coeffs.items())))
-
-    def __add__(self, other) -> "LaurentPolynomial":
-        if isinstance(other, int):
-            other = LaurentPolynomial.term(other, 0)
+    def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             out[e] = out.get(e, 0) + c
@@ -81,14 +74,10 @@ class LaurentPolynomial:
     def __neg__(self) -> "LaurentPolynomial":
         return _make({e: -c for e, c in self.coeffs.items()})
 
-    def __sub__(self, other) -> "LaurentPolynomial":
-        if isinstance(other, int):
-            other = LaurentPolynomial.term(other, 0)
+    def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         return self + (-other)
 
-    def __mul__(self, other) -> "LaurentPolynomial":
-        if isinstance(other, int):
-            other = LaurentPolynomial.term(other, 0)
+    def __mul__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         out: Dict[int, int] = {}
         get = out.get
         for e1, c1 in self.coeffs.items():
@@ -96,9 +85,6 @@ class LaurentPolynomial:
                 e = e1 + e2
                 out[e] = get(e, 0) + c1 * c2
         return _make(out)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
 
     def shift(self, e: int) -> "LaurentPolynomial":
         """Multiply by t^e."""

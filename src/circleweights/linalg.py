@@ -11,7 +11,8 @@ no ``Fraction`` and no floating point anywhere.  The services are
 * :func:`positive_kernel_exists` -- an exact yes/no decision whether the
   kernel meets the open positive orthant (:func:`meets_positive_orthant`);
 * :func:`kernel_lattice_points` -- every kernel vector with entries in
-  [1, bound], the witnesses the search instantiates.
+  [1, bound], the bound lowered until the box fits LATTICE_BOX_LIMIT: the
+  witnesses the search instantiates.
 """
 
 from __future__ import annotations
@@ -167,7 +168,10 @@ LATTICE_BOX_LIMIT = 2_000_000
 
 
 def kernel_lattice_points(ns: NullspaceDescription, bound: int) -> List[Tuple[int, ...]]:
-    """All integer kernel vectors with every entry in [1, bound], sorted.
+    """All integer kernel vectors with every entry in [1, b], sorted, for
+    the largest b <= bound whose box of b ** dim free entries holds at most
+    LATTICE_BOX_LIMIT points; b stops at 2, and a box of 2 ** dim points
+    above the limit raises ValueError.
 
     Basis vector j of ``ns`` holds d_j != 0 at free column j and 0 at the
     other free columns, so a kernel vector with free entries v_j is
@@ -177,6 +181,9 @@ def kernel_lattice_points(ns: NullspaceDescription, bound: int) -> List[Tuple[in
     """
     if ns.dim == 0:
         return []
+    bound = min(bound, LATTICE_BOX_LIMIT)
+    while bound > 2 and bound ** ns.dim > LATTICE_BOX_LIMIT:
+        bound -= 1
     if bound ** ns.dim > LATTICE_BOX_LIMIT:
         raise ValueError("lattice enumeration too large: %d^%d" % (bound, ns.dim))
     free = ns.free

@@ -83,12 +83,6 @@ def expected_c1cn1(ws_or_profile) -> int:
                for p, count in enumerate(profile.counts))
 
 
-def chi_y_coefficients(ws: WeightSystem) -> Tuple[int, ...]:
-    """Coefficients (N_0, ..., N_n) of the Hirzebruch chi_y genus
-    sum_p N_p (-y)^p."""
-    return ws.profile.counts
-
-
 @dataclass
 class ChernReport:
     """Outcome of the full localization battery on one weight system."""
@@ -98,7 +92,7 @@ class ChernReport:
     c_n: Fraction
     c1_cn1: Fraction
     expected_c1_cn1: int
-    chi_y: Tuple[int, ...]
+    chi_y: Tuple[int, ...]  # N_0, ..., N_n of the chi_y genus sum_p N_p (-y)^p
 
     @property
     def ok(self) -> bool:
@@ -185,5 +179,5 @@ def chern_battery(ws: WeightSystem) -> ChernReport:
         c_n=c_n,
         c1_cn1=c1_cn1,
         expected_c1_cn1=expected_c1cn1(ws),
-        chi_y=chi_y_coefficients(ws),
+        chi_y=ws.profile.counts,
     )

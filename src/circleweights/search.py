@@ -42,7 +42,6 @@ from .graphs import (
     integral_multigraphs,
     union_find,
 )
-from . import linalg
 from .linalg import (
     NullspaceDescription,
     graph_matrix,
@@ -127,12 +126,6 @@ class SearchOptions:
 Part = Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...]]
 
 
-def _join(a: Part, b: Part) -> Part:
-    """The part of the edges of ``a`` and of ``b`` together: the weights at
-    each point side by side, and the gcd of the two gcds."""
-    return tuple(map(operator.add, a[0], b[0])), tuple(map(gcd, a[1], b[1]))
-
-
 def _share(npts: int, ends: Sequence[Tuple[int, int]], weights: Iterable[int]) -> Part:
     """The part of edges with the endpoint pairs ``ends`` and the weights
     ``weights``, on ``npts`` points."""
@@ -170,25 +163,17 @@ class WeightFamily:
 
     def witness_instances(self, bound: int) -> List[Part]:
         """The edge parts of the family's witnesses: for every choice of a
-        kernel lattice point per component (entries in [1, bound], shrunk
-        while the box of a kernel exceeds linalg.LATTICE_BOX_LIMIT points),
-        in itertools.product order over the components, the weights the
-        edges, in component order, put at each fixed point and their gcd
-        there (0 at a point that carries only cycles).  A witness is an edge
-        part joined with one of cycle_parts (see _join)."""
-        comp_choices = []
-        for ker in self.comp_kernels:
-            eb = bound
-            while eb > 2 and eb ** ker.dim > linalg.LATTICE_BOX_LIMIT:
-                eb -= 1
-            pts = kernel_lattice_points(ker, eb)
-            if not pts:
-                return []
-            comp_choices.append(pts)
+        kernel lattice point per component (kernel_lattice_points, which
+        may lower ``bound``), in itertools.product order over the
+        components, the weights the edges, in component order, put at each
+        fixed point and their gcd there (0 at a point that carries only
+        cycles).  A witness is an edge part with one of cycle_parts: the
+        weights at each point side by side, and the gcd of the two gcds."""
         npts = self.graph.num_points
         ends = [self.graph.edges[k] for comp in self.graph.components() for k in comp]
         return [_share(npts, ends, itertools.chain.from_iterable(choice))
-                for choice in itertools.product(*comp_choices)]
+                for choice in itertools.product(*(kernel_lattice_points(ker, bound)
+                                                  for ker in self.comp_kernels))]
 
     def cycle_parts(self, cycle_bound: int = 4) -> List[Part]:
         """The same for the cycles, each of weight in [1, cycle_bound], in
@@ -757,7 +742,7 @@ def _witness_verdicts(fam: WeightFamily, opts: SearchOptions,
                 if verdict is not None:
                     yield verdict
                     continue
-            ws = WeightSystem(graph.n, _join(edge_part, cycle_part)[0])
+            ws = WeightSystem(graph.n, tuple(map(operator.add, pts, cycle_part[0])))
             if ws in passing:
                 yield None
                 continue

@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import json
 import math
+import operator
 import os
 import random
 import subprocess
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import circleweights
-from circleweights import search
+from circleweights import linalg, search
 from circleweights.core import (
     FixedPointProfile,
     ProfileError,
@@ -25,8 +26,8 @@ from circleweights.core import (
     weight_system_checks,
 )
 from circleweights.fixtures import cp, grassmannian, s2xs2, v5, v22
-from circleweights.hattori import DIM8_CONSTANTS, derive_levels
-from circleweights.laurent import LaurentPolynomial, one_minus_t
+from circleweights.hattori import DIM8_CONSTANTS, derive_levels, r_values_at_one
+from circleweights.laurent import LaurentPolynomial, NotLaurent, one_minus_t
 from circleweights.graphs import (
     Multigraph,
     enumerate_multigraphs,
@@ -413,6 +414,26 @@ def test_closed_form_shapes_match_the_reference():
     assert sum(1 for lab in found["bounded"] if min(lab) < 0) == 16
 
 
+def test_every_budget_matches_the_reference():
+    """Under every budget from one node to one past what the stream takes
+    unbudgeted, each d4 stream and the d6 streams of C = 4 and 3 yield the
+    reference's labelings, leave its budget cell and make its positive-kernel
+    tests.  Budgets too small for the closed form's subtree send the stream
+    to its own leaf."""
+    streams = []
+    for profile, divisors in ((minimal_profile(2), (3, 1)), (minimal_profile(3), (4, 3))):
+        assert set(divisors) <= set(divisor_branches(profile, SearchOptions()))
+        streams += [(graph, profile, c)
+                    for graph in enumerate_multigraphs(profile, mode="nonneg", dedup="reversal")
+                    for c in divisors]
+    for graph, profile, c in streams:
+        cell = [10 ** 9]
+        list(stream_labelings(graph, profile, SearchOptions(), divisor=c, budget=cell))
+        for budget in range(1, 10 ** 9 - cell[0] + 2):
+            got, want = stream_and_reference(graph, profile, SearchOptions(), c, budget)
+            assert got == want, (graph.edges, c, budget)
+
+
 def fold_coefficients(poly, lines):
     """The label-by-label fold that the closed form of stream_labelings made
     before it grouped sums: each label below is a line a + b v, folded into
@@ -788,9 +809,9 @@ def completed_witnesses(fam, bound, cycle_bound=4):
     part of witness_instances joined with each of cycle_parts, in product
     order, and None where the weights at some point have a gcd above 1."""
     ones = (1,) * fam.graph.num_points
-    parts = (search._join(edge, cycle) for edge in fam.witness_instances(bound)
-             for cycle in fam.cycle_parts(cycle_bound))
-    return [WeightSystem(fam.graph.n, pts) if gcds == ones else None for pts, gcds in parts]
+    return [WeightSystem(fam.graph.n, tuple(map(operator.add, edge[0], cycle[0])))
+            if tuple(map(math.gcd, edge[1], cycle[1])) == ones else None
+            for edge in fam.witness_instances(bound) for cycle in fam.cycle_parts(cycle_bound)]
 
 
 def streamed_families(profile):
@@ -1022,6 +1043,22 @@ def test_witness_instances_reproduce_magnitudes():
         assert magnitudes_from_weights(ws, pairing) == (3, 3, 3)
 
 
+def test_witness_box_is_lowered_to_fit_the_limit(monkeypatch):
+    # the triangle family of d4 has one component with a kernel of
+    # dimension 2: under a limit of 50 points its box is 7 x 7, whatever
+    # bound above 7 is asked for, and under a limit of 3 no box fits
+    fam = solve_weights(TRIANGLE, (3, 3, 3))
+    assert [ker.dim for ker in fam.comp_kernels] == [2]
+    seven = fam.witness_instances(7)
+    assert len(seven) == 21
+    monkeypatch.setattr(linalg, "LATTICE_BOX_LIMIT", 50)
+    assert fam.witness_instances(12) == seven
+    assert fam.witness_instances(10 ** 12) == seven
+    monkeypatch.setattr(linalg, "LATTICE_BOX_LIMIT", 3)
+    with pytest.raises(ValueError, match="too large"):
+        fam.witness_instances(12)
+
+
 def reference_lemma_filters(ws, pairing):
     """The report admissible_pairing replaced: every rule's failure
     description (None when it passes), for every bundle of parallel edges."""
@@ -1159,6 +1196,30 @@ def test_vet_fixtures_pass():
 def test_vet_rejects_scaled_weights():
     ws = WeightSystem(2, ((2, 4), (-2, 2), (-4, -2)))
     assert vet_instance(ws, SearchOptions()) is not None
+
+
+def _raise_not_laurent(ws, levels):
+    raise NotLaurent("patched")
+
+
+@pytest.mark.parametrize("name, fake, verdict", [
+    ("derive_levels", lambda ws, c1: None, "index_levels"),
+    ("r_values_at_one", _raise_not_laurent, "index_laurent"),
+    ("r_values_at_one", lambda ws, levels: [2, 3, 2, 0], "index_todd"),
+    ("r_values_at_one", lambda ws, levels: [1, 3, 1, 5], "index_vanishing"),
+    ("r_values_at_one", lambda ws, levels: [1, 3, 2, 0], "index_symmetry"),
+    ("r_values_at_one", lambda ws, levels: [1, -3, 1, 0], "index_volume"),
+    # breaks the vanishing and the symmetry rule: vanishing is decided first
+    ("r_values_at_one", lambda ws, levels: [1, 3, 2, 5], "index_vanishing"),
+], ids=["levels", "laurent", "todd", "vanishing", "symmetry", "volume", "vanishing_first"])
+def test_index_verdicts(monkeypatch, name, fake, verdict):
+    # v5 (n = 3, C_1 = 2, so l_0 = 2) passes with r(1) = [1, 3, 1, 0]; each
+    # patched step of the index battery breaks the rule its verdict names
+    ws = v5()
+    assert r_values_at_one(ws, derive_levels(ws, 2)) == [1, 3, 1, 0]
+    assert vet_instance(ws, SearchOptions()) is None
+    monkeypatch.setattr(search, name, fake)
+    assert vet_instance(ws, SearchOptions()) == verdict
 
 
 def reference_minimal_chern_constants(ws):
